@@ -61,8 +61,8 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import Span, TraceContext, Tracer, parse_traceparent
 from repro.serve.admission import AdmissionController
 from repro.serve.warm import LanePool, WarmLane
-from repro.serve.wire import (TRACEPARENT_KEY, decode_blob, recv_frame,
-                              send_frame)
+from repro.serve.wire import (TRACEPARENT_KEY, close_socket, decode_blob,
+                              recv_frame, send_frame)
 from repro.sre.executor_procs import ProcessExecutor
 from repro.sre.runtime import Runtime
 from repro.sre.shm import BlockStore
@@ -330,17 +330,11 @@ class SpeculationServer:
             except OSError:  # pragma: no cover - defensive
                 pass
         # Wake every live handler: a silent peer would otherwise pin its
-        # thread in recv_frame past shutdown. SHUT_RDWR delivers EOF to a
-        # blocked recv where close() alone may not.
+        # thread in recv_frame past shutdown.
         with self._conns_lock:
             conns = list(self._conns.items())
         for conn, _t in conns:
-            for closer in (lambda: conn.shutdown(socket.SHUT_RDWR),
-                           conn.close):
-                try:
-                    closer()
-                except OSError:
-                    pass
+            close_socket(conn)
         for t in self._threads + [t for _c, t in conns]:
             t.join(timeout=10.0)
         # Lanes first (their harvest emits into daemon metrics/events),

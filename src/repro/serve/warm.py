@@ -24,7 +24,7 @@ import multiprocessing
 import threading
 from dataclasses import dataclass, field
 
-from repro.sre.executor_procs import WorkerSupervisor
+from repro.sre.executor_procs import PipeLink, WorkerSupervisor
 from repro.sre.runtime import Runtime
 from repro.testing.faults import FaultPlan
 
@@ -124,16 +124,11 @@ class LanePool:
 
     def _spawn(self, key: tuple, tenant: str, workers: int,
                fault_plan: str | None) -> WarmLane:
-        # Workers fork from the daemon: the shm resource tracker must
-        # predate them (see ProcessExecutor._start_backend for the why).
-        from multiprocessing import resource_tracker
-
-        resource_tracker.ensure_running()
         opts: dict = {"max_respawns": self._max_respawns}
         if self._harvest_timeout_s is not None:
             opts["harvest_timeout_s"] = self._harvest_timeout_s
         supervisor = WorkerSupervisor(
-            self._ctx, workers, runtime=self._home,
+            PipeLink(self._ctx), workers, runtime=self._home,
             fault_plan=FaultPlan.parse(fault_plan), **opts)
         supervisor.start()
         self._m_spawns.inc()

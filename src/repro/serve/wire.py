@@ -40,6 +40,7 @@ from repro.errors import TransportError
 __all__ = [
     "MAX_FRAME_BYTES",
     "TRACEPARENT_KEY",
+    "close_socket",
     "decode_blob",
     "encode_blob",
     "recv_frame",
@@ -69,6 +70,24 @@ def decode_blob(text: str) -> bytes:
         return base64.b64decode(text, validate=True)
     except (ValueError, TypeError) as exc:
         raise TransportError(f"invalid base64 block payload: {exc}") from None
+
+
+def close_socket(sock: socket.socket | None) -> None:
+    """Shut ``sock`` down both ways, then close it; ``None`` is a no-op.
+
+    ``SHUT_RDWR`` delivers EOF to a thread blocked in :func:`recv_frame`
+    on the same socket, where ``close()`` alone may not wake it.
+    """
+    if sock is None:
+        return
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
+    try:
+        sock.close()
+    except OSError:  # pragma: no cover - defensive
+        pass
 
 
 def send_frame(sock: socket.socket, obj: dict) -> None:

@@ -3,19 +3,20 @@ worker pool on the far side of a TCP connection.
 
 :class:`DistExecutor` *is* :class:`~repro.sre.executor_procs.ProcessExecutor`
 — same batching, work-stealing, retry/quarantine and streaming-reply
-machinery — constructed with an injected supervisor whose seats live in a
-remote ``repro worker-pool`` daemon (:mod:`repro.sre.worker_pool`).
-:class:`RemotePool` duck-types the ``WorkerSupervisor`` seam
-(``send``/``recv_reply``/``note_lost``/``respawn``/``abort_flags``/...)
-over :mod:`repro.serve.wire` length-prefixed JSON frames, so the
-coordinator cannot tell pipes from sockets.
+machinery, and the same :class:`~repro.sre.executor_procs.WorkerSupervisor`
+seat state machine — whose supervisor drives its seats over a socket link
+instead of a pipe link. :class:`RemotePool` is that link: each seat is one
+connection to a session of a remote ``repro worker-pool`` daemon
+(:mod:`repro.sre.worker_pool`), speaking :mod:`repro.serve.wire`
+length-prefixed JSON frames.
 
-What changes at the seam:
+What the socket link changes, and what it does not:
 
 * **Transport** — payload frames ride base64 in ``batch`` frames; the
   streamed one-reply-per-payload protocol is preserved verbatim
-  (``seq``/``status``/``payload_b64``), so per-payload deadlines and
-  head-of-line behaviour match the local back-end.
+  (``seq``/``status``/``payload_b64``), so per-payload deadlines, the
+  supervisor's reply-sequence check and head-of-line behaviour match the
+  local back-end.
 * **shm** — shared memory cannot cross hosts, so the
   :class:`~repro.sre.shm.BlockRef` seam is re-keyed through a chunked
   block push: before a batch ships, every referenced segment is
@@ -23,21 +24,21 @@ What changes at the seam:
   coordinator's host — still zero-copy — or created and filled through
   ``chunk`` ops otherwise), after which the refs resolve remotely exactly
   as they do locally.
-* **Crash/hang recovery** — the supervisor's respawn state machine
-  generalises to *reconnect with a bumped incarnation*: one seat
-  connection carries exactly one worker incarnation, any
-  :class:`~repro.errors.WorkerLost` in either direction poisons the
-  connection, and ``respawn`` opens a fresh one (the pool recycles the
-  seat's worker if it held in-flight state). Stale frames die with the
-  old socket, which is what keeps reply sequences unambiguous.
+* **Crash/hang recovery** — the supervisor's respawn is *reconnect with a
+  bumped incarnation*: one seat connection carries exactly one worker
+  incarnation, any :class:`~repro.errors.WorkerLost` in either direction
+  poisons the connection, and reopening the seat opens a fresh one (the
+  pool recycles the seat's worker if it held in-flight state). Stale
+  frames die with the old socket, which is what keeps reply sequences
+  unambiguous.
 * **Abort flags** — a write to ``abort_flags[wid]`` becomes a control-op
   round trip on value *transitions*; the raise path is timed into the
   ``dist_abort_rtt_us`` histogram (the cross-host cost of tolerant
   speculation's destroy signal).
 * **Pool loss** — a heartbeat thread probes the control connection; if
-  the pool dies wholesale every seat degrades and the run completes
-  coordinator-inline, same contract as a seat exhausting its respawn
-  budget.
+  the pool dies wholesale the link is lost, every seat degrades and the
+  run completes coordinator-inline, same contract as a seat exhausting
+  its respawn budget.
 
 See ``docs/distributed.md`` for the wire protocol and a worked
 post-mortem of a killed remote worker.
@@ -53,19 +54,27 @@ from typing import Any
 
 from repro.errors import SchedulingError, SegmentGone, TransportError, WorkerLost
 from repro.obs.metrics import MetricsRegistry
-from repro.serve.wire import (TRACEPARENT_KEY, decode_blob, encode_blob,
-                              recv_frame, send_frame)
+from repro.serve.wire import (TRACEPARENT_KEY, close_socket, decode_blob,
+                              encode_blob, recv_frame, send_frame)
 from repro.sre import shm
-from repro.sre.executor_procs import (DEFAULT_BATCH_BYTES, DEFAULT_BATCH_MAX,
-                                      DEFAULT_DISPATCH_TIMEOUT_S,
-                                      DEFAULT_HARVEST_TIMEOUT_S,
-                                      DEFAULT_PAYLOAD_BUDGET, ProcessExecutor)
+from repro.sre.executor_procs import (DEFAULT_DISPATCH_TIMEOUT_S,
+                                      ProcessExecutor)
 from repro.sre.registry import register_executor
 from repro.sre.runtime import Runtime
-from repro.sre.task import PAYLOAD_PROTOCOL
-from repro.testing.faults import FaultPlan
 
 __all__ = ["RemotePool", "DistExecutor"]
+
+#: Control-connection heartbeat interval (seconds).
+HEARTBEAT_S = 5.0
+#: TCP connect, seat handshake and control-op deadline (seconds).
+CONNECT_TIMEOUT_S = 10.0
+#: How much longer than the pool-enforced per-payload deadline a seat
+#: waits for a reply, so the pool's ``lost`` relay — which names the true
+#: cause: crash vs hang vs protocol — wins the race against the
+#: coordinator's own socket timeout.
+NET_MARGIN_S = 2.0
+#: Block-push granularity for cross-host segments (bytes).
+CHUNK_BYTES = 1 << 20
 
 #: abort relays are small fixed-size control ops — µs-scale on loopback,
 #: ms-scale across real links; buckets cover both regimes.
@@ -73,28 +82,15 @@ _ABORT_RTT_BUCKETS = (50.0, 100.0, 200.0, 500.0, 1e3, 2e3, 5e3,
                       1e4, 5e4, 1e5, 1e6)
 
 
-def _close(sock: socket.socket | None) -> None:
-    if sock is None:
-        return
-    try:
-        sock.shutdown(socket.SHUT_RDWR)
-    except OSError:
-        pass
-    try:
-        sock.close()
-    except OSError:  # pragma: no cover - defensive
-        pass
-
-
 class _RemoteAbortFlags:
-    """``abort_flags`` shim: looks like the supervisor's shared byte
+    """``abort_flags`` shim: looks like the pipe link's shared byte
     array, but a write that *changes* a seat's value relays it to the
     pool as an ``abort`` control op (reads stay local — the coordinator
     is the only writer, so its shadow copy is authoritative)."""
 
-    def __init__(self, pool: "RemotePool") -> None:
+    def __init__(self, pool: "RemotePool", workers: int) -> None:
         self._pool = pool
-        self._values = [0] * pool.n_workers
+        self._values = [0] * workers
 
     def __getitem__(self, wid: int) -> int:
         return self._values[wid]
@@ -109,89 +105,52 @@ class _RemoteAbortFlags:
     def __len__(self) -> int:
         return len(self._values)
 
-    def clear(self) -> None:
-        self._values = [0] * len(self._values)
-
-
-class _Seat:
-    """Coordinator-side per-seat connection state. Each seat is driven by
-    exactly one coordinator thread (ProcessExecutor's per-seat dispatch
-    loop), so no lock is needed beyond the pool-wide ones."""
-
-    __slots__ = ("wid", "sock", "sent", "recvd", "incarnation",
-                 "respawns", "degraded")
-
-    def __init__(self, wid: int) -> None:
-        self.wid = wid
-        self.sock: socket.socket | None = None
-        self.sent = 0   # the reply stream restarts with each incarnation
-        self.recvd = 0
-        self.incarnation = 0
-        self.respawns = 0
-        self.degraded = False
-
 
 class RemotePool:
-    """A remote ``repro worker-pool`` session, speaking the
-    ``WorkerSupervisor`` interface.
+    """The socket link: a :class:`~repro.sre.executor_procs.WorkerSupervisor`
+    seat is one connection to a remote ``repro worker-pool`` session.
+
+    Starting the link attaches a session over a control connection (and
+    starts its heartbeat); the final harvest detaches it, folding the
+    pool's metrics/events snapshot into the job's runtime. Every batch is
+    preceded by the block push that makes its shared-memory refs resolve
+    on the pool.
 
     Args:
         address: ``"host:port"`` of a running pool daemon.
-        workers: seats to attach (bounded by the pool's ``max_workers``).
-        runtime: the job runtime — crash/respawn events and dist metrics
-            land here, and the pool's own snapshot merges in at detach.
-        fault_plan: chaos plan shipped to the pool at attach and armed on
-            the *remote* workers (``None`` defers to the pool's default).
-        dispatch_timeout_s: per-payload reply deadline, enforced on the
-            pool side (where hangs are detected) — the coordinator waits
-            ``net_margin_s`` longer so the pool's ``lost`` relay wins the
-            race against the coordinator's own timeout.
-        max_respawns: reconnect budget per seat before it degrades.
-        heartbeat_s: control-connection probe interval (0 disables).
-        connect_timeout_s: TCP connect/handshake deadline.
-        chunk_bytes: block-push granularity for cross-host segments.
+        dispatch_timeout_s: per-payload reply deadline, shipped at attach
+            and enforced on the pool side (where hangs are detected) —
+            a seat waits :data:`NET_MARGIN_S` longer for each reply.
     """
 
-    def __init__(
-        self,
-        address: str,
-        *,
-        workers: int = 4,
-        runtime: Runtime,
-        fault_plan: FaultPlan | str | None = None,
-        dispatch_timeout_s: float = DEFAULT_DISPATCH_TIMEOUT_S,
-        max_respawns: int = 3,
-        harvest_timeout_s: float = DEFAULT_HARVEST_TIMEOUT_S,
-        heartbeat_s: float = 5.0,
-        connect_timeout_s: float = 10.0,
-        net_margin_s: float = 2.0,
-        chunk_bytes: int = 1 << 20,
-    ) -> None:
+    METRICS = {
+        "lost": ("dist_seat_lost",
+                 "seat connections poisoned by a worker loss"),
+        "respawned": ("dist_seat_reconnects",
+                      "seat reconnects with a bumped incarnation (remote "
+                      "respawns)"),
+        "degraded": ("dist_seats_degraded",
+                     "seats fallen back to coordinator-inline execution"),
+    }
+
+    def __init__(self, address: str, *,
+                 dispatch_timeout_s: float = DEFAULT_DISPATCH_TIMEOUT_S
+                 ) -> None:
         host, sep, port = address.rpartition(":")
         if not sep or not host or not port.isdigit():
             raise SchedulingError(
                 f"pool address must be 'host:port', got {address!r}")
         self.address = address
         self._host, self._port = host, int(port)
-        self.n_workers = workers
-        self.fault_plan = FaultPlan.parse(fault_plan)
         self.dispatch_timeout_s = dispatch_timeout_s
-        self.max_respawns = max_respawns
-        self.harvest_timeout_s = harvest_timeout_s
-        self.heartbeat_s = heartbeat_s
-        self.connect_timeout_s = connect_timeout_s
-        self.net_margin_s = net_margin_s
-        self.chunk_bytes = chunk_bytes
-        self.runtime = runtime
+        self.event_fields = {"pool": address}
+        #: set to the seats' degrade reason when the control connection
+        #: dies (heartbeat, abort relay, block push or detach failure):
+        #: the supervisor degrades every seat instead of reconnecting.
+        self.lost: str | None = None
         self.session: str | None = None
-        self.abort_flags = _RemoteAbortFlags(self)
-        self._seats = [_Seat(w) for w in range(workers)]
         self._ctl: socket.socket | None = None
         self._ctl_lock = threading.RLock()
-        #: pool-wide loss flag: set when the control connection dies
-        #: (heartbeat failure, abort-relay failure, detach error). Seats
-        #: refuse to reconnect past it and degrade instead.
-        self._lost = False
         #: segment name -> True if the pool *created* a copy (chunks must
         #: be pushed for its blocks), False if it attached natively.
         self._pushed_segments: dict[str, bool] = {}
@@ -200,29 +159,18 @@ class RemotePool:
         self._hb_stop = threading.Event()
         self._hb_thread: threading.Thread | None = None
         self._stopped = False
-        self._bind_runtime(runtime)
 
-    # ------------------------------------------------------------------
-    # runtime binding (metrics live in whatever runtime drives the job)
-    # ------------------------------------------------------------------
-    def _bind_runtime(self, runtime: Runtime) -> None:
-        self.runtime = runtime
-        m: MetricsRegistry = runtime.metrics
+    def bind(self, sup: Any) -> None:
+        self.sup = sup
+        self.abort_flags = _RemoteAbortFlags(self, sup.n_workers)
+
+    def bind_metrics(self, m: MetricsRegistry) -> None:
         self._m_abort_rtt = m.histogram(
             "dist_abort_rtt_us",
             "round-trip of one cross-host abort-flag raise, microseconds",
             buckets=_ABORT_RTT_BUCKETS)
         self._m_heartbeats = m.counter(
             "dist_heartbeats", "pool heartbeat probes", labelnames=("outcome",))
-        self._m_seat_lost = m.counter(
-            "dist_seat_lost", "seat connections poisoned by a worker loss",
-            labelnames=("cause",))
-        self._m_reconnects = m.counter(
-            "dist_seat_reconnects",
-            "seat reconnects with a bumped incarnation (remote respawns)")
-        self._m_degraded = m.gauge(
-            "dist_seats_degraded",
-            "seats fallen back to coordinator-inline execution")
         self._m_batches = m.counter(
             "dist_batches_sent", "batch frames shipped to the pool")
         self._m_replies = m.counter(
@@ -238,167 +186,117 @@ class RemotePool:
             labelnames=("mode",))  # native (same-host attach) | copy
 
     # ------------------------------------------------------------------
-    # lifecycle
+    # session lifecycle: attach on start, detach on the final harvest
     # ------------------------------------------------------------------
-    def connect(self) -> None:
-        """Attach: control connection + one seat connection per worker."""
+    def start(self) -> None:
+        """Attach a session over the control connection."""
+        sup = self.sup
         ctl = socket.create_connection((self._host, self._port),
-                                       timeout=self.connect_timeout_s)
+                                       timeout=CONNECT_TIMEOUT_S)
         self._ctl = ctl
-        plan = self.fault_plan
+        plan = sup.fault_plan
         send_frame(ctl, {
-            "op": "attach", "workers": self.n_workers,
+            "op": "attach", "workers": sup.n_workers,
             "fault": plan.spec() if plan is not None else None,
             "dispatch_timeout_s": self.dispatch_timeout_s,
         })
         reply = recv_frame(ctl)
         if reply is None or not reply.get("ok"):
             err = (reply or {}).get("error", "pool closed the connection")
-            _close(ctl)
+            close_socket(ctl)
             self._ctl = None
             raise SchedulingError(
                 f"worker pool at {self.address} refused attach: {err}")
         self.session = reply["session"]
-        self.runtime.events.emit(
+        sup.runtime.events.emit(
             "remote_pool_attach", pool=self.address, session=self.session,
-            workers=self.n_workers, pool_pid=reply.get("pid"))
-        for seat in self._seats:
-            self._connect_seat(seat)
-            if seat.degraded:
-                self._degrade(seat, "attach refused")
-        if self.heartbeat_s > 0:
-            self._hb_thread = threading.Thread(
-                target=self._heartbeat_loop, name="dist-heartbeat",
-                daemon=True)
-            self._hb_thread.start()
+            workers=sup.n_workers, pool_pid=reply.get("pid"))
+        self._hb_thread = threading.Thread(
+            target=self._heartbeat_loop, name="dist-heartbeat", daemon=True)
+        self._hb_thread.start()
 
-    def _connect_seat(self, seat: _Seat) -> None:
-        sock = socket.create_connection((self._host, self._port),
-                                        timeout=self.connect_timeout_s)
-        send_frame(sock, {"op": "seat", "session": self.session,
-                          "wid": seat.wid,
-                          "incarnation": seat.incarnation})
-        reply = recv_frame(sock)
-        if reply is None:
-            _close(sock)
-            raise TransportError("pool closed the seat handshake")
-        if not reply.get("ok"):
-            _close(sock)
-            seat.degraded = True  # pool-side seat is out of respawns
-            return
-        sock.settimeout(None)  # recv_reply applies per-call deadlines
-        seat.sock = sock
-        seat.sent = 0
-        seat.recvd = 0
+    def harvest(self, seats: list, final: bool) -> None:
+        """Remote worker intervals come home only in the detach snapshot:
+        a mid-run flush is a no-op, and the final harvest detaches."""
+        if final:
+            self._detach()
 
-    def start(self) -> None:
-        self.connect()
-
-    def stop(self) -> None:
-        self.detach()
-
-    def detach(self) -> None:
+    def _detach(self) -> None:
         """Tear the session down and fold the pool's metrics/events home."""
         if self._stopped:
             return
         self._stopped = True
         self._hb_stop.set()
         if self._hb_thread is not None:
-            self._hb_thread.join(timeout=self.heartbeat_s + 5.0)
+            self._hb_thread.join(timeout=HEARTBEAT_S + 5.0)
+        runtime = self.sup.runtime
         snapshot = None
         with self._ctl_lock:
-            if self._ctl is not None and not self._lost:
+            if self._ctl is not None and not self.lost:
                 try:
                     # Generous deadline: detach stops every remote worker
                     # and runs the final flush harvest before replying.
                     reply = self._ctl_call(
                         {"op": "detach"},
-                        timeout_s=60.0 + self.harvest_timeout_s
-                        * self.n_workers)
+                        timeout_s=60.0 + self.sup.harvest_timeout_s
+                        * self.sup.n_workers)
                     if reply.get("ok") and reply.get("snapshot_b64"):
                         snapshot = pickle.loads(
                             decode_blob(reply["snapshot_b64"]))
                 except (TransportError, OSError, pickle.PickleError):
-                    self._lost = True
-            _close(self._ctl)
+                    self.lost = "pool lost"
+            close_socket(self._ctl)
             self._ctl = None
-        for seat in self._seats:
-            _close(seat.sock)
-            seat.sock = None
         if snapshot is not None:
-            self.runtime.metrics.merge_snapshot(snapshot["metrics"])
-            self.runtime.events.merge_remote(self.address,
-                                             snapshot["events"])
-        self.runtime.events.emit(
+            runtime.metrics.merge_snapshot(snapshot["metrics"])
+            runtime.events.merge_remote(self.address, snapshot["events"])
+        runtime.events.emit(
             "remote_pool_detach", pool=self.address, session=self.session,
             snapshot=snapshot is not None)
 
-    def rebind(self, runtime: Runtime) -> None:
-        """Re-point accounting at a new job's runtime (warm-pool parity)."""
-        self._bind_runtime(runtime)
-        self.abort_flags.clear()
-
-    def harvest(self) -> None:
-        """No-op: remote worker intervals come home in the detach
-        snapshot; there is no mid-run flush channel."""
-
-    # -- introspection parity ------------------------------------------
-    def alive(self, wid: int) -> bool:
-        return not self._seats[wid].degraded
-
-    def pids(self) -> list[int | None]:
-        return [None] * self.n_workers  # processes live on the pool host
-
-    def process(self, wid: int) -> None:
+    # ------------------------------------------------------------------
+    # seats: one connection per worker incarnation
+    # ------------------------------------------------------------------
+    def open(self, seat: Any) -> str | None:
+        """Connect ``seat`` for its incarnation; the pool recycles its
+        local worker if the dead connection left in-flight state behind,
+        so an accepted handshake always lands on a clean reply stream."""
+        sock = socket.create_connection((self._host, self._port),
+                                        timeout=CONNECT_TIMEOUT_S)
+        send_frame(sock, {"op": "seat", "session": self.session,
+                          "wid": seat.wid, "incarnation": seat.incarnation})
+        reply = recv_frame(sock)
+        if reply is None:
+            close_socket(sock)
+            raise TransportError("pool closed the seat handshake")
+        if not reply.get("ok"):
+            close_socket(sock)
+            return "pool refused seat"  # its local respawn budget is spent
+        sock.settimeout(None)  # recv applies per-call deadlines
+        seat.conn = sock
         return None
 
-    # ------------------------------------------------------------------
-    # dispatch seam
-    # ------------------------------------------------------------------
-    def send(self, wid: int, frames: list[bytes]) -> None:
-        """Ship one batch frame to seat ``wid``'s connection.
-
-        Mirrors ``WorkerSupervisor.send``: raises ``WorkerLost``
-        (``"degraded"``/``"crash"``) and stamps the batch with the active
-        trace context so pool-side worker events join the job's trace.
-        """
-        seat = self._seats[wid]
-        if self._lost and not seat.degraded:
-            self._degrade(seat, "pool lost")
-        if seat.degraded or seat.sock is None:
-            raise WorkerLost(wid, "degraded")
+    def send(self, seat: Any, traceparent: str | None,
+             frames: list[bytes]) -> None:
         try:
             self._push_payload_blocks(frames)
-        except (TransportError, OSError):
-            raise WorkerLost(wid, "crash") from None
-        ctx = self.runtime.events.trace_context
-        try:
-            send_frame(seat.sock, {
+            send_frame(seat.conn, {
                 "op": "batch", "n": len(frames),
                 "frames": [encode_blob(f) for f in frames],
-                TRACEPARENT_KEY:
-                    ctx.to_traceparent() if ctx is not None else None,
+                TRACEPARENT_KEY: traceparent,
             })
         except (TransportError, OSError):
-            raise WorkerLost(wid, "crash") from None
-        seat.sent += len(frames)
+            raise WorkerLost(seat.wid, "crash") from None
         self._m_batches.inc()
 
-    def recv_reply(self, wid: int, timeout_s: float) -> tuple[str, Any]:
-        """Await exactly one streamed per-payload reply from seat ``wid``.
-
-        The pool enforces ``timeout_s`` against the worker and relays the
-        loss; the coordinator waits ``net_margin_s`` longer so the relay
-        (which names the true cause: crash vs hang vs protocol) wins the
-        race. A socket-level timeout here therefore means the *pool side*
-        went quiet — surfaced as a hang.
-        """
-        seat = self._seats[wid]
-        if seat.degraded or seat.sock is None:
-            raise WorkerLost(wid, "degraded")
-        seat.sock.settimeout(timeout_s + self.net_margin_s)
+    def recv(self, seat: Any, timeout_s: float) -> tuple:
+        """One streamed reply. A socket-level timeout means the *pool
+        side* went quiet (it enforces ``timeout_s`` against the worker
+        and relays the loss itself) — surfaced as a hang."""
+        wid = seat.wid
+        seat.conn.settimeout(timeout_s + NET_MARGIN_S)
         try:
-            reply = recv_frame(seat.sock)
+            reply = recv_frame(seat.conn)
         except TimeoutError:  # before OSError: socket.timeout subclasses it
             raise WorkerLost(wid, "hang") from None
         except TransportError:
@@ -412,92 +310,30 @@ class RemotePool:
             # degraded) its local worker; our reconnect syncs with it.
             raise WorkerLost(wid, str(reply["lost"]),
                              exitcode=reply.get("exitcode"))
-        seq = reply.get("seq")
-        if seq != seat.recvd + 1 or seq > seat.sent:
-            raise WorkerLost(wid, "protocol")
-        seat.recvd = seq
-        self._m_replies.inc()
         try:
             payload = pickle.loads(decode_blob(reply["payload_b64"]))
         except Exception:  # noqa: BLE001 - undecodable reply == protocol loss
             raise WorkerLost(wid, "protocol") from None
-        return str(reply.get("status")), payload
+        self._m_replies.inc()
+        return reply.get("seq"), str(reply.get("status")), payload
 
-    # ------------------------------------------------------------------
-    # failure handling: one incarnation per connection
-    # ------------------------------------------------------------------
-    def note_lost(self, wid: int, lost: WorkerLost,
-                  inflight: list[str]) -> int:
-        """Account a loss and poison the seat connection.
-
-        Closing the socket is the remote analogue of "guarantees the
-        process is dead": whatever the old incarnation still had in
-        flight can never reach the reply stream again.
-        """
-        seat = self._seats[wid]
-        _close(seat.sock)
-        seat.sock = None
-        self._m_seat_lost.labels(cause=lost.cause).inc()
-        return self.runtime.events.emit(
-            "worker_crash", worker=wid, reason=lost.cause,
-            exitcode=lost.exitcode, incarnation=seat.incarnation,
-            inflight=len(inflight), tasks=inflight[:8] or None,
-            pool=self.address)
-
-    def respawn(self, wid: int) -> bool:
-        """Reconnect seat ``wid`` with a bumped incarnation.
-
-        The pool recycles its local worker if the dead connection left
-        in-flight state behind, so a successful reconnect always lands on
-        a clean reply stream. Returns False (and degrades the seat to
-        coordinator-inline execution) when the budget is exhausted, the
-        pool is lost, or the pool refuses the seat.
-        """
-        seat = self._seats[wid]
-        if seat.degraded:
-            return False
-        if seat.respawns >= self.max_respawns:
-            self._degrade(seat, "respawn budget exhausted")
-            return False
-        if self._lost:
-            self._degrade(seat, "pool lost")
-            return False
-        seat.respawns += 1
-        seat.incarnation += 1
-        try:
-            self._connect_seat(seat)
-        except (TransportError, OSError):
-            self._degrade(seat, "reconnect failed")
-            return False
-        if seat.degraded or seat.sock is None:
-            self._degrade(seat, "pool refused seat")
-            return False
-        self._m_reconnects.inc()
-        self.runtime.events.emit(
-            "worker_respawn", worker=wid, incarnation=seat.incarnation,
-            respawns=seat.respawns, pool=self.address)
-        return True
-
-    def _degrade(self, seat: _Seat, why: str) -> None:
-        if seat.degraded and seat.sock is None:
-            return
-        seat.degraded = True
-        _close(seat.sock)
-        seat.sock = None
-        self._m_degraded.inc()
-        self.runtime.events.emit("worker_degraded", worker=seat.wid,
-                                 reason=why, pool=self.address)
-
-    def _mark_lost(self, why: str) -> None:
-        if self._lost:
-            return
-        self._lost = True
-        self.runtime.events.emit("remote_pool_lost", pool=self.address,
-                                 session=self.session, reason=why)
+    def close(self, seat: Any, grace_s: float = 0.0) -> None:
+        """Drop the seat connection — the remote analogue of "the process
+        is guaranteed dead": whatever the old incarnation still had in
+        flight can never reach the reply stream again."""
+        close_socket(seat.conn)
+        seat.conn = None
 
     # ------------------------------------------------------------------
     # control channel: heartbeat + abort relay
     # ------------------------------------------------------------------
+    def _mark_lost(self, why: str) -> None:
+        if self.lost:
+            return
+        self.lost = "pool lost"
+        self.sup.runtime.events.emit("remote_pool_lost", pool=self.address,
+                                     session=self.session, reason=why)
+
     def _ctl_call(self, obj: dict, timeout_s: float) -> dict:
         """One control-op round trip. Caller holds ``_ctl_lock``."""
         if self._ctl is None:
@@ -515,12 +351,12 @@ class RemotePool:
         a failed relay marks the pool lost (the flag would otherwise be
         silently ignored and a doomed task would run to completion)."""
         with self._ctl_lock:
-            if self._ctl is None or self._lost or self._stopped:
+            if self._ctl is None or self.lost or self._stopped:
                 return
             t0 = time.perf_counter()
             try:
                 self._ctl_call({"op": "abort", "wid": wid, "value": value},
-                               timeout_s=self.connect_timeout_s)
+                               timeout_s=CONNECT_TIMEOUT_S)
             except (TransportError, OSError):
                 self._mark_lost("abort relay failed")
                 return
@@ -529,13 +365,13 @@ class RemotePool:
                     (time.perf_counter() - t0) * 1e6)
 
     def _heartbeat_loop(self) -> None:
-        while not self._hb_stop.wait(timeout=self.heartbeat_s):
+        while not self._hb_stop.wait(timeout=HEARTBEAT_S):
             with self._ctl_lock:
-                if self._stopped or self._lost or self._ctl is None:
+                if self._stopped or self.lost or self._ctl is None:
                     return
                 try:
                     self._ctl_call({"op": "heartbeat"},
-                                   timeout_s=self.connect_timeout_s)
+                                   timeout_s=CONNECT_TIMEOUT_S)
                 except (TransportError, OSError):
                     self._m_heartbeats.labels(outcome="lost").inc()
                     self._mark_lost("heartbeat failed")
@@ -583,17 +419,17 @@ class RemotePool:
             except SegmentGone:
                 self._pushed_blocks.add(ref.key)
                 return
-            for off in range(0, len(data), self.chunk_bytes):
-                chunk = data[off:off + self.chunk_bytes]
+            for off in range(0, len(data), CHUNK_BYTES):
+                chunk = data[off:off + CHUNK_BYTES]
                 with self._ctl_lock:
-                    if self._ctl is None or self._lost:
+                    if self._ctl is None or self.lost:
                         return
                     try:
                         self._ctl_call(
                             {"op": "chunk", "segment": ref.segment,
                              "offset": ref.offset + off,
                              "data_b64": encode_blob(chunk)},
-                            timeout_s=self.connect_timeout_s)
+                            timeout_s=CONNECT_TIMEOUT_S)
                     except (TransportError, OSError):
                         self._mark_lost("block push failed")
                         return
@@ -609,11 +445,11 @@ class RemotePool:
         except SegmentGone:
             return None
         with self._ctl_lock:
-            if self._ctl is None or self._lost:
+            if self._ctl is None or self.lost:
                 raise TransportError("pool lost")
             reply = self._ctl_call({"op": "segment", "name": name,
                                     "size": size},
-                                   timeout_s=self.connect_timeout_s)
+                                   timeout_s=CONNECT_TIMEOUT_S)
         if not reply.get("ok"):
             raise TransportError(
                 f"pool refused segment {name!r}: {reply.get('error')}")
@@ -624,61 +460,29 @@ class RemotePool:
 
 
 class DistExecutor(ProcessExecutor):
-    """The ``"dist"`` back-end: ProcessExecutor over a :class:`RemotePool`.
+    """The ``"dist"`` back-end: a ProcessExecutor whose supervisor drives
+    its seats over a :class:`RemotePool` socket link.
 
     Args:
         pool: ``"host:port"`` of a running ``repro worker-pool``.
-        fault_plan: shipped to the pool at attach and armed on the remote
-            workers — :mod:`repro.testing.faults` maps onto sockets
-            verbatim (drop/delay/hang/kill all exercise the reconnect
-            path instead of the pipe path).
-        heartbeat_s: pool liveness probe interval.
-        Everything else: identical to :class:`ProcessExecutor` — same
+        Everything else: :class:`ProcessExecutor`'s keywords — same
         policies, batching, stealing, retry/quarantine semantics.
+        ``fault_plan`` ships to the pool at attach and arms on the remote
+        workers — :mod:`repro.testing.faults` maps onto sockets verbatim
+        (drop/delay/hang/kill all exercise the reconnect path instead of
+        the pipe path).
     """
 
-    def __init__(
-        self,
-        runtime: Runtime,
-        *,
-        pool: str,
-        policy: Any = "conservative",
-        workers: int = 4,
-        payload_budget: int = DEFAULT_PAYLOAD_BUDGET,
-        batch_max: int = DEFAULT_BATCH_MAX,
-        batch_bytes: int = DEFAULT_BATCH_BYTES,
-        steal: bool = True,
-        dispatch_timeout_s: float = DEFAULT_DISPATCH_TIMEOUT_S,
-        max_task_retries: int = 2,
-        retry_backoff_s: float = 0.05,
-        max_worker_respawns: int = 3,
-        harvest_timeout_s: float = DEFAULT_HARVEST_TIMEOUT_S,
-        fault_plan: FaultPlan | str | None = None,
-        store: "shm.BlockStore | None" = None,
-        heartbeat_s: float = 5.0,
-    ) -> None:
-        remote = RemotePool(
-            pool, workers=workers, runtime=runtime, fault_plan=fault_plan,
-            dispatch_timeout_s=dispatch_timeout_s,
-            max_respawns=max_worker_respawns,
-            harvest_timeout_s=harvest_timeout_s, heartbeat_s=heartbeat_s)
-        super().__init__(
-            runtime, policy=policy, workers=workers,
-            payload_budget=payload_budget, batch_max=batch_max,
-            batch_bytes=batch_bytes, steal=steal,
-            dispatch_timeout_s=dispatch_timeout_s,
-            max_task_retries=max_task_retries,
-            retry_backoff_s=retry_backoff_s,
-            max_worker_respawns=max_worker_respawns,
-            harvest_timeout_s=harvest_timeout_s,
-            store=store, supervisor=remote)
-        self.pool = remote
+    def __init__(self, runtime: Runtime, *, pool: str, **options: Any) -> None:
+        local_only = sorted({"start_method", "supervisor"} & options.keys())
+        if local_only:  # seats are sockets to the pool, never local forks
+            raise TypeError(f"DistExecutor does not take {local_only}")
+        self._pool_address = pool
+        super().__init__(runtime, **options)
 
-    def _start_backend(self) -> None:
-        self.pool.connect()
-
-    def _stop_backend(self) -> None:
-        self.pool.detach()
+    def _make_link(self) -> RemotePool:
+        return RemotePool(self._pool_address,
+                          dispatch_timeout_s=self.dispatch_timeout_s)
 
 
 register_executor("dist", DistExecutor)

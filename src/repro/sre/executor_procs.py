@@ -82,6 +82,13 @@ instead of retrying forever. A worker slot whose respawn budget runs out
 **degrades to coordinator-inline execution**: slower, but the run
 completes. Deterministic chaos for all of this comes from
 :mod:`repro.testing.faults` (``repro run --fault kill@3``).
+
+The supervisor is the runtime's one seat state machine, and it does not
+care what a seat is: it drives seats through a **link**. The
+:class:`PipeLink` here forks worker processes on pipes; the distributed
+back-end's socket link (:class:`~repro.sre.executor_dist.RemotePool`)
+connects each seat to a remote worker pool. Both feed the same sequence
+check, the same respawn/degrade ladder and the same ``worker_*`` events.
 """
 
 from __future__ import annotations
@@ -101,6 +108,7 @@ from repro.errors import (
     SchedulingError,
     SegmentGone,
     TaskStateError,
+    TransportError,
     WorkerLost,
 )
 from repro.obs.events import EventLog
@@ -114,7 +122,7 @@ from repro.sre.runtime import Runtime
 from repro.sre.task import PAYLOAD_PROTOCOL, Task
 from repro.testing.faults import FaultInjector, FaultPlan
 
-__all__ = ["ProcessExecutor", "WorkerSupervisor", "RetryPolicy",
+__all__ = ["ProcessExecutor", "WorkerSupervisor", "PipeLink", "RetryPolicy",
            "DEFAULT_PAYLOAD_BUDGET", "DEFAULT_BATCH_MAX",
            "DEFAULT_BATCH_BYTES", "DEFAULT_DISPATCH_TIMEOUT_S",
            "DEFAULT_HARVEST_TIMEOUT_S"]
@@ -412,77 +420,265 @@ class RetryPolicy:
 
 
 # ---------------------------------------------------------------------------
-# the worker supervisor
+# the worker supervisor: one seat state machine over a pluggable link
 # ---------------------------------------------------------------------------
 
 class _Slot:
-    """One worker seat: its current process, pipe and spawn history.
+    """One worker seat: its link connection and spawn history.
 
-    ``sent`` / ``recvd`` track the per-payload reply stream for the
-    current incarnation: payload frames shipped down the pipe vs replies
-    received back. A reply whose sequence number is not ``recvd + 1`` (or
-    exceeds ``sent``) is a protocol violation — the worker swallowed or
-    duplicated a payload — and the seat is recovered like a crash.
+    ``conn`` is the link's channel to the seat's current incarnation (a
+    pipe end or a socket; None while closed) and ``proc`` the local
+    worker process when the link forks one. ``sent`` / ``recvd`` track
+    the per-payload reply stream for the current incarnation: payload
+    frames shipped vs replies received back. A reply whose sequence
+    number is not ``recvd + 1`` (or exceeds ``sent``) is a protocol
+    violation — the worker swallowed or duplicated a payload — and the
+    seat is recovered like a crash.
     """
 
-    __slots__ = ("wid", "proc", "conn", "incarnation", "respawns", "degraded",
+    __slots__ = ("wid", "conn", "proc", "incarnation", "respawns", "degraded",
                  "sent", "recvd")
 
     def __init__(self, wid: int) -> None:
         self.wid = wid
-        self.proc: multiprocessing.process.BaseProcess | None = None
         self.conn: Any = None
-        self.incarnation = -1  # first _spawn makes it 0
+        self.proc: multiprocessing.process.BaseProcess | None = None
+        self.incarnation = -1  # the first open makes it 0
         self.respawns = 0
         self.degraded = False
         self.sent = 0
         self.recvd = 0
 
 
+class PipeLink:
+    """Seats as forked worker processes on duplex pipes (the procs link).
+
+    Opening a seat forks one worker incarnation; :meth:`recv` watches the
+    worker's ``Process.sentinel`` alongside the pipe, so a dead worker
+    surfaces at once instead of after a deadline; closing terminates the
+    worker. Harvests ride the seat pipes themselves (the ``_FLUSH`` /
+    ``_STOP`` sentinels), and abort flags are a shared byte array the
+    workers poll.
+    """
+
+    #: the supervisor's loss / respawn / degrade instruments on this link
+    METRICS = {
+        "lost": ("procs_worker_crashes",
+                 "worker processes that died or stopped replying mid-run"),
+        "respawned": ("procs_worker_respawns",
+                      "replacement worker processes spawned"),
+        "degraded": ("procs_workers_degraded",
+                     "worker seats that exhausted their respawn budget and "
+                     "fell back to coordinator-inline execution"),
+    }
+    #: extra fields stamped on the supervisor's ``worker_*`` events
+    event_fields: dict[str, Any] = {}
+    #: degrade reason for every seat once the link itself is gone; a pipe
+    #: link has no shared point of failure, so it never is.
+    lost: str | None = None
+
+    def __init__(self, ctx) -> None:
+        self._ctx = ctx
+
+    def bind(self, sup: "WorkerSupervisor") -> None:
+        self.sup = sup
+        self.abort_flags = self._ctx.Array("b", sup.n_workers, lock=False)
+
+    def bind_metrics(self, m: MetricsRegistry) -> None:
+        self._m_harvest_lost = m.counter(
+            "procs_worker_harvest_lost",
+            "workers whose final metrics/events snapshot could not be "
+            "harvested at shutdown",
+            labelnames=("reason",))
+
+    def start(self) -> None:
+        # The shared-memory resource tracker must exist *before* workers
+        # fork: a worker that attaches a segment registers it with its
+        # inherited tracker. If the tracker only starts after the fork,
+        # each worker spawns a private one, and a private tracker unlinks
+        # every registered segment when its worker exits — yanking live
+        # segments out from under the coordinator.
+        from multiprocessing import resource_tracker
+
+        resource_tracker.ensure_running()
+
+    def open(self, seat: _Slot) -> str | None:
+        parent, child = self._ctx.Pipe(duplex=True)
+        proc = self._ctx.Process(
+            target=_process_main,
+            args=(child, self.abort_flags, seat.wid, self.sup.fault_plan,
+                  seat.incarnation),
+            name=f"sre-proc-{seat.wid}.{seat.incarnation}",
+            daemon=True,
+        )
+        proc.start()
+        child.close()
+        seat.proc, seat.conn = proc, parent
+        return None
+
+    def send(self, seat: _Slot, traceparent: str | None,
+             frames: list[bytes]) -> None:
+        try:
+            seat.conn.send_bytes(pickle.dumps((len(frames), traceparent),
+                                              protocol=PAYLOAD_PROTOCOL))
+            for frame in frames:
+                seat.conn.send_bytes(frame)
+        except (BrokenPipeError, OSError):
+            raise WorkerLost(seat.wid, "crash",
+                             exitcode=seat.proc.exitcode) from None
+
+    def recv(self, seat: _Slot, timeout_s: float) -> tuple:
+        conn, proc, wid = seat.conn, seat.proc, seat.wid
+        deadline = time.monotonic() + timeout_s
+        while True:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise WorkerLost(wid, "hang")
+            ready = multiprocessing.connection.wait(
+                [conn, proc.sentinel], timeout=remaining)
+            if conn in ready:
+                try:
+                    reply = conn.recv()
+                except (EOFError, OSError):
+                    raise WorkerLost(wid, "crash",
+                                     exitcode=proc.exitcode) from None
+                if _is_snapshot(reply):
+                    # A flush-harvest snapshot that lost the race with its
+                    # deadline (see harvest()): fold it in late instead of
+                    # poisoning the reply stream — it carries no task
+                    # payload and does not advance the reply seq.
+                    self._merge(wid, reply[1])
+                    continue
+                if not (isinstance(reply, tuple) and len(reply) == 3):
+                    raise WorkerLost(wid, "protocol")
+                return reply
+            if proc.sentinel in ready:
+                # Dead — but a reply may have raced the death into the
+                # pipe; drain it before declaring the dispatch lost.
+                if conn.poll(0):
+                    continue
+                raise WorkerLost(wid, "crash", exitcode=proc.exitcode)
+
+    def close(self, seat: _Slot, grace_s: float = 0.0) -> int | None:
+        """Close the pipe and make sure the worker is dead, giving it
+        ``grace_s`` to exit on its own first; returns its exit code."""
+        proc = seat.proc
+        if proc is not None:
+            if grace_s:
+                proc.join(timeout=grace_s)
+            if proc.is_alive():  # hang/protocol: put it out of its misery
+                proc.terminate()
+                proc.join(timeout=2.0)
+                if proc.is_alive():  # pragma: no cover - terminate ignored
+                    proc.kill()
+                    proc.join(timeout=2.0)
+        if seat.conn is not None:
+            try:
+                seat.conn.close()
+            except OSError:  # pragma: no cover - defensive
+                pass
+            seat.conn = None
+        return proc.exitcode if proc is not None else None
+
+    def harvest(self, seats: list[_Slot], final: bool) -> None:
+        """Pull each live worker's metrics/events interval home.
+
+        Every live worker gets the ``_STOP`` (``final``) or ``_FLUSH``
+        sentinel and ``harvest_timeout_s`` to reply with its snapshot,
+        which is folded into the supervisor's runtime. A worker that
+        cannot deliver — a dead pipe, or the poll expiring on a loaded
+        machine — is accounted with ``worker_harvest_lost{reason}``, never
+        dropped silently. At shutdown a seat with no pipe is accounted
+        too: ``"degraded"`` when it has none *by design* (not a harvest
+        death, so the crash detectors do not trip twice for one failure).
+        A flush that times out rides along with the next harvest instead
+        (:meth:`recv` folds a late snapshot in).
+        """
+        sentinel, late = (_STOP, "timeout") if final else (_FLUSH,
+                                                           "flush-timeout")
+        asked: list[_Slot] = []
+        for seat in seats:
+            if seat.conn is None:
+                if final:
+                    self._harvest_lost(
+                        seat.wid, "degraded" if seat.degraded else "dead")
+                continue
+            try:
+                seat.conn.send_bytes(sentinel)
+                asked.append(seat)
+            except (BrokenPipeError, OSError):
+                self._harvest_lost(seat.wid, "dead")
+        for seat in asked:
+            try:
+                if not seat.conn.poll(self.sup.harvest_timeout_s):
+                    self._harvest_lost(seat.wid, late)
+                    continue
+                reply = seat.conn.recv()
+            except (EOFError, OSError):
+                self._harvest_lost(seat.wid, "dead")
+                continue
+            if _is_snapshot(reply):
+                self._merge(seat.wid, reply[1])
+            else:  # pragma: no cover - protocol noise
+                self._harvest_lost(seat.wid, "protocol")
+
+    def _merge(self, wid: int, snapshot: dict) -> None:
+        self.sup.runtime.metrics.merge_snapshot(snapshot["metrics"])
+        self.sup.runtime.events.merge_worker(wid, snapshot["events"])
+
+    def _harvest_lost(self, wid: int, reason: str) -> None:
+        self._m_harvest_lost.labels(reason=reason).inc()
+        self.sup.runtime.events.emit("worker_harvest_lost", worker=wid,
+                                     reason=reason,
+                                     timeout_s=self.sup.harvest_timeout_s)
+
+
+def _is_snapshot(reply: Any) -> bool:
+    """True for a worker's ``(_METRICS, snapshot)`` harvest reply."""
+    return (isinstance(reply, tuple) and len(reply) == 2
+            and reply[0] == _METRICS and bool(reply[1]))
+
+
 class WorkerSupervisor:
-    """Owns the worker processes: spawn, watch, harvest, kill, respawn.
+    """The one seat state machine: open, watch, lose, respawn, degrade.
 
-    Every pipe interaction the executor used to do blindly goes through
-    here so physical failure has exactly one detection point:
+    Every worker interaction the executor does goes through here, so
+    physical failure has exactly one detection point and one recovery
+    ladder, whatever carries the seats. A **link** carries them: a
+    :class:`PipeLink` forks local worker processes on pipes, and the
+    distributed back-end's :class:`~repro.sre.executor_dist.RemotePool`
+    opens one socket per seat to a remote ``repro worker-pool``. A link
+    opens a seat for an incarnation (or names why it was refused), sends
+    one header plus payload frames, receives one raw ``(seq, status,
+    payload)`` reply under a deadline (or raises a typed
+    :class:`~repro.errors.WorkerLost`), closes a seat, harvests worker
+    metrics/events, and names its metrics and extra event fields.
 
-    * :meth:`send` ships payload frames down the seat's pipe without
-      waiting, and :meth:`recv_reply` awaits exactly **one** per-payload
-      reply under a fresh per-payload deadline, watching the worker's
-      ``Process.sentinel`` the whole time — a dead worker raises
-      :class:`~repro.errors.WorkerLost` with cause ``"crash"``
-      immediately (no timeout wait), a silent one raises with cause
-      ``"hang"`` when the deadline passes, and an out-of-sequence reply
-      raises with cause ``"protocol"``. :meth:`dispatch` composes the
-      two as an incremental reader (a generator), yielding each reply
-      the moment it lands instead of holding a whole batch hostage.
-    * :meth:`note_lost` accounts a failure (``worker_crash`` event,
-      ``procs_worker_crashes{cause}``) and guarantees the process is dead.
-    * :meth:`respawn` brings up a fresh process on the same seat —
-      bounded by ``max_respawns``; past the budget the seat **degrades**
-      (``worker_degraded`` event, ``procs_workers_degraded`` gauge) and
+    * :meth:`send` ships payload frames down a seat without waiting, and
+      :meth:`recv_reply` awaits exactly **one** per-payload reply under a
+      fresh per-payload deadline — a dead worker raises ``WorkerLost``
+      with cause ``"crash"``, a silent one ``"hang"`` when the deadline
+      passes, and an out-of-sequence reply ``"protocol"`` (the sequence
+      check lives here, once, for every link). The executor completes
+      each task the moment its reply lands instead of holding a batch
+      hostage.
+    * :meth:`note_lost` accounts a failure (``worker_crash`` event and
+      the link's loss counter) and closes the seat — a pipe link kills
+      the process, a socket link drops the connection, so nothing the
+      old incarnation still had in flight can reach the reply stream.
+    * :meth:`respawn` reopens the seat with a bumped incarnation —
+      bounded by ``max_respawns``; past the budget, when the link is
+      lost, or when the link refuses the seat, the seat **degrades**
+      (``worker_degraded`` event, the link's degraded gauge) and
       :meth:`alive` turns False, telling the executor to run that seat's
       work inline on the coordinator instead.
-    * :meth:`stop` runs the shutdown harvest: each live worker gets the
-      stop sentinel and ``harvest_timeout_s`` to send its final
-      metrics/events snapshot home; a worker that cannot (dead seat, or
-      the poll expires on a loaded machine) is *accounted* —
-      ``worker_harvest_lost`` event + counter — never silently dropped.
-
-    This interface — ``send``/``recv_reply``/``note_lost``/``respawn``/
-    ``abort_flags``/``alive``/``rebind``/``start``/``stop``/``harvest``
-    plus the ``n_workers``/``fault_plan``/``max_respawns``/
-    ``harvest_timeout_s`` attributes — is the **supervisor seam**:
-    :class:`ProcessExecutor` funnels every worker interaction through it
-    and accepts any duck-typed implementation via ``supervisor=``. The
-    distributed back-end's :class:`~repro.sre.executor_dist.RemotePool`
-    implements the same seam over TCP, where "the process is dead"
-    becomes "the seat connection is closed" and respawn becomes
-    reconnect-with-bumped-incarnation.
+    * :meth:`harvest` / :meth:`stop` pull worker metrics and events home
+      mid-lifetime or at shutdown, through the link.
     """
 
     def __init__(
         self,
-        ctx,
+        link: Any,
         workers: int,
         *,
         runtime: Runtime,
@@ -494,33 +690,24 @@ class WorkerSupervisor:
             raise SchedulingError("max_respawns must be >= 0")
         if harvest_timeout_s <= 0:
             raise SchedulingError("harvest_timeout_s must be positive")
-        self._ctx = ctx
+        self.link = link
         self.n_workers = workers
         self.fault_plan = fault_plan
         self.max_respawns = max_respawns
         self.harvest_timeout_s = harvest_timeout_s
-        self.abort_flags = ctx.Array("b", workers, lock=False)
         self._slots = [_Slot(wid) for wid in range(workers)]
+        link.bind(self)
+        self.abort_flags = link.abort_flags
         self._bind_runtime(runtime)
 
     def _bind_runtime(self, runtime: Runtime) -> None:
         self.runtime = runtime
         m = runtime.metrics
-        self._m_crashes = m.counter(
-            "procs_worker_crashes",
-            "worker processes that died or stopped replying mid-run",
-            labelnames=("cause",))
-        self._m_respawns = m.counter(
-            "procs_worker_respawns", "replacement worker processes spawned")
-        self._m_degraded = m.gauge(
-            "procs_workers_degraded",
-            "worker seats that exhausted their respawn budget and fell "
-            "back to coordinator-inline execution")
-        self._m_harvest_lost = m.counter(
-            "procs_worker_harvest_lost",
-            "workers whose final metrics/events snapshot could not be "
-            "harvested at shutdown",
-            labelnames=("reason",))
+        names = self.link.METRICS
+        self._m_lost = m.counter(*names["lost"], labelnames=("cause",))
+        self._m_respawns = m.counter(*names["respawned"])
+        self._m_degraded = m.gauge(*names["degraded"])
+        self.link.bind_metrics(m)
 
     def rebind(self, runtime: Runtime) -> None:
         """Re-point a warm supervisor at a fresh per-job runtime.
@@ -537,33 +724,25 @@ class WorkerSupervisor:
             self.abort_flags[wid] = 0
 
     # -- lifecycle -----------------------------------------------------
-    def _spawn(self, slot: _Slot) -> None:
-        slot.incarnation += 1
-        parent, child = self._ctx.Pipe(duplex=True)
-        proc = self._ctx.Process(
-            target=_process_main,
-            args=(child, self.abort_flags, slot.wid, self.fault_plan,
-                  slot.incarnation),
-            name=f"sre-proc-{slot.wid}.{slot.incarnation}",
-            daemon=True,
-        )
-        proc.start()
-        child.close()
-        slot.proc = proc
-        slot.conn = parent
-        slot.sent = 0   # the reply stream restarts with each incarnation
-        slot.recvd = 0
+    def _open(self, seat: _Slot) -> str | None:
+        seat.incarnation += 1
+        seat.sent = 0   # the reply stream restarts with each incarnation
+        seat.recvd = 0
+        return self.link.open(seat)
 
     def start(self) -> None:
-        for slot in self._slots:
-            self._spawn(slot)
+        self.link.start()
+        for seat in self._slots:
+            refused = self._open(seat)
+            if refused:
+                self._degrade(seat, refused)
 
     def alive(self, wid: int) -> bool:
-        """True while seat ``wid`` has (or may get) a worker process."""
+        """True while seat ``wid`` has (or may get) a worker."""
         return not self._slots[wid].degraded
 
     def pids(self) -> list[int | None]:
-        """Current worker PIDs by seat (None for degraded seats)."""
+        """Local worker PIDs by seat (None for degraded or remote seats)."""
         return [s.proc.pid if s.proc is not None and not s.degraded else None
                 for s in self._slots]
 
@@ -571,169 +750,117 @@ class WorkerSupervisor:
         return self._slots[wid].proc
 
     # -- dispatch ------------------------------------------------------
+    def _live_seat(self, wid: int) -> _Slot:
+        seat = self._slots[wid]
+        if seat.degraded or seat.conn is None:
+            raise WorkerLost(wid, "degraded")
+        return seat
+
     def send(self, wid: int, frames: list[bytes]) -> None:
-        """Ship one pipe message of payload frames to seat ``wid``.
+        """Ship one message of payload frames to seat ``wid``.
 
         Returns as soon as the frames are written — replies stream back
         one per payload through :meth:`recv_reply`. Raises
         :class:`~repro.errors.WorkerLost` on a degraded seat
-        (``"degraded"``) or a broken pipe (``"crash"``).
+        (``"degraded"``; a lost link degrades the seat first) or a broken
+        channel (``"crash"``).
         """
-        slot = self._slots[wid]
-        if slot.degraded or slot.proc is None:
-            raise WorkerLost(wid, "degraded")
+        if self.link.lost:
+            self._degrade(self._slots[wid], self.link.lost)
+        seat = self._live_seat(wid)
         # The batch header carries the active span context of whatever
         # job this supervisor is currently bound to, so worker-side
         # events join its distributed trace (None when untraced).
         ctx = self.runtime.events.trace_context
-        header = (len(frames),
-                  ctx.to_traceparent() if ctx is not None else None)
-        try:
-            slot.conn.send_bytes(pickle.dumps(header,
-                                              protocol=PAYLOAD_PROTOCOL))
-            for frame in frames:
-                slot.conn.send_bytes(frame)
-        except (BrokenPipeError, OSError):
-            raise WorkerLost(wid, "crash",
-                             exitcode=slot.proc.exitcode) from None
-        slot.sent += len(frames)
+        self.link.send(seat, ctx.to_traceparent() if ctx is not None else None,
+                       frames)
+        seat.sent += len(frames)
 
     def recv_reply(self, wid: int, timeout_s: float) -> tuple[str, Any]:
         """Await exactly one per-payload ``(status, payload)`` reply.
 
         The deadline is **per payload** — never scaled by batch size —
         so a wedged worker is detected within one ``timeout_s`` whatever
-        the depth of its pipe. Raises :class:`~repro.errors.WorkerLost`
+        the depth of its channel. Raises :class:`~repro.errors.WorkerLost`
         when the worker dies (``"crash"``), exceeds the deadline
         (``"hang"``) or replies out of sequence (``"protocol"`` —
         treated like a hang by recovery).
         """
-        slot = self._slots[wid]
-        if slot.degraded or slot.proc is None:
-            raise WorkerLost(wid, "degraded")
-        conn, proc = slot.conn, slot.proc
-        deadline = time.monotonic() + timeout_s
-        while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise WorkerLost(wid, "hang")
-            ready = multiprocessing.connection.wait(
-                [conn, proc.sentinel], timeout=remaining)
-            if conn in ready:
-                try:
-                    reply = conn.recv()
-                except (EOFError, OSError):
-                    raise WorkerLost(wid, "crash",
-                                     exitcode=proc.exitcode) from None
-                if (isinstance(reply, tuple) and len(reply) == 2
-                        and reply[0] == _METRICS):
-                    # A flush-harvest snapshot that lost the race with its
-                    # deadline (see harvest()): fold it in late instead of
-                    # poisoning the reply stream — it carries no task
-                    # payload and does not advance the reply seq.
-                    if reply[1]:
-                        self.runtime.metrics.merge_snapshot(
-                            reply[1]["metrics"])
-                        self.runtime.events.merge_worker(
-                            wid, reply[1]["events"])
-                    continue
-                if not (isinstance(reply, tuple) and len(reply) == 3):
-                    raise WorkerLost(wid, "protocol")
-                seq, status, payload = reply
-                if seq != slot.recvd + 1 or seq > slot.sent:
-                    # The worker swallowed or duplicated a payload (e.g.
-                    # an injected drop): the stream is desynchronised and
-                    # no later reply can be trusted.
-                    raise WorkerLost(wid, "protocol")
-                slot.recvd = seq
-                return status, payload
-            if proc.sentinel in ready:
-                # Dead — but a reply may have raced the death into the
-                # pipe; drain it before declaring the dispatch lost.
-                if conn.poll(0):
-                    continue
-                raise WorkerLost(wid, "crash", exitcode=proc.exitcode)
-
-    def dispatch(self, wid: int, frames: list[bytes], timeout_s: float):
-        """Ship one batch and yield its replies as each one lands.
-
-        A generator: ``send`` happens immediately, then one
-        :meth:`recv_reply` per frame is yielded under a fresh per-payload
-        deadline. Consuming it incrementally is the whole point — the
-        caller completes each task the moment its reply arrives instead
-        of waiting for the slowest batch member.
-        """
-        self.send(wid, frames)
-        for _ in frames:
-            yield self.recv_reply(wid, timeout_s)
+        seat = self._live_seat(wid)
+        seq, status, payload = self.link.recv(seat, timeout_s)
+        if seq != seat.recvd + 1 or seq > seat.sent:
+            # The worker swallowed or duplicated a payload (e.g. an
+            # injected drop): the stream is desynchronised and no later
+            # reply can be trusted.
+            raise WorkerLost(wid, "protocol")
+        seat.recvd = seq
+        return status, payload
 
     # -- failure handling ----------------------------------------------
     def note_lost(self, wid: int, lost: WorkerLost,
                   inflight: list[str]) -> int:
-        """Account a worker failure; guarantees the process is dead.
+        """Account a worker failure and close its seat.
 
         Returns the ``worker_crash`` event seq so the caller can scope the
         whole recovery cascade (respawn, retries, quarantines, releases)
         under it as the causal root.
         """
-        slot = self._slots[wid]
-        proc = slot.proc
-        exitcode = lost.exitcode
-        if proc is not None:
-            if proc.is_alive():  # hang/protocol: put it out of its misery
-                proc.terminate()
-                proc.join(timeout=2.0)
-                if proc.is_alive():  # pragma: no cover - terminate ignored
-                    proc.kill()
-                    proc.join(timeout=2.0)
-            exitcode = proc.exitcode if exitcode is None else exitcode
-        if slot.conn is not None:
-            try:
-                slot.conn.close()
-            except OSError:  # pragma: no cover - defensive
-                pass
-            slot.conn = None
-        self._m_crashes.labels(cause=lost.cause).inc()
+        seat = self._slots[wid]
+        exitcode = self.link.close(seat)
+        if lost.exitcode is not None:
+            exitcode = lost.exitcode
+        self._m_lost.labels(cause=lost.cause).inc()
         # NB: the loss cause travels as ``reason`` — ``cause=`` is the
         # event log's causal-edge parameter, and a follow-on crash must
         # inherit the ambient scope (the prior crash) there.
         return self.runtime.events.emit(
             "worker_crash", worker=wid, reason=lost.cause, exitcode=exitcode,
-            incarnation=max(slot.incarnation, 0),
-            inflight=len(inflight), tasks=inflight[:8] or None)
+            incarnation=max(seat.incarnation, 0),
+            inflight=len(inflight), tasks=inflight[:8] or None,
+            **self.link.event_fields)
 
     def respawn(self, wid: int) -> bool:
-        """Bring a fresh process up on seat ``wid``.
+        """Reopen seat ``wid`` with a bumped incarnation.
 
         Returns False — and degrades the seat to coordinator-inline
-        execution — when the respawn budget is exhausted or the spawn
-        itself fails. Emits ``worker_respawn`` / ``worker_degraded``
-        under whatever cause scope the caller holds (the crash event).
+        execution — when the respawn budget is exhausted, the link is
+        lost, or the link refuses or fails to open the seat. Emits
+        ``worker_respawn`` / ``worker_degraded`` under whatever cause
+        scope the caller holds (the crash event).
         """
-        slot = self._slots[wid]
-        if slot.degraded:
+        seat = self._slots[wid]
+        if seat.degraded:
             return False
-        if slot.respawns >= self.max_respawns:
-            self._degrade(slot, "respawn budget exhausted")
+        if seat.respawns >= self.max_respawns:
+            self._degrade(seat, "respawn budget exhausted")
             return False
-        slot.respawns += 1
+        if self.link.lost:
+            self._degrade(seat, self.link.lost)
+            return False
+        seat.respawns += 1
         try:
-            self._spawn(slot)
-        except OSError as exc:  # pragma: no cover - fork failure
-            self._degrade(slot, f"spawn failed: {exc}")
+            refused = self._open(seat)
+        except (OSError, TransportError) as exc:
+            refused = f"respawn failed: {exc}"
+        if refused:
+            self._degrade(seat, refused)
             return False
         self._m_respawns.inc()
         self.runtime.events.emit("worker_respawn", worker=wid,
-                                 incarnation=slot.incarnation,
-                                 respawns=slot.respawns)
+                                 incarnation=seat.incarnation,
+                                 respawns=seat.respawns,
+                                 **self.link.event_fields)
         return True
 
-    def _degrade(self, slot: _Slot, reason: str) -> None:
-        slot.degraded = True
-        slot.proc = None
+    def _degrade(self, seat: _Slot, reason: str) -> None:
+        if seat.degraded:
+            return
+        seat.degraded = True
+        self.link.close(seat)
         self._m_degraded.inc()
-        self.runtime.events.emit("worker_degraded", worker=slot.wid,
-                                 reason=reason, respawns=slot.respawns)
+        self.runtime.events.emit("worker_degraded", worker=seat.wid,
+                                 reason=reason, respawns=seat.respawns,
+                                 **self.link.event_fields)
 
     # -- harvests ------------------------------------------------------
     def harvest(self) -> None:
@@ -742,106 +869,26 @@ class WorkerSupervisor:
 
         The per-job accounting seam for warm lanes: a borrowed
         supervisor's :meth:`ProcessExecutor._stop_backend` calls this
-        once the coordinator threads have joined (pipes quiet), so
+        once the coordinator threads have joined (channels quiet), so
         worker-side counters and ``worker_exec`` events land in the
         runtime of the job that produced them instead of waiting for
         daemon shutdown — and served jobs report their workers' trace
-        just like one-shot runs do. Each worker gets the ``_FLUSH``
-        sentinel and ``harvest_timeout_s`` to reply; one that cannot is
-        accounted (``worker_harvest_lost{reason="flush-timeout"}``) and
-        its interval rides along with the next successful harvest
-        (:meth:`recv_reply` folds a late snapshot in instead of
-        treating it as a protocol violation).
+        just like one-shot runs do.
         """
-        flushed: list[_Slot] = []
-        for slot in self._slots:
-            if slot.conn is None or slot.degraded:
-                continue  # degraded/dead seats have no interval to ship
-            try:
-                slot.conn.send_bytes(_FLUSH)
-                flushed.append(slot)
-            except (BrokenPipeError, OSError):
-                self._harvest_lost(slot.wid, "dead")
-        for slot in flushed:
-            try:
-                if slot.conn.poll(self.harvest_timeout_s):
-                    status, payload = slot.conn.recv()
-                    if status == _METRICS and payload:
-                        self.runtime.metrics.merge_snapshot(
-                            payload["metrics"])
-                        self.runtime.events.merge_worker(
-                            slot.wid, payload["events"])
-                    else:  # pragma: no cover - protocol noise
-                        self._harvest_lost(slot.wid, "protocol")
-                else:
-                    self._harvest_lost(slot.wid, "flush-timeout")
-            except (EOFError, OSError):
-                self._harvest_lost(slot.wid, "dead")
-
-    # -- shutdown harvest ----------------------------------------------
-    def _harvest_lost(self, wid: int, reason: str) -> None:
-        self._m_harvest_lost.labels(reason=reason).inc()
-        self.runtime.events.emit("worker_harvest_lost", worker=wid,
-                                 reason=reason,
-                                 timeout_s=self.harvest_timeout_s)
+        self.link.harvest(self._slots, final=False)
 
     def stop(self) -> None:
         """Stop workers, harvesting each one's metrics and events first.
 
         By the time this runs the coordinator threads have joined, so the
-        pipes are quiet: the only traffic left is our stop sentinel and
-        the worker's final ``(_METRICS, {"metrics": ..., "events": ...})``
-        reply — the snapshot is folded into ``runtime.metrics`` and the
-        worker's event batch is reconciled into ``runtime.events`` with
-        fresh coordinator seqs (cross-process aggregation). A worker that
-        cannot deliver it — a degraded seat, a death racing shutdown, or
-        the configurable ``harvest_timeout_s`` poll expiring on a loaded
-        machine — is accounted with ``worker_harvest_lost{reason}``
-        instead of being dropped silently.
+        channels are quiet: the final harvest folds the workers' metrics
+        into ``runtime.metrics`` and reconciles their events into
+        ``runtime.events`` with fresh coordinator seqs (cross-process
+        aggregation), then every seat is closed.
         """
-        live = [s for s in self._slots if s.conn is not None]
-        for slot in self._slots:
-            if slot.conn is None:
-                # A degraded seat has no pipe *by design* — it was never
-                # lost at shutdown, and conflating it with a harvest death
-                # would trip the crash detectors twice for one failure.
-                self._harvest_lost(
-                    slot.wid, "degraded" if slot.degraded else "dead")
-                continue
-            try:
-                slot.conn.send_bytes(_STOP)
-            except (BrokenPipeError, OSError):
-                pass  # accounted below: the recv side cannot succeed either
-        for slot in live:
-            try:
-                if slot.conn.poll(self.harvest_timeout_s):
-                    status, payload = slot.conn.recv()
-                    if status == _METRICS and payload:
-                        self.runtime.metrics.merge_snapshot(
-                            payload["metrics"])
-                        self.runtime.events.merge_worker(
-                            slot.wid, payload["events"])
-                    else:  # pragma: no cover - protocol noise at shutdown
-                        self._harvest_lost(slot.wid, "protocol")
-                else:
-                    self._harvest_lost(slot.wid, "timeout")
-            except (EOFError, OSError):
-                self._harvest_lost(slot.wid, "dead")
-        for slot in live:
-            proc = slot.proc
-            if proc is None:
-                continue
-            proc.join(timeout=5.0)
-            if proc.is_alive():  # pragma: no cover - defensive
-                proc.terminate()
-                proc.join(timeout=1.0)
-        for slot in live:
-            try:
-                slot.conn.close()
-            except OSError:  # pragma: no cover - defensive
-                pass
-            slot.conn = None
-            slot.proc = None
+        self.link.harvest(self._slots, final=True)
+        for seat in self._slots:
+            self.link.close(seat, grace_s=5.0)
 
 
 class ProcessExecutor(LiveExecutor):
@@ -939,7 +986,7 @@ class ProcessExecutor(LiveExecutor):
             self._owns_supervisor = False
         else:
             self.supervisor = WorkerSupervisor(
-                self._ctx, workers, runtime=runtime,
+                self._make_link(), workers, runtime=runtime,
                 fault_plan=FaultPlan.parse(fault_plan),
                 max_respawns=max_worker_respawns,
                 harvest_timeout_s=harvest_timeout_s)
@@ -1017,16 +1064,11 @@ class ProcessExecutor(LiveExecutor):
     # ------------------------------------------------------------------
     # substrate lifecycle
     # ------------------------------------------------------------------
-    def _start_backend(self) -> None:
-        # The shared-memory resource tracker must exist *before* workers
-        # fork: a worker that attaches a segment registers it with its
-        # inherited tracker. If the tracker only starts after the fork,
-        # each worker spawns a private one, and a private tracker unlinks
-        # every registered segment when its worker exits — yanking live
-        # segments out from under the coordinator.
-        from multiprocessing import resource_tracker
+    def _make_link(self) -> Any:
+        """The link an owned supervisor drives its seats over."""
+        return PipeLink(self._ctx)
 
-        resource_tracker.ensure_running()
+    def _start_backend(self) -> None:
         if self._owns_supervisor:
             self.supervisor.start()
         else:

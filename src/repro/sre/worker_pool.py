@@ -3,9 +3,9 @@
 The distributed back-end (:mod:`repro.sre.executor_dist`) splits the
 process back-end's coordinator/worker pair across hosts. This module is
 the worker half: a long-lived daemon that hosts one
-:class:`~repro.sre.executor_procs.WorkerSupervisor` per attached
-coordinator session and proxies the streaming per-payload reply protocol
-between the coordinator's sockets and the supervisor's pipes.
+:class:`~repro.sre.executor_procs.WorkerSupervisor` over a pipe link per
+attached coordinator session and proxies the streaming per-payload reply
+protocol between the coordinator's sockets and the supervisor's pipes.
 
 Framing is :mod:`repro.serve.wire` length-prefixed JSON — the same
 frames, caps and failure semantics as the serve daemon — with payload
@@ -64,11 +64,11 @@ from repro.errors import ExperimentError, TransportError, WorkerLost
 from repro.obs.events import EventLog
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import parse_traceparent
-from repro.serve.wire import (TRACEPARENT_KEY, decode_blob, encode_blob,
-                              recv_frame, send_frame)
+from repro.serve.wire import (TRACEPARENT_KEY, close_socket, decode_blob,
+                              encode_blob, recv_frame, send_frame)
 from repro.sre import shm
 from repro.sre.executor_procs import (DEFAULT_DISPATCH_TIMEOUT_S,
-                                      DEFAULT_HARVEST_TIMEOUT_S,
+                                      DEFAULT_HARVEST_TIMEOUT_S, PipeLink,
                                       WorkerSupervisor)
 from repro.sre.runtime import Runtime
 from repro.sre.task import PAYLOAD_PROTOCOL
@@ -135,19 +135,6 @@ class _Session:
         self.segments_attached: list[str] = []
         self.lock = threading.Lock()
         self.stopped = False
-
-
-def _close(sock: socket.socket | None) -> None:
-    if sock is None:
-        return
-    try:
-        sock.shutdown(socket.SHUT_RDWR)
-    except OSError:
-        pass
-    try:
-        sock.close()
-    except OSError:  # pragma: no cover - defensive
-        pass
 
 
 def _readable(sock: socket.socket) -> bool:
@@ -251,10 +238,10 @@ class WorkerPoolServer:
         try:
             hello = recv_frame(conn)
         except (TransportError, OSError):
-            _close(conn)
+            close_socket(conn)
             return
         if hello is None:
-            _close(conn)
+            close_socket(conn)
             return
         op = hello.get("op")
         if op == "attach":
@@ -264,14 +251,14 @@ class WorkerPoolServer:
         elif op == "ping":
             self._reply(conn, {"ok": True, "op": "ping",
                                "pid": os.getpid()})
-            _close(conn)
+            close_socket(conn)
         elif op == "shutdown":
             self._reply(conn, {"ok": True})
-            _close(conn)
+            close_socket(conn)
             self.shutdown_requested.set()
         else:
             self._reply(conn, {"ok": False, "error": f"unknown op {op!r}"})
-            _close(conn)
+            close_socket(conn)
 
     @staticmethod
     def _reply(conn: socket.socket, obj: dict) -> bool:
@@ -290,7 +277,7 @@ class WorkerPoolServer:
         except (ExperimentError, ValueError, TypeError, OSError) as exc:
             self._reply(conn, {"ok": False,
                                "error": f"{type(exc).__name__}: {exc}"})
-            _close(conn)
+            close_socket(conn)
             return
         self._reply(conn, {"ok": True, "session": sess.sid,
                            "workers": sess.supervisor.n_workers,
@@ -322,7 +309,7 @@ class WorkerPoolServer:
                     self.shutdown_requested.set()
                     return
         finally:
-            _close(conn)
+            close_socket(conn)
             self._teardown_session(sess.sid)
 
     def _attach(self, req: dict) -> _Session:
@@ -336,16 +323,10 @@ class WorkerPoolServer:
         plan = FaultPlan.parse(fault if fault is not None else s.fault_plan)
         dispatch_timeout_s = float(
             req.get("dispatch_timeout_s", DEFAULT_DISPATCH_TIMEOUT_S))
-        # Same spawn idiom as the serve daemon's warm lanes: the resource
-        # tracker must exist before workers fork (a private per-worker
-        # tracker would unlink live segments when its worker exits).
-        from multiprocessing import resource_tracker
-
-        resource_tracker.ensure_running()
         runtime = Runtime(metrics=MetricsRegistry(), events=EventLog(),
                           track_memory=False)
         supervisor = WorkerSupervisor(
-            self._ctx, workers, runtime=runtime, fault_plan=plan,
+            PipeLink(self._ctx), workers, runtime=runtime, fault_plan=plan,
             max_respawns=s.max_respawns,
             harvest_timeout_s=s.harvest_timeout_s)
         supervisor.start()
@@ -417,7 +398,7 @@ class WorkerPoolServer:
             for seat in seats:
                 seat.gen += 1  # supersede every live handler
         for seat in seats:
-            _close(seat.conn)
+            close_socket(seat.conn)
         for seat in seats:
             t = seat.thread
             if t is not None and t is not threading.current_thread():
@@ -451,13 +432,13 @@ class WorkerPoolServer:
             self._reply(conn, {"ok": False,
                                "error": f"unknown session/seat "
                                         f"{sid!r}/{wid!r}"})
-            _close(conn)
+            close_socket(conn)
             return
         seat = sess.seats[wid]
         with sess.lock:
             if sess.stopped:
                 self._reply(conn, {"ok": False, "error": "session stopped"})
-                _close(conn)
+                close_socket(conn)
                 return
             old = seat.conn
             seat.gen += 1
@@ -465,7 +446,7 @@ class WorkerPoolServer:
             seat.conn = conn
             seat.thread = threading.current_thread()
             seat.seq = 0
-        _close(old)  # supersede: at most one live connection per seat
+        close_socket(old)  # supersede: at most one live connection per seat
         sup = sess.supervisor
         with seat.op_lock:
             if seat.dirty and sup.alive(wid):
@@ -480,10 +461,10 @@ class WorkerPoolServer:
         if not self._reply(conn, {"ok": bool(ok), "degraded": not ok,
                                   "incarnation":
                                       hello.get("incarnation", 0)}):
-            _close(conn)
+            close_socket(conn)
             return
         if not ok:
-            _close(conn)
+            close_socket(conn)
             return
         try:
             self._seat_loop(sess, seat, my_gen, conn)
@@ -491,7 +472,7 @@ class WorkerPoolServer:
             with sess.lock:
                 if seat.gen == my_gen and seat.conn is conn:
                     seat.conn = None
-            _close(conn)
+            close_socket(conn)
 
     def _seat_loop(self, sess: _Session, seat: _Seat, my_gen: int,
                    conn: socket.socket) -> None:

@@ -16,21 +16,25 @@ Acceptance bar, mirroring the procs back-end's:
 * nothing leaks: pushed segments are released at teardown.
 """
 
+import itertools
+import multiprocessing
 import pickle
 import socket
 import struct
 import threading
+from contextlib import contextmanager
 from functools import partial
 
 import pytest
 
-from repro.errors import WorkerLost
+from repro.errors import TransportError, WorkerLost
 from repro.obs.events import EventLog
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.wire import (MAX_FRAME_BYTES, encode_blob, recv_frame,
                               send_frame)
-from repro.sre import shm
+from repro.sre import executor_dist, shm
 from repro.sre.executor_dist import DistExecutor, RemotePool
+from repro.sre.executor_procs import PipeLink, WorkerSupervisor
 from repro.sre.registry import executor_names, make_executor
 from repro.sre.runtime import Runtime
 from repro.sre.task import PAYLOAD_PROTOCOL, Task
@@ -256,20 +260,129 @@ def test_segment_push_roundtrip():
 
 
 # ---------------------------------------------------------------------------
-# adversarial pool: the dist half of the serve-layer hang regressions.
-# RemotePool.recv_reply must turn every wire-level attack into a prompt
-# typed WorkerLost — the recovery path — never a hang.
+# a pool that refuses seats: the seat degrades loudly, on attach and on
+# reconnect (worker_degraded event + dist_seats_degraded gauge)
 # ---------------------------------------------------------------------------
 
-def _pool_with_fake_seat():
+@contextmanager
+def _refusing_pool(accept_seats):
+    """A fake ``repro worker-pool`` that attaches sessions and accepts the
+    first ``accept_seats`` seat hellos, refusing every later one. An
+    accepted seat relays a ``lost`` frame for its first batch and closes,
+    as the real pool does when its worker dies."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(0.2)
+    hellos = itertools.count()
+    done = threading.Event()
+
+    def serve(conn):
+        try:
+            hello = recv_frame(conn)
+            if hello["op"] == "attach":
+                send_frame(conn, {"ok": True, "session": "fake", "pid": 0})
+                while recv_frame(conn) is not None:  # heartbeat/abort/detach
+                    send_frame(conn, {"ok": True})
+            elif next(hellos) < accept_seats:
+                send_frame(conn, {"ok": True})
+                recv_frame(conn)  # the seat's first batch
+                send_frame(conn, {"lost": "crash", "respawned": False,
+                                  "exitcode": -9})
+            else:
+                send_frame(conn, {"ok": False, "degraded": True})
+        except (OSError, TransportError):
+            pass
+        finally:
+            conn.close()
+
+    def accept():
+        while not done.is_set():
+            try:
+                conn, _addr = listener.accept()
+            except socket.timeout:
+                continue
+            threading.Thread(target=serve, args=(conn,), daemon=True).start()
+
+    acceptor = threading.Thread(target=accept, daemon=True)
+    acceptor.start()
+    try:
+        yield f"127.0.0.1:{listener.getsockname()[1]}"
+    finally:
+        done.set()
+        acceptor.join(timeout=5.0)
+        listener.close()
+
+
+def _degraded_events(rt):
+    return [e for e in rt.events.events() if e["kind"] == "worker_degraded"]
+
+
+def test_seats_refused_at_attach_degrade_loudly():
+    rt = Runtime()
+    with _refusing_pool(accept_seats=0) as addr:
+        ex = DistExecutor(rt, pool=addr, workers=2)
+        for i in range(4):
+            rt.add_task(Task(f"t{i}", partial(_identity, i)))
+        ex.run(timeout=60.0)
+    assert {t.outputs["out"] for t in rt.graph.tasks()} == set(range(4))
+    assert [ex.supervisor.alive(w) for w in range(2)] == [False, False]
+    assert rt.metrics.value("dist_seats_degraded") == 2.0
+    degraded = _degraded_events(rt)
+    assert sorted(e["worker"] for e in degraded) == [0, 1]
+    assert all(e["reason"] == "pool refused seat" and e["pool"] == addr
+               for e in degraded)
+    assert ex.tasks_inline == 4
+
+
+def test_seat_refused_at_reconnect_degrades_loudly():
+    rt = Runtime()
+    with _refusing_pool(accept_seats=1) as addr:
+        ex = DistExecutor(rt, pool=addr, workers=1, batch_max=1)
+        rt.add_task(Task("t0", partial(_identity, 7)))
+        ex.run(timeout=60.0)
+    assert rt.graph.get("t0").outputs == {"out": 7}
+    crashes = [e for e in rt.events.events() if e["kind"] == "worker_crash"]
+    assert [(e["reason"], e["exitcode"]) for e in crashes] == [("crash", -9)]
+    assert rt.metrics.value("dist_seat_lost", cause="crash") == 1
+    assert rt.metrics.value("dist_seats_degraded") == 1.0
+    degraded = _degraded_events(rt)
+    assert [(e["worker"], e["reason"]) for e in degraded] == [
+        (0, "pool refused seat")]
+    assert ex.tasks_inline == 1
+
+
+# ---------------------------------------------------------------------------
+# adversarial workers: the dist half of the serve-layer hang regressions.
+# Both links must turn every wire-level attack into a prompt typed
+# WorkerLost at WorkerSupervisor.recv_reply — the recovery path — never a
+# hang, and name it in one loss vocabulary.
+# ---------------------------------------------------------------------------
+
+class _LiveProcess:
+    """Stand-in for a pipe seat's worker process that never exits: its
+    sentinel is a pipe nobody writes to."""
+
+    exitcode = None
+
+    def __init__(self):
+        self.sentinel, self._writer = multiprocessing.Pipe(duplex=False)
+
+
+def _supervisor_with_fake_seat(link="socket"):
+    """A one-seat supervisor whose seat 0 is wired to a peer the test
+    controls, with a batch of 5 payloads pretended in flight."""
     rt = Runtime(metrics=MetricsRegistry(), events=EventLog())
-    pool = RemotePool("127.0.0.1:1", workers=1, runtime=rt,
-                      net_margin_s=0.1)
-    ours, theirs = socket.socketpair()
-    seat = pool._seats[0]
-    seat.sock = ours
-    seat.sent = 5  # pretend a batch is in flight
-    return pool, theirs
+    if link == "socket":
+        sup = WorkerSupervisor(RemotePool("127.0.0.1:1"), 1, runtime=rt)
+        ours, theirs = socket.socketpair()
+    else:
+        sup = WorkerSupervisor(PipeLink(multiprocessing.get_context()), 1,
+                               runtime=rt)
+        ours, theirs = multiprocessing.Pipe()
+        sup._slots[0].proc = _LiveProcess()
+    seat = sup._slots[0]
+    seat.conn = ours
+    seat.sent = 5
+    return sup, theirs
 
 
 @pytest.mark.parametrize("attack,cause", [
@@ -280,46 +393,60 @@ def _pool_with_fake_seat():
     (b"", "crash"),                                     # clean EOF
 ])
 def test_recv_reply_adversarial_frames(attack, cause):
-    pool, evil = _pool_with_fake_seat()
+    sup, evil = _supervisor_with_fake_seat()
     if attack:
         evil.sendall(attack)
     evil.close()
     with pytest.raises(WorkerLost) as exc:
-        pool.recv_reply(0, timeout_s=5.0)
+        sup.recv_reply(0, timeout_s=5.0)
     assert exc.value.cause == cause
 
 
-def test_recv_reply_silent_pool_is_a_hang_not_a_wedge():
-    pool, silent = _pool_with_fake_seat()
+def test_recv_reply_pipe_eof_is_a_crash():
+    sup, peer = _supervisor_with_fake_seat("pipe")
+    peer.close()
+    with pytest.raises(WorkerLost) as exc:
+        sup.recv_reply(0, timeout_s=5.0)
+    assert exc.value.cause == "crash"
+
+
+@pytest.mark.parametrize("link", ["socket", "pipe"])
+def test_recv_reply_silent_pool_is_a_hang_not_a_wedge(link, monkeypatch):
+    monkeypatch.setattr(executor_dist, "NET_MARGIN_S", 0.1)
+    sup, silent = _supervisor_with_fake_seat(link)
     try:
         with pytest.raises(WorkerLost) as exc:
-            pool.recv_reply(0, timeout_s=0.2)
+            sup.recv_reply(0, timeout_s=0.2)
         assert exc.value.cause == "hang"
     finally:
         silent.close()
 
 
-def test_recv_reply_out_of_sequence_is_protocol_loss():
-    pool, peer = _pool_with_fake_seat()
+@pytest.mark.parametrize("link", ["socket", "pipe"])
+def test_recv_reply_out_of_sequence_is_protocol_loss(link):
+    sup, peer = _supervisor_with_fake_seat(link)
     try:
-        payload = encode_blob(pickle.dumps(("x", None),
-                                           protocol=PAYLOAD_PROTOCOL))
-        send_frame(peer, {"seq": 3, "status": "ok",
-                          "payload_b64": payload})
+        if link == "socket":
+            payload = encode_blob(pickle.dumps(("x", None),
+                                               protocol=PAYLOAD_PROTOCOL))
+            send_frame(peer, {"seq": 3, "status": "ok",
+                              "payload_b64": payload})
+        else:
+            peer.send((3, "ok", ("x", None)))
         with pytest.raises(WorkerLost) as exc:
-            pool.recv_reply(0, timeout_s=5.0)
+            sup.recv_reply(0, timeout_s=5.0)
         assert exc.value.cause == "protocol"
     finally:
         peer.close()
 
 
 def test_recv_reply_relayed_loss_carries_cause():
-    pool, peer = _pool_with_fake_seat()
+    sup, peer = _supervisor_with_fake_seat()
     try:
         send_frame(peer, {"lost": "crash", "respawned": True,
                           "exitcode": -9})
         with pytest.raises(WorkerLost) as exc:
-            pool.recv_reply(0, timeout_s=5.0)
+            sup.recv_reply(0, timeout_s=5.0)
         assert exc.value.cause == "crash"
         assert exc.value.exitcode == -9
     finally:
