@@ -1,33 +1,33 @@
 """Unified Job API: one registry, one config object, one result shape.
 
-The repo grew three divergent entry points — ``run_huffman(config=...)``,
-``run_kmeans_experiment(...)`` and the filter runner — each with its own
-keyword vocabulary and its own report dataclass. The jobs registry
-collapses them into a single seam, mirroring :mod:`repro.sre.registry`
-(``EXECUTORS``) exactly:
+Every application runs through one scaffold,
+:func:`repro.experiments.scaffold.run_app`, which owns the run lifecycle
+(registry, flight recorder, runtime, executor, verification, anomaly
+scan, ``run_result`` digest, report); an app plugs in only its hooks —
+an :class:`~repro.experiments.scaffold.App` subclass. This module is the
+seam above it, mirroring :mod:`repro.sre.registry` (``EXECUTORS``):
 
-* :data:`JOBS` maps an app name to its runner callable; applications can
-  register their own job kinds with :func:`register_job`.
+* :data:`JOBS` maps an app name to its runner callable;
+  :func:`~repro.experiments.scaffold.register_app` (or, for a hand-rolled
+  runner, :func:`register_job`) adds one.
 * :class:`~repro.experiments.config.RunConfig` is the single config
   object — its ``app`` field names the registered runner and
   ``RunConfig.for_app`` fills per-app conventional defaults.
 * :class:`RunReport` is the single result shape. App-specific scalars
   (filter response error, kmeans inertia, ...) ride in ``extras``;
-  every app populates ``output_sha256``, the byte-identity oracle both
-  `repro replay` and the serve-vs-one-shot tests compare against.
+  ``output_sha256`` is the byte-identity oracle `repro replay` and the
+  serve-vs-one-shot tests compare against.
 
-Callers that know the app can keep calling the runner directly; callers
-that don't — the `repro serve` daemon above all — dispatch through
-:func:`run_job`::
+App-generic callers — the `repro serve` daemon and `repro replay` —
+dispatch through :func:`run_job`::
 
     from repro.experiments.jobs import run_job
     report = run_job(RunConfig.for_app("kmeans", n_blocks=24))
 
 :class:`JobResources` carries *runtime resources* (as opposed to run
-parameters): a shared metrics registry, an injected decision source, and
-— for the long-lived service — a warm executor factory, a caller-owned
-shm :class:`~repro.sre.shm.BlockStore` the runner must not close, and a
-live block source for ``io="live"`` streaming arrivals.
+parameters): a warm executor factory, a caller-owned shm
+:class:`~repro.sre.shm.BlockStore` the runner must not close, a live
+block source for ``io="live"`` streaming arrivals, a trace context.
 """
 
 from __future__ import annotations

@@ -1,55 +1,38 @@
-"""One-call experiment runner: workload → pipeline → run → report.
+"""The huffman application: workload → pipeline → run → report.
 
-:func:`run_huffman` is the huffman entry point used by the examples, the
-figure modules and the benchmark harness, and the runner registered as
-the ``"huffman"`` job kind (see :mod:`repro.experiments.jobs`). It wires
-a workload, an I/O arrival model, a platform and a pipeline configuration
-onto an executor back-end (resolved through :mod:`repro.sre.registry`),
-runs to quiescence, verifies the compressed output round-trips, and
-returns a :class:`~repro.experiments.jobs.RunReport`.
-
-The only calling convention is a frozen
+:func:`run_huffman` is the huffman entry point the examples, figure
+modules and benchmark harness call, registered as the ``"huffman"`` job
+kind. The run lifecycle is the shared scaffold
+:func:`repro.experiments.scaffold.run_app`; :class:`HuffmanApp` supplies
+the huffman hooks. The only calling convention is a frozen
 :class:`~repro.experiments.config.RunConfig`::
 
     report = run_huffman(config=RunConfig(workload="txt", n_blocks=64,
                                           executor="procs", transport="shm"))
 
-(The bare-keyword deprecation shim from the pre-RunConfig era is gone;
-``RunConfig.from_kwargs(**kw)`` is the one-line migration for callers
-that still hold keyword dicts.)
-
-Besides the synthetic ``disk``/``socket`` arrival models, ``io="live"``
-feeds real blocks as they arrive: the runner pulls from
-``resources.block_source`` (e.g. the serve daemon's socket drain) and
-timestamps each arrival with a
+Huffman is the bundled app that runs on the wall-clock executors
+(threads / procs / dist), with the shm transport and the process-pool
+supervisor knobs. Besides the synthetic ``disk``/``socket`` arrival
+models, ``io="live"`` feeds real blocks as they arrive: the runner pulls
+from ``resources.block_source`` (e.g. the serve daemon's socket drain)
+and timestamps each arrival with a
 :class:`~repro.iomodels.socket.LiveArrivals` recorder — the paper's §V-A
 tunnelled-socket scenario measured for real instead of simulated.
 """
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import replace
-
 from repro.errors import ExperimentError
 from repro.experiments.config import RunConfig
-from repro.experiments.jobs import JobResources, RunReport, register_job
+from repro.experiments.jobs import RunReport
+from repro.experiments.scaffold import App, register_app
 from repro.huffman.pipeline import HuffmanConfig, HuffmanPipeline
-from repro.iomodels import ArrivalModel, DiskModel, SocketModel
 from repro.iomodels.socket import LiveArrivals
 from repro.metrics.summary import summarize_run
-from repro.obs.anomaly import scan_run
-from repro.obs.events import EventLog
-from repro.obs.exporters import PeriodicSnapshotWriter
-from repro.obs.metrics import MetricsRegistry
-from repro.platforms import get_platform
-from repro.sim.rng import make_rng
-from repro.sim.trace import TraceRecorder
-from repro.sre.registry import make_executor
-from repro.sre.runtime import Runtime
 from repro.sre.shm import BlockStore
+from repro.workloads import get_workload
 
-__all__ = ["RunConfig", "RunReport", "run_huffman", "split_blocks"]
+__all__ = ["HuffmanApp", "RunConfig", "RunReport", "run_huffman", "split_blocks"]
 
 
 def split_blocks(data: bytes, block_size: int) -> list[bytes]:
@@ -61,305 +44,124 @@ def split_blocks(data: bytes, block_size: int) -> list[bytes]:
     return [data[i : i + block_size] for i in range(0, len(data), block_size)]
 
 
-def _resolve_io(io) -> ArrivalModel:
-    if isinstance(io, ArrivalModel):
-        return io
-    name = str(io).lower()
-    if name == "disk":
-        return DiskModel()
-    if name == "socket":
-        return SocketModel()
-    raise ExperimentError(
-        f"unknown io model {io!r}; choose 'disk', 'socket' or 'live'")
+#: RunConfig fields forwarded to the process-pool back-ends (procs, dist).
+_SUPERVISOR_KNOBS = ("fault_plan", "steal", "dispatch_timeout_s",
+                     "max_task_retries", "retry_backoff_s",
+                     "max_worker_respawns", "harvest_timeout_s")
 
 
-def run_huffman(
-    config: RunConfig,
-    *,
-    metrics: MetricsRegistry | None = None,
-    decisions: object | None = None,
-    resources: JobResources | None = None,
-) -> RunReport:
-    """Run one Huffman encoding experiment on a chosen executor back-end.
+class HuffmanApp(App):
+    """Huffman hooks: workload or live input, shm store, executor knobs."""
 
-    Args:
-        config: a :class:`RunConfig` describing the run — the only
-            calling convention. See RunConfig for every field: workload,
-            geometry, platform, speculation knobs, ``executor`` (any name
-            registered with :mod:`repro.sre.registry` — "sim" runs on
-            deterministic virtual time and reproduces the paper's figures,
-            "threads"/"procs" run on the wall clock), and ``transport``
-            ("pickle" ships block bytes per payload; "shm" places each
-            block into shared memory once and ships refs — the zero-copy
-            path for the process back-end, see docs/transport.md).
-        metrics: a registry to record into (one is created otherwise);
-            pass a shared registry to aggregate several runs. A runtime
-            resource, not a run parameter — hence not part of RunConfig.
-        decisions: optional :class:`~repro.core.decisions.DecisionSource`
-            injected into the runtime — the seam `repro replay` uses to
-            force a recorded schedule. Like ``metrics``, a runtime
-            resource rather than a run parameter.
-        resources: optional :class:`~repro.experiments.jobs.JobResources`
-            — warm executor factory, caller-owned shm store, live block
-            source. The seam the `repro serve` daemon threads its
-            long-lived pool and arenas through.
+    name = "huffman"
+    live = True
+    #: the input bytes the round-trip check compares against.
+    data: bytes | None = None
+    #: the live-arrival recorder (io="live" only).
+    arrivals: LiveArrivals | None = None
+    store: BlockStore | None = None
+    owns_store = True
 
-    Returns a :class:`RunReport`; ``report.metrics`` carries the registry
-    and ``report.run_config`` the resolved configuration.
-    """
-    if not isinstance(config, RunConfig):
-        raise ExperimentError(
-            f"config must be a RunConfig, got {type(config).__name__} — "
-            "bare keywords are no longer accepted; build one with "
-            "RunConfig(...) or RunConfig.from_kwargs(**kw)")
-    cfg = config
-    if cfg.app != "huffman":
-        raise ExperimentError(
-            f"run_huffman got config.app={cfg.app!r}; dispatch other apps "
-            "through repro.experiments.jobs.run_job")
-    if cfg.policy == "nonspec":
-        # Shorthand used throughout the figures: the paper's baseline run.
-        cfg = replace(cfg, speculative=False, policy="conservative")
-
-    live_feed = isinstance(cfg.io, str) and cfg.io == "live"
-    rng = make_rng(cfg.seed)
-    if live_feed:
-        # Blocks arrive from the caller's source (serve socket drain);
-        # nothing to synthesise. n_blocks sizes the pipeline up-front.
-        if cfg.executor == "sim":
-            raise ExperimentError(
-                "io='live' feeds wall-clock arrivals; it requires a live "
-                "executor (threads/procs), not 'sim'")
-        if resources is None or resources.block_source is None:
-            raise ExperimentError(
-                "io='live' requires resources.block_source (an iterable "
-                "of block bytes, e.g. the serve daemon's stream drain)")
-        if cfg.n_blocks is None:
-            raise ExperimentError("n_blocks is required with io='live'")
-        blocks: list[bytes] | None = None
-        data: bytes | None = None
-        n_blocks = cfg.n_blocks
-        workload_name = "live"
-    else:
+    def inputs(self, rng):
+        cfg, res = self.cfg, self.resources
+        if isinstance(cfg.io, str) and cfg.io == "live":
+            # Blocks arrive from the caller's source (serve socket drain);
+            # nothing to synthesise. n_blocks sizes the pipeline up-front.
+            if res is None or res.block_source is None:
+                raise ExperimentError(
+                    "io='live' requires resources.block_source (an iterable "
+                    "of block bytes, e.g. the serve daemon's stream drain)")
+            if cfg.n_blocks is None:
+                raise ExperimentError("n_blocks is required with io='live'")
+            self.workload = "live"
+            self.arrivals = res.arrivals if res.arrivals is not None else LiveArrivals()
+            return cfg.n_blocks, self._live_blocks(res.block_source, cfg.n_blocks)
         if isinstance(cfg.workload, str):
             if cfg.n_blocks is None:
                 raise ExperimentError("n_blocks is required with a named workload")
-            data = get_workload_data(cfg.workload, cfg.n_blocks * cfg.block_size, rng)
-            workload_name = cfg.workload
+            self.data = get_workload(cfg.workload).generate(
+                cfg.n_blocks * cfg.block_size, rng)
+            self.workload = cfg.workload
         else:
-            data = bytes(cfg.workload)
-            workload_name = "custom"
-        blocks = split_blocks(data, cfg.block_size)
+            self.data = bytes(cfg.workload)
+            self.workload = "custom"
+        blocks = split_blocks(self.data, cfg.block_size)
         if cfg.n_blocks is not None and len(blocks) != cfg.n_blocks:
             raise ExperimentError(
-                f"data yields {len(blocks)} blocks, expected {cfg.n_blocks}"
-            )
-        n_blocks = len(blocks)
+                f"data yields {len(blocks)} blocks, expected {cfg.n_blocks}")
+        return len(blocks), blocks
 
-    plat = get_platform(cfg.platform) if isinstance(cfg.platform, str) else cfg.platform
-    io_model = None if live_feed else _resolve_io(cfg.io)
-    hconfig = HuffmanConfig(
-        block_size=cfg.block_size,
-        reduce_ratio=cfg.reduce_ratio,
-        offset_fanout=cfg.offset_fanout,
-        speculative=cfg.speculative,
-        step=cfg.step,
-        verification=cfg.verification,
-        verify_k=cfg.verify_k,
-        tolerance=cfg.tolerance,
-    )
+    def _live_blocks(self, source, n_blocks: int):
+        received: list[bytes] = []
+        for index, block in enumerate(source):
+            if index >= n_blocks:
+                raise ExperimentError(
+                    f"live source produced more than the declared "
+                    f"{n_blocks} blocks")
+            block = bytes(block)
+            self.arrivals.record(index)
+            received.append(block)
+            yield block
+        if len(received) != n_blocks:
+            raise ExperimentError(
+                f"live source produced {len(received)} blocks, "
+                f"declared {n_blocks}")
+        self.data = b"".join(received)
 
-    registry = metrics if metrics is not None else MetricsRegistry()
-    # The header meta makes the JSONL self-describing enough to replay:
-    # the full run parameterisation rides along with the events.
-    events = EventLog(capacity=cfg.events_capacity, path=cfg.events_out,
-                      enabled=cfg.events,
-                      meta={"app": "huffman", "run_config": cfg.to_dict()})
-    if resources is not None and resources.trace is not None:
-        # Served job: every event of this run joins the submit's trace.
-        events.set_trace_context(resources.trace)
-    runtime = Runtime(
-        trace=TraceRecorder(enabled=cfg.trace),
-        metrics=registry,
-        events=events,
-        depth_first=cfg.depth_first,
-        control_first=cfg.control_first,
-        decisions=decisions,
-    )
-    store: BlockStore | None = None
-    owns_store = True
-    if cfg.transport == "shm":
-        # The shared-memory transport works under every back-end (local
-        # resolution is a cache hit); it pays off on "procs", where block
-        # bytes stop crossing the coordinator→worker pipes.
-        if resources is not None and resources.store is not None:
-            store = resources.store  # warm arenas owned by the daemon
-            owns_store = False
-        else:
-            store = BlockStore(metrics=registry, events=events)
-    writer = None
-    if cfg.metrics_out is not None:
-        writer = PeriodicSnapshotWriter(
-            registry, cfg.metrics_out, interval_s=cfg.metrics_interval_s,
-            meta=cfg.to_dict(),
-        ).start()
-    live_arrivals: LiveArrivals | None = None
-    pipeline: HuffmanPipeline | None = None
-    try:
-        if cfg.executor == "sim":
-            engine = make_executor(
-                "sim", runtime, platform=plat, policy=cfg.policy, workers=cfg.workers
-            )
-            pipeline = HuffmanPipeline(runtime, hconfig, n_blocks, store=store)
-            arrivals = io_model.arrival_times(n_blocks, rng)
-            for index, (when, block) in enumerate(zip(arrivals, blocks)):
-                engine.sim.schedule_at(
-                    float(when),
-                    lambda i=index, b=block: pipeline.feed_block(i, b),
-                )
-            end = engine.run()
-        else:
-            import time as _time
-
-            if resources is not None and resources.executor_factory is not None:
-                # Warm path: the caller (serve daemon) builds the executor
-                # around an already-started worker pool.
-                engine = resources.executor_factory(runtime)
+    def open(self, runtime):
+        cfg, res = self.cfg, self.resources
+        if cfg.transport == "shm":
+            # The shared-memory transport works under every back-end (local
+            # resolution is a cache hit); it pays off on "procs", where block
+            # bytes stop crossing the coordinator→worker pipes.
+            if res is not None and res.store is not None:
+                self.store, self.owns_store = res.store, False  # daemon arenas
             else:
-                live_opts: dict[str, object] = {}
-                if cfg.executor in ("procs", "dist"):
-                    # Supervisor / fault-injection knobs are specific to the
-                    # process-pool back-ends; other registered back-ends
-                    # would reject the keywords.
-                    live_opts.update(
-                        store=store,
-                        fault_plan=cfg.fault_plan,
-                        steal=cfg.steal,
-                        dispatch_timeout_s=cfg.dispatch_timeout_s,
-                        max_task_retries=cfg.max_task_retries,
-                        retry_backoff_s=cfg.retry_backoff_s,
-                        max_worker_respawns=cfg.max_worker_respawns,
-                        harvest_timeout_s=cfg.harvest_timeout_s,
-                    )
-                if cfg.executor == "dist":
-                    live_opts.update(pool=cfg.pool)
-                engine = make_executor(
-                    cfg.executor, runtime, policy=cfg.policy,
-                    workers=cfg.workers if cfg.workers is not None else 4,
-                    **live_opts,
-                )
-            pipeline = HuffmanPipeline(runtime, hconfig, n_blocks, store=store)
-            engine.start()
-            if live_feed:
-                live_arrivals = (resources.arrivals
-                                 if resources.arrivals is not None
-                                 else LiveArrivals())
-                received: list[bytes] = []
-                for index, block in enumerate(resources.block_source):
-                    if index >= n_blocks:
-                        raise ExperimentError(
-                            f"live source produced more than the declared "
-                            f"{n_blocks} blocks")
-                    block = bytes(block)
-                    live_arrivals.record(index)
-                    received.append(block)
-                    engine.submit(pipeline.feed_block, index, block)
-                if len(received) != n_blocks:
-                    raise ExperimentError(
-                        f"live source produced {len(received)} blocks, "
-                        f"declared {n_blocks}")
-                data = b"".join(received)
-            else:
-                for index, block in enumerate(blocks):
-                    engine.submit(pipeline.feed_block, index, block)
-                    if cfg.feed_gap_s:
-                        _time.sleep(cfg.feed_gap_s)
-            engine.close_input()
-            if not engine.wait_idle(timeout=600.0):
-                raise ExperimentError("live executor did not drain within 600s")
-            engine.shutdown()
-            engine.raise_errors()
-            end = engine.now
-        result = pipeline.result(end)
-        ok: bool | None = None
-        if cfg.verify_roundtrip:
-            ok = pipeline.verify_roundtrip(data)
-            if not ok:
-                raise ExperimentError("round-trip verification failed: corrupt output")
-        # Post-run anomaly scan: detectors emit anomaly_* events (before
-        # the JSONL sink closes) and produce the report's warnings.
-        run_warnings = scan_run(events, registry)
-        # Terminal run_result event: outcome + output digest, the oracle
-        # replay compares against for byte-identity.
-        output_sha: str | None = None
-        if cfg.events:
-            packed, total_bits = pipeline.assemble()
-            output_sha = hashlib.sha256(packed.tobytes()).hexdigest()
-            manager = getattr(pipeline, "manager", None)
-            events.emit(
-                "run_result",
-                outcome=manager.outcome if manager is not None else None,
-                compressed_bits=int(total_bits),
-                output_sha256=output_sha,
-                roundtrip_ok=ok,
-            )
-    finally:
-        # Each cleanup in its own finally clause: a raising store.close()
-        # must not eat the final metrics snapshot or the event sink flush.
-        try:
-            if store is not None:
-                if owns_store:
-                    store.close()  # releases leftover refs, unlinks segments
-                elif pipeline is not None:
-                    # Caller-owned warm arenas: the close sweep never runs,
-                    # so this run drains its own leftover refs instead.
-                    pipeline.release_store_refs()
-        finally:
-            try:
-                if writer is not None:
-                    writer.stop()  # final snapshot: the drained end state
-            finally:
-                events.close()
+                self.store = BlockStore(metrics=runtime.metrics,
+                                        events=runtime.events)
+        if cfg.executor not in ("procs", "dist"):
+            # Supervisor / fault-injection knobs are specific to the
+            # process-pool back-ends; other back-ends reject the keywords.
+            return {}
+        options = {k: getattr(cfg, k) for k in _SUPERVISOR_KNOBS}
+        if cfg.executor == "dist":
+            options.update(pool=cfg.pool)
+        return dict(options, store=self.store)
 
-    run_label = cfg.label or (
-        f"{workload_name}/{plat.name}/{cfg.policy}"
-        + ("" if cfg.executor == "sim" else f"/{cfg.executor}")
-        + ("" if cfg.transport == "pickle" else f"/{cfg.transport}")
-        + ("" if cfg.speculative else "/nonspec")
-    )
-    if cfg.executor == "sim":
-        n_workers = cfg.workers if cfg.workers is not None else plat.default_workers
-    else:
-        n_workers = engine.n_workers
-    extras: dict[str, object] = {}
-    if live_arrivals is not None:
-        extras["live_arrivals_us"] = live_arrivals.times_us()
-    return RunReport(
-        label=run_label,
-        result=result,
-        summary=summarize_run(run_label, result),
-        utilisation=engine.utilisation(),
-        roundtrip_ok=ok,
-        config=hconfig,
-        platform_name=plat.name,
-        policy=cfg.policy,
-        workers=n_workers,
-        app="huffman",
-        trace=runtime.trace if cfg.trace else None,
-        metrics=registry,
-        run_config=cfg,
-        events=events if cfg.events else None,
-        warnings=run_warnings,
-        output_sha256=output_sha,
-        extras=extras,
-    )
+    def build(self, runtime, n_blocks):
+        cfg = self.cfg
+        hconfig = HuffmanConfig(
+            block_size=cfg.block_size, reduce_ratio=cfg.reduce_ratio,
+            offset_fanout=cfg.offset_fanout, **self.speculation())
+        return HuffmanPipeline(runtime, hconfig, n_blocks, store=self.store)
+
+    def verify(self, pipeline):
+        return pipeline.verify_roundtrip(self.data)
+
+    def digest(self, pipeline):
+        packed, total_bits = pipeline.assemble()
+        return packed.tobytes(), {"compressed_bits": int(total_bits)}
+
+    def result(self, pipeline, end):
+        return pipeline.result(end)
+
+    def extras(self, pipeline, ok):
+        if self.arrivals is None:
+            return {}
+        return {"live_arrivals_us": self.arrivals.times_us()}
+
+    def summary(self, label, result):
+        return summarize_run(label, result)
+
+    def close(self, pipeline):
+        if self.store is None:
+            return
+        if self.owns_store:
+            self.store.close()  # releases leftover refs, unlinks segments
+        elif pipeline is not None:
+            # Caller-owned warm arenas: the close sweep never runs, so
+            # this run drains its own leftover refs instead.
+            pipeline.release_store_refs()
 
 
-def get_workload_data(name: str, size: int, rng) -> bytes:
-    """Generate ``size`` bytes of the named workload (registry lookup)."""
-    from repro.workloads import get_workload
-
-    return get_workload(name).generate(size, rng)
-
-
-register_job("huffman", run_huffman)
+run_huffman = register_app(HuffmanApp)

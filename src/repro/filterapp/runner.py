@@ -3,175 +3,60 @@
 Registered as the ``"filter"`` job kind (see
 :mod:`repro.experiments.jobs`): takes the unified
 :class:`~repro.experiments.config.RunConfig` and returns the unified
-:class:`~repro.experiments.jobs.RunReport`. Filter-specific scalars
-(``response_error``, ``output_ok``, ``rollbacks``, ``speculations``)
-ride in ``report.extras``.
+:class:`~repro.experiments.jobs.RunReport` through the shared scaffold
+:func:`repro.experiments.scaffold.run_app`; this module supplies only the
+filter hooks. Filter-specific scalars (``response_error``, ``output_ok``,
+``rollbacks``, ``speculations``) ride in ``report.extras``.
 """
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 
-from repro.errors import ExperimentError
-from repro.experiments.config import RunConfig
-from repro.experiments.jobs import AppResult, JobResources, RunReport, register_job
+from repro.experiments.scaffold import App, register_app
 from repro.filterapp.iterative import FilterDesignProblem
 from repro.filterapp.pipeline import FilterConfig, FilterPipeline
-from repro.iomodels import ArrivalModel, DiskModel, SocketModel
-from repro.obs.anomaly import scan_run
-from repro.obs.events import EventLog
-from repro.obs.metrics import MetricsRegistry
-from repro.platforms import get_platform
-from repro.sim.rng import make_rng
-from repro.sim.trace import TraceRecorder
-from repro.sre.executor_sim import SimulatedExecutor
-from repro.sre.runtime import Runtime
 
-__all__ = ["run_filter_experiment"]
+__all__ = ["FilterApp", "run_filter_experiment"]
 
 
-def _resolve_io(io) -> ArrivalModel:
-    if isinstance(io, ArrivalModel):
-        return io
-    name = str(io).lower()
-    if name == "disk":
-        return DiskModel(per_block_us=40.0)
-    if name == "socket":
-        return SocketModel()
-    raise ExperimentError(
-        f"unknown io model {io!r} for the filter app; choose 'disk' or "
-        "'socket' (io='live' streams bytes — huffman only)")
+class FilterApp(App):
+    """The Fig. 1 filtering application on the simulated executor.
 
-
-def run_filter_experiment(
-    config: RunConfig,
-    *,
-    metrics: MetricsRegistry | None = None,
-    decisions: object | None = None,
-    resources: JobResources | None = None,
-) -> RunReport:
-    """Run the Fig. 1 filtering application on the simulated executor.
-
-    The input stream is band-limited noise plus an out-of-band tone, so the
-    designed low-pass filter has real work to do; correctness is checked by
-    re-filtering sequentially with the committed coefficients. Use
-    ``RunConfig.for_app("filter", ...)`` to get the app's conventional
-    geometry defaults.
+    The input stream is band-limited noise plus an out-of-band tone, so
+    the designed low-pass filter has real work to do; correctness is
+    checked by re-filtering sequentially with the committed coefficients.
     """
-    if not isinstance(config, RunConfig):
-        raise ExperimentError(
-            f"config must be a RunConfig, got {type(config).__name__} — "
-            "bare keywords are no longer accepted")
-    cfg = config
-    if cfg.app != "filter":
-        raise ExperimentError(
-            f"run_filter_experiment got config.app={cfg.app!r}; dispatch "
-            "other apps through repro.experiments.jobs.run_job")
-    if cfg.executor != "sim":
-        raise ExperimentError(
-            "the filter job runs on the simulated executor only (its task "
-            "closures are not picklable); use executor='sim'")
-    n_blocks = cfg.n_blocks if cfg.n_blocks is not None else 64
-    rng = make_rng(cfg.seed)
-    problem = FilterDesignProblem(iterations=cfg.iterations)
-    fconfig = FilterConfig(
-        speculative=cfg.speculative, step=cfg.step,
-        verification=cfg.verification, verify_k=cfg.verify_k,
-        tolerance=cfg.tolerance,
-    )
-    plat = get_platform(cfg.platform) if isinstance(cfg.platform, str) else cfg.platform
-    io_model = _resolve_io(cfg.io)
 
-    n = n_blocks * cfg.block_samples
-    t = np.arange(n)
-    signal = (
-        np.sin(2 * np.pi * 0.05 * t)          # in-band tone
-        + 0.7 * np.sin(2 * np.pi * 0.37 * t)  # out-of-band tone
-        + 0.3 * rng.standard_normal(n)
-    )
-    blocks = signal.reshape(n_blocks, cfg.block_samples)
+    name = "filter"
+    disk_per_block_us = 40.0
 
-    registry = metrics if metrics is not None else MetricsRegistry()
-    events = EventLog(capacity=cfg.events_capacity, path=cfg.events_out,
-                      enabled=cfg.events,
-                      meta={"app": "filter", "run_config": cfg.to_dict()})
-    if resources is not None and resources.trace is not None:
-        # Served job: every event of this run joins the submit's trace.
-        events.set_trace_context(resources.trace)
-    runtime = Runtime(
-        trace=TraceRecorder(enabled=cfg.trace),
-        metrics=registry,
-        events=events,
-        depth_first=cfg.depth_first,
-        control_first=cfg.control_first,
-        decisions=decisions,
-    )
-    try:
-        executor = SimulatedExecutor(runtime, plat, policy=cfg.policy,
-                                     workers=cfg.workers)
-        pipeline = FilterPipeline(runtime, problem, fconfig, n_blocks)
-        arrivals = io_model.arrival_times(n_blocks, rng)
-        for index, when in enumerate(arrivals):
-            executor.sim.schedule_at(
-                float(when), lambda i=index: pipeline.feed_block(i, blocks[i])
-            )
-        end = executor.run()
+    def inputs(self, rng):
+        cfg = self.cfg
+        n_blocks = cfg.n_blocks if cfg.n_blocks is not None else 64
+        n = n_blocks * cfg.block_samples
+        t = np.arange(n)
+        signal = (
+            np.sin(2 * np.pi * 0.05 * t)          # in-band tone
+            + 0.7 * np.sin(2 * np.pi * 0.37 * t)  # out-of-band tone
+            + 0.3 * rng.standard_normal(n)
+        )
+        return n_blocks, signal.reshape(n_blocks, cfg.block_samples)
 
-        valid = pipeline.valid_versions()
-        latencies = pipeline.collector.latencies(valid)
-        stats = pipeline.manager.stats if pipeline.manager else None
-        ok = pipeline.verify_output()
-        if not ok:
-            raise ExperimentError("filter output failed verification")
-        output_sha = hashlib.sha256(pipeline.output().tobytes()).hexdigest()
-        run_warnings = scan_run(events, registry)
-        if cfg.events:
-            events.emit(
-                "run_result",
-                outcome=("non_speculative" if pipeline.manager is None
-                         else pipeline.manager.outcome),
-                output_sha256=output_sha,
-                roundtrip_ok=ok,
-            )
-    finally:
-        events.close()
+    def build(self, runtime, n_blocks):
+        problem = FilterDesignProblem(iterations=self.cfg.iterations)
+        return FilterPipeline(runtime, problem, FilterConfig(**self.speculation()),
+                              n_blocks)
 
-    outcome = ("non_speculative" if pipeline.manager is None
-               else pipeline.manager.outcome)
-    run_label = cfg.label or (
-        f"filter/{plat.name}/{cfg.policy}"
-        + ("" if cfg.speculative else "/nonspec"))
-    return RunReport(
-        label=run_label,
-        result=AppResult(
-            outcome=outcome,
-            latencies=latencies,
-            arrivals=pipeline.collector.arrivals(),
-            completion_time=float(end),
-        ),
-        summary=None,
-        utilisation=executor.utilisation(),
-        roundtrip_ok=ok,
-        config=fconfig,
-        platform_name=plat.name,
-        policy=cfg.policy,
-        workers=cfg.workers if cfg.workers is not None else plat.default_workers,
-        app="filter",
-        trace=runtime.trace if cfg.trace else None,
-        metrics=registry,
-        run_config=cfg,
-        events=events if cfg.events else None,
-        warnings=run_warnings,
-        output_sha256=output_sha,
-        extras={
-            "response_error": pipeline.result_quality(),
-            "rollbacks": stats.rollbacks if stats else 0,
-            "speculations": stats.speculations if stats else 0,
-            "output_ok": ok,
-        },
-    )
+    def verify(self, pipeline):
+        return pipeline.verify_output()
+
+    def digest(self, pipeline):
+        return pipeline.output().tobytes(), {}
+
+    def extras(self, pipeline, ok):
+        return {"response_error": pipeline.result_quality(),
+                **super().extras(pipeline, ok), "output_ok": ok}
 
 
-register_job("filter", run_filter_experiment)
+run_filter_experiment = register_app(FilterApp)

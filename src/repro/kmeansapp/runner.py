@@ -3,169 +3,55 @@
 Registered as the ``"kmeans"`` job kind (see
 :mod:`repro.experiments.jobs`): takes the unified
 :class:`~repro.experiments.config.RunConfig` and returns the unified
-:class:`~repro.experiments.jobs.RunReport`. KMeans-specific scalars
-(``inertia``, ``labels_ok``, ``rollbacks``, ``speculations``) ride in
-``report.extras``.
+:class:`~repro.experiments.jobs.RunReport` through the shared scaffold
+:func:`repro.experiments.scaffold.run_app`; this module supplies only the
+k-means hooks. KMeans-specific scalars (``inertia``, ``labels_ok``,
+``rollbacks``, ``speculations``) ride in ``report.extras``.
 """
 
 from __future__ import annotations
 
-import hashlib
-
-from repro.errors import ExperimentError
-from repro.experiments.config import RunConfig
-from repro.experiments.jobs import AppResult, JobResources, RunReport, register_job
-from repro.iomodels import ArrivalModel, DiskModel, SocketModel
+from repro.experiments.scaffold import App, register_app
 from repro.kmeansapp.kmeans import KMeansModel, gaussian_mixture_stream
 from repro.kmeansapp.pipeline import KMeansConfig, KMeansPipeline
-from repro.obs.anomaly import scan_run
-from repro.obs.events import EventLog
-from repro.obs.metrics import MetricsRegistry
-from repro.platforms import get_platform
-from repro.sim.rng import make_rng
-from repro.sim.trace import TraceRecorder
-from repro.sre.executor_sim import SimulatedExecutor
-from repro.sre.runtime import Runtime
 
-__all__ = ["run_kmeans_experiment"]
+__all__ = ["KMeansApp", "run_kmeans_experiment"]
 
 
-def _resolve_io(io) -> ArrivalModel:
-    if isinstance(io, ArrivalModel):
-        return io
-    name = str(io).lower()
-    if name == "disk":
-        return DiskModel(per_block_us=60.0)
-    if name == "socket":
-        return SocketModel()
-    raise ExperimentError(
-        f"unknown io model {io!r} for the kmeans app; choose 'disk' or "
-        "'socket' (io='live' streams bytes — huffman only)")
-
-
-def run_kmeans_experiment(
-    config: RunConfig,
-    *,
-    metrics: MetricsRegistry | None = None,
-    decisions: object | None = None,
-    resources: JobResources | None = None,
-) -> RunReport:
-    """Run streaming k-means with centroid speculation.
+class KMeansApp(App):
+    """Streaming k-means with centroid speculation.
 
     ``drift_blocks > 0`` shifts the mixture's means over the first blocks
     (an early transient): speculation before the drift settles rolls back.
-    Use ``RunConfig.for_app("kmeans", ...)`` to get the app's conventional
-    geometry defaults.
     """
-    if not isinstance(config, RunConfig):
-        raise ExperimentError(
-            f"config must be a RunConfig, got {type(config).__name__} — "
-            "bare keywords are no longer accepted")
-    cfg = config
-    if cfg.app != "kmeans":
-        raise ExperimentError(
-            f"run_kmeans_experiment got config.app={cfg.app!r}; dispatch "
-            "other apps through repro.experiments.jobs.run_job")
-    if cfg.executor != "sim":
-        raise ExperimentError(
-            "the kmeans job runs on the simulated executor only (its task "
-            "closures are not picklable); use executor='sim'")
-    n_blocks = cfg.n_blocks if cfg.n_blocks is not None else 48
-    rng = make_rng(cfg.seed)
-    model = KMeansModel(n_clusters=cfg.n_clusters, dim=cfg.dim)
-    kconfig = KMeansConfig(
-        speculative=cfg.speculative, step=cfg.step,
-        verification=cfg.verification, verify_k=cfg.verify_k,
-        tolerance=cfg.tolerance,
-    )
-    plat = get_platform(cfg.platform) if isinstance(cfg.platform, str) else cfg.platform
-    io_model = _resolve_io(cfg.io)
-    stream = gaussian_mixture_stream(
-        n_blocks, cfg.block_points, n_clusters=cfg.n_clusters, dim=cfg.dim,
-        drift_blocks=cfg.drift_blocks, seed=rng,
-    )
 
-    registry = metrics if metrics is not None else MetricsRegistry()
-    events = EventLog(capacity=cfg.events_capacity, path=cfg.events_out,
-                      enabled=cfg.events,
-                      meta={"app": "kmeans", "run_config": cfg.to_dict()})
-    if resources is not None and resources.trace is not None:
-        # Served job: every event of this run joins the submit's trace.
-        events.set_trace_context(resources.trace)
-    runtime = Runtime(
-        trace=TraceRecorder(enabled=cfg.trace),
-        metrics=registry,
-        events=events,
-        depth_first=cfg.depth_first,
-        control_first=cfg.control_first,
-        decisions=decisions,
-    )
-    try:
-        executor = SimulatedExecutor(runtime, plat, policy=cfg.policy,
-                                     workers=cfg.workers)
-        pipeline = KMeansPipeline(runtime, model, kconfig, n_blocks)
-        arrivals = io_model.arrival_times(n_blocks, rng)
-        for index, when in enumerate(arrivals):
-            executor.sim.schedule_at(
-                float(when), lambda i=index: pipeline.feed_block(i, stream[i]))
-        end = executor.run()
+    name = "kmeans"
+    disk_per_block_us = 60.0
 
-        valid = pipeline.valid_versions()
-        latencies = pipeline.collector.latencies(valid)
-        ok = pipeline.verify_labels()
-        if not ok:
-            raise ExperimentError("k-means labels failed verification")
-        stats = pipeline.manager.stats if pipeline.manager else None
+    def inputs(self, rng):
+        cfg = self.cfg
+        n_blocks = cfg.n_blocks if cfg.n_blocks is not None else 48
+        return n_blocks, gaussian_mixture_stream(
+            n_blocks, cfg.block_points, n_clusters=cfg.n_clusters, dim=cfg.dim,
+            drift_blocks=cfg.drift_blocks, seed=rng,
+        )
+
+    def build(self, runtime, n_blocks):
+        model = KMeansModel(n_clusters=self.cfg.n_clusters, dim=self.cfg.dim)
+        return KMeansPipeline(runtime, model, KMeansConfig(**self.speculation()),
+                              n_blocks)
+
+    def verify(self, pipeline):
+        return pipeline.verify_labels()
+
+    def digest(self, pipeline):
         # Byte-identity oracle: committed labels + centroids.
-        output_sha = hashlib.sha256(
-            pipeline.labels().tobytes()
-            + pipeline.committed_centroids.tobytes()).hexdigest()
-        run_warnings = scan_run(events, registry)
-        if cfg.events:
-            events.emit(
-                "run_result",
-                outcome=("non_speculative" if pipeline.manager is None
-                         else pipeline.manager.outcome),
-                output_sha256=output_sha,
-                roundtrip_ok=ok,
-            )
-    finally:
-        events.close()
+        return (pipeline.labels().tobytes()
+                + pipeline.committed_centroids.tobytes()), {}
 
-    outcome = ("non_speculative" if pipeline.manager is None
-               else pipeline.manager.outcome)
-    run_label = cfg.label or (
-        f"kmeans/{plat.name}/{cfg.policy}"
-        + ("" if cfg.speculative else "/nonspec"))
-    return RunReport(
-        label=run_label,
-        result=AppResult(
-            outcome=outcome,
-            latencies=latencies,
-            arrivals=pipeline.collector.arrivals(),
-            completion_time=float(end),
-        ),
-        summary=None,
-        utilisation=executor.utilisation(),
-        roundtrip_ok=ok,
-        config=kconfig,
-        platform_name=plat.name,
-        policy=cfg.policy,
-        workers=cfg.workers if cfg.workers is not None else plat.default_workers,
-        app="kmeans",
-        trace=runtime.trace if cfg.trace else None,
-        metrics=registry,
-        run_config=cfg,
-        events=events if cfg.events else None,
-        warnings=run_warnings,
-        output_sha256=output_sha,
-        extras={
-            "inertia": pipeline.inertia(),
-            "rollbacks": stats.rollbacks if stats else 0,
-            "speculations": stats.speculations if stats else 0,
-            "labels_ok": ok,
-        },
-    )
+    def extras(self, pipeline, ok):
+        return {"inertia": pipeline.inertia(),
+                **super().extras(pipeline, ok), "labels_ok": ok}
 
 
-register_job("kmeans", run_kmeans_experiment)
+run_kmeans_experiment = register_app(KMeansApp)

@@ -43,8 +43,8 @@ Quickstart::
     lat.observe(12.5)
     print(to_prometheus_text(reg.snapshot()))
 
-Every run started through :func:`repro.experiments.runner.run_huffman`
-carries a registry on ``report.metrics``; ``repro run --metrics-out`` and
+Every run started through :func:`repro.experiments.jobs.run_job` (or any
+app's runner) carries a registry on ``report.metrics``; ``repro run --metrics-out`` and
 ``repro stats`` expose it from the command line.
 """
 

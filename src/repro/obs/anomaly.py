@@ -1,7 +1,7 @@
 """Threshold anomaly detectors over the flight recorder and the registry.
 
-Run at end of run by :func:`repro.experiments.runner.run_huffman` (and
-usable standalone over any event list). Each detector returns
+Run at end of every job by :func:`repro.experiments.scaffold.run_app`
+(and usable standalone over any event list). Each detector returns
 :class:`Anomaly` records; :func:`scan_run` additionally emits one
 ``anomaly_<kind>`` event per finding into the log — *before* the JSONL
 sink closes, so post-mortems see the verdicts next to the raw events —

@@ -338,7 +338,7 @@ class SpeculationServer:
         for t in self._threads + [t for _c, t in conns]:
             t.join(timeout=10.0)
         # Lanes first (their harvest emits into daemon metrics/events),
-        # then arenas, then the event sink — mirror runner.py's ordering.
+        # then arenas, then the event sink — mirror run_app's ordering.
         # The snapshot writer stops after both so its final dump carries
         # the lane-harvest counters.
         try:

@@ -573,8 +573,9 @@ def config_from_header(
 ):
     """Rebuild the recorded run's RunConfig from the log header.
 
-    The header's ``meta.run_config`` (stamped by the experiment runner)
-    is the full parameterisation; replay re-runs it with side outputs
+    The header's ``meta.run_config`` (stamped by the run scaffold for
+    every app) is the full parameterisation — its ``app`` field picks the
+    registered runner; replay re-runs it with side outputs
     redirected (no trace, no metrics file, events to ``events_out`` or
     the in-memory ring only) and any counterfactual ``overrides``
     applied last. Raw-bytes workloads degrade to ``"custom"`` in the
@@ -587,8 +588,8 @@ def config_from_header(
     if not isinstance(rc, dict):
         raise ReplayError(
             "event log header carries no run_config — only logs recorded "
-            "by `repro run --events-out` (or run_huffman with events_out) "
-            "are replayable"
+            "with events_out set (`repro run --events-out`, or any "
+            "registered app's runner / run_job) are replayable"
         )
     if rc.get("workload") == "custom":
         raise ReplayError(
@@ -638,8 +639,11 @@ def replay_path(
     e.g. ``{"policy": "aggressive"}``): re-runs the recorded input under
     live decisions with the overrides applied; compare cascades via
     ``result.recorded`` / ``result.replayed`` (:func:`render_diff`).
+    The recorded ``run_config.app`` picks the runner through
+    :func:`~repro.experiments.jobs.run_job`, so every registered app's
+    log replays.
     """
-    from repro.experiments.runner import run_huffman
+    from repro.experiments.jobs import run_job
 
     header, events = read_event_log(path)
     schedule = extract_schedule(events)
@@ -649,14 +653,14 @@ def replay_path(
                              overrides=overrides)
 
     if overrides:
-        report = run_huffman(config=cfg)
+        report = run_job(cfg)
         replayed = CascadeSummary.from_events(_events_of(report))
         return ReplayResult(header, schedule, report, True,
                             recorded, replayed, None)
 
     director = ReplayDirector(schedule)
     try:
-        report = run_huffman(config=cfg, decisions=director)
+        report = run_job(cfg, decisions=director)
     except ExperimentError as exc:
         # A wedged schedule surfaces as an unfinished pipeline; convert
         # to the divergence that actually caused it.

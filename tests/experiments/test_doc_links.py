@@ -2,7 +2,8 @@
 ``repro <subcommand>`` verification added with the replay PR: docs must
 not advertise CLI commands that ``repro.cli.build_parser()`` does not
 register, and the scan must only look inside code spans and fenced
-blocks (prose mentioning "repro reproduces X" is not a CLI example).
+blocks (prose mentioning "repro reproduces X" is not a CLI example) —
+and the job-runner call check on fenced python blocks.
 """
 
 import importlib.util
@@ -62,10 +63,49 @@ def test_python_imports_in_code_not_flagged(tmp_path):
     assert _check(tmp_path, text) == []
 
 
+def _check_python(tmp_path, text):
+    md = tmp_path / "doc.md"
+    md.write_text(text)
+    return check_doc_links.check_python_blocks(md)
+
+
+def test_python_block_runner_bare_keywords_flagged(tmp_path):
+    text = ("Intro.\n\n```python\nfrom repro import run_huffman\n\n"
+            "r = run_huffman(workload=\"txt\", n_blocks=8)\n"
+            "s = jobs.run_job(cfg, seed=1)\n```\n")
+    errors = _check_python(tmp_path, text)
+    assert len(errors) == 2
+    assert ":6:" in errors[0] and "workload=, n_blocks=" in errors[0]
+    assert ":7:" in errors[1] and "run_job() takes no seed=" in errors[1]
+
+
+def test_python_block_runner_keywords_allowed(tmp_path):
+    text = ("```python\nreport = run_kmeans_experiment(\n"
+            "    config=RunConfig.for_app(\"kmeans\", n_blocks=8),\n"
+            "    metrics=reg, decisions=None, resources=res)\n"
+            "run_filter_experiment(cfg, **extra)\n"
+            "RunConfig(workload=\"txt\", n_blocks=8)\n```\n")
+    assert _check_python(tmp_path, text) == []
+
+
+def test_python_block_check_skips_spans_and_other_languages(tmp_path):
+    text = ("Old spelling: `run_huffman(workload=\"txt\")`.\n\n"
+            "```bash\nrun_huffman(workload=txt)\n```\n")
+    assert _check_python(tmp_path, text) == []
+
+
+def test_unparseable_python_block_flagged_only_if_it_calls_a_runner(tmp_path):
+    assert _check_python(tmp_path, "```python\nemit(a=1, ...)\n```\n") == []
+    errors = _check_python(
+        tmp_path, "```python\nrun_job(cfg, a=1, ...)\n```\n")
+    assert len(errors) == 1 and "does not parse" in errors[0]
+
+
 def test_repo_docs_are_currently_clean():
     known = check_doc_links.known_subcommands(_ROOT)
     errors = []
     for md in check_doc_links.iter_markdown(_ROOT):
         errors.extend(check_doc_links.check_subcommands(md, known))
         errors.extend(check_doc_links.check_file(md))
+        errors.extend(check_doc_links.check_python_blocks(md))
     assert errors == []

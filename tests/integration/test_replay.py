@@ -163,3 +163,24 @@ def test_counterfactual_force_tolerance_changes_cascade(tmp_path):
     assert res.recorded.rollbacks >= 1
     assert res.replayed.rollbacks == 0  # everything tolerated now
     assert res.replayed.outcome == "commit"
+
+
+@pytest.mark.parametrize("app, kw", [("filter", {}),
+                                     ("kmeans", {"drift_blocks": 8})],
+                         ids=["filter", "kmeans"])
+def test_replay_dispatches_every_app(tmp_path, app, kw):
+    """Replay routes through run_job: filter and kmeans logs replay
+    faithfully (rollbacks included) and run counterfactually."""
+    from repro.experiments.jobs import run_job
+
+    path = tmp_path / f"{app}.events.jsonl"
+    report = run_job(RunConfig.for_app(app, n_blocks=16,
+                                       events_out=str(path), **kw))
+    res = replay_path(str(path))
+    _assert_faithful(res, report)
+    assert res.report.app == app
+    assert res.recorded.rollbacks >= 1
+    cf = replay_path(str(path), force={"policy": "aggressive"})
+    assert cf.counterfactual is True
+    assert cf.report.app == app
+    assert cf.report.run_config.policy == "aggressive"

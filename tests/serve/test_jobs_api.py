@@ -5,8 +5,8 @@ import pytest
 
 from repro.errors import ExperimentError
 from repro.experiments.config import RunConfig
-from repro.experiments.jobs import (JOBS, RunReport, job_names, register_job,
-                                    run_job)
+from repro.experiments.jobs import (JOBS, JobResources, RunReport, job_names,
+                                    register_job, run_job)
 
 
 def test_job_names_cover_all_bundled_apps():
@@ -80,3 +80,25 @@ def test_reports_share_one_shape_across_apps():
         assert r.metrics is not None
         assert r.run_config is not None
     assert [r.app for r in reports] == ["huffman", "filter", "kmeans"]
+
+
+@pytest.mark.parametrize("app", ["huffman", "filter", "kmeans"])
+def test_cross_app_run_contract(app, tmp_path):
+    """Every app goes through the one scaffold: self-describing JSONL
+    header, run_result digest equal to the report's, the caller's trace
+    context on every event, and a warnings list."""
+    from repro.obs.events import read_event_log
+    from repro.obs.spans import TraceContext
+
+    path = tmp_path / f"{app}.events.jsonl"
+    ctx = TraceContext.mint()
+    report = run_job(RunConfig.for_app(app, n_blocks=8, events_out=str(path)),
+                     resources=JobResources(trace=ctx))
+    header, events = read_event_log(str(path))
+    assert header["meta"]["app"] == app
+    assert header["meta"]["run_config"]["app"] == app
+    results = [e for e in events if e["kind"] == "run_result"]
+    assert len(results) == 1
+    assert results[0]["output_sha256"] == report.output_sha256
+    assert events and all(e.get("trace_id") == ctx.trace_id for e in events)
+    assert isinstance(report.warnings, list)

@@ -187,6 +187,27 @@ def test_live_streaming_job_records_real_arrivals(server, client):
     assert report["label"].startswith("live/")
 
 
+def test_stream_closed_early_fails_job_without_leaking_executor(server,
+                                                                client):
+    """A client that closes its stream short of the declared block count
+    fails the job — and the job's executor is still shut down: no
+    coordinator thread outlives it in the daemon."""
+    def sre_threads():
+        return {t for t in threading.enumerate()
+                if t.name.startswith("sre-worker-")}
+
+    before = sre_threads()
+    job = client.submit({"app": "huffman", "io": "live", "n_blocks": 4,
+                         "executor": "threads", "workers": 2},
+                        tenant="alice")
+    for i in range(2):
+        client.send_block(job, i, bytes([65 + i]) * 4096)
+    client.close_stream(job)
+    with pytest.raises(ServeError, match="2 blocks, declared 4"):
+        client.result(job, timeout_s=120.0)
+    assert sre_threads() - before == set()
+
+
 def test_concurrent_submitters_from_threads(server):
     """Two client threads (separate connections) hammer the daemon;
     every admitted job completes with the right per-seed digest."""

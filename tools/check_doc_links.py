@@ -11,10 +11,14 @@ doesn't have (or lose one in a rename). For each recognised subcommand
 the ``--flags`` on the same line are checked against the subparser's
 registered option strings too (``repro top --serve``, ``repro trace
 --spans-json`` and friends must really exist; flags on continuation
-lines after a ``\\`` are not checked). Exits non-zero listing every
-broken link / unknown subcommand / unknown flag, so CI catches docs
-drifting from the tree — renamed files, deleted examples, typo'd paths,
-stale CLI examples.
+lines after a ``\\`` are not checked). Fenced ``python`` blocks are
+parsed with :mod:`ast`, and every call to a job runner (``run_huffman``,
+``run_job``, ``run_filter_experiment``, ``run_kmeans_experiment``) may
+pass only the runner keywords (``config`` / ``metrics`` / ``decisions`` /
+``resources``) — run parameters go in a ``RunConfig``. Exits non-zero
+listing every broken link / unknown subcommand / unknown flag / stale
+runner call, so CI catches docs drifting from the tree — renamed files,
+deleted examples, typo'd paths, stale CLI and Python examples.
 
 Usage::
 
@@ -23,9 +27,11 @@ Usage::
 
 from __future__ import annotations
 
+import ast
 import pathlib
 import re
 import sys
+import textwrap
 
 # [text](target) — excluding images' srcset edge cases; good enough for
 # hand-written docs. Nested parens in URLs are not used in this repo.
@@ -128,6 +134,62 @@ def check_subcommands(
     return errors
 
 
+#: the job runners and the only keywords they take; everything else is a
+#: run parameter and belongs in the RunConfig.
+_RUNNERS = {"run_huffman", "run_job", "run_filter_experiment",
+            "run_kmeans_experiment"}
+_RUNNER_KEYWORDS = {"config", "metrics", "decisions", "resources"}
+
+
+def _python_blocks(path: pathlib.Path):
+    """Yield (first_lineno, source) for each fenced ``python`` block."""
+    block: list[str] | None = None
+    start = 0
+    for n, line in enumerate(path.read_text().splitlines(), start=1):
+        fence = line.lstrip()
+        if block is None:
+            if fence.startswith("```") and fence[3:].strip() in ("python", "py"):
+                block, start = [], n + 1
+        elif fence.startswith("```"):
+            yield start, textwrap.dedent("\n".join(block))
+            block = None
+        else:
+            block.append(line)
+
+
+def check_python_blocks(path: pathlib.Path) -> list[str]:
+    """Flag job-runner calls in fenced python blocks that pass run
+    parameters as bare keywords (they raise ``TypeError``)."""
+    errors = []
+    for start, source in _python_blocks(path):
+        try:
+            tree = ast.parse(source)
+        except SyntaxError as exc:
+            # Illustrative fragments may elide code with `...`; only a
+            # block that names a runner must parse, so it can be checked.
+            if any(name in source for name in _RUNNERS):
+                errors.append(f"{path}:{start + (exc.lineno or 1) - 1}: "
+                              f"python block calling a job runner does "
+                              f"not parse: {exc.msg}")
+            continue
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else \
+                getattr(func, "id", None)
+            if name not in _RUNNERS:
+                continue
+            bad = [kw.arg for kw in node.keywords
+                   if kw.arg is not None and kw.arg not in _RUNNER_KEYWORDS]
+            if bad:
+                errors.append(
+                    f"{path}:{start + node.lineno - 1}: {name}() takes no "
+                    f"{', '.join(k + '=' for k in bad)} keyword; pass run "
+                    "parameters in a RunConfig (config=RunConfig(...))")
+    return errors
+
+
 def check_file(path: pathlib.Path) -> list[str]:
     errors = []
     for n, line in enumerate(path.read_text().splitlines(), start=1):
@@ -156,6 +218,7 @@ def main(argv: list[str]) -> int:
     for md in iter_markdown(root):
         n_files += 1
         errors.extend(check_file(md))
+        errors.extend(check_python_blocks(md))
         if known is not None:
             errors.extend(check_subcommands(md, known))
     for err in errors:
