@@ -30,8 +30,8 @@ import threading
 
 from repro.errors import ExperimentError
 from repro.obs.spans import TraceContext
-from repro.serve.wire import TRACEPARENT_KEY, encode_blob, recv_frame, \
-    send_frame
+from repro.serve.wire import TRACEPARENT_KEY, recv_frame, send_frame, \
+    set_nodelay
 
 __all__ = ["JobRejected", "ServeClient", "ServeError"]
 
@@ -58,8 +58,8 @@ class ServeClient:
         #: as a typed ServeError instead of wedging the caller (and every
         #: other thread sharing this client) in recv_frame forever.
         self.timeout_s = timeout_s
-        self._sock = socket.create_connection((host, port),
-                                              timeout=timeout_s)
+        self._sock = set_nodelay(socket.create_connection(
+            (host, port), timeout=timeout_s))
         self._lock = threading.Lock()
         #: active trace context; re-minted per submit so each job gets
         #: its own trace id. Follow-up ops (block/result/...) reuse the
@@ -79,11 +79,11 @@ class ServeClient:
             pass
 
     # ------------------------------------------------------------------
-    def _call(self, req: dict) -> dict:
+    def _call(self, req: dict, blobs: tuple[bytes, ...] = ()) -> dict:
         with self._lock:
             req.setdefault(TRACEPARENT_KEY, self._trace.to_traceparent())
             try:
-                send_frame(self._sock, req)
+                send_frame(self._sock, req, blobs=blobs)
                 reply = recv_frame(self._sock)
             except TimeoutError:  # socket.timeout on the unbounded recv
                 raise ServeError(
@@ -93,8 +93,8 @@ class ServeClient:
             raise ServeError("daemon closed the connection")
         return reply
 
-    def _checked(self, req: dict) -> dict:
-        reply = self._call(req)
+    def _checked(self, req: dict, blobs: tuple[bytes, ...] = ()) -> dict:
+        reply = self._call(req, blobs)
         if not reply.get("ok"):
             reason = reply.get("reason")
             detail = str(reply.get("error", "unspecified"))
@@ -113,21 +113,19 @@ class ServeClient:
         """Submit one job; returns its ``job_id``.
 
         ``config`` is a plain dict of :class:`RunConfig` keywords plus
-        ``app``; ``workload`` ships custom input bytes (base64 on the
-        wire) instead of a named synthetic workload.
+        ``app``; ``workload`` ships custom input bytes (the frame's one
+        blob) instead of a named synthetic workload.
         """
-        config = dict(config)
-        if workload is not None:
-            config["workload_b64"] = encode_blob(workload)
         self._trace = TraceContext.mint()  # one trace per job
         reply = self._checked({"op": "submit", "tenant": tenant,
-                               "config": config})
+                               "config": dict(config)},
+                              () if workload is None else (workload,))
         return reply["job_id"]
 
     def send_block(self, job_id: str, index: int, data: bytes) -> None:
         """Stream one block to an ``io="live"`` job."""
-        self._checked({"op": "block", "job_id": job_id, "index": index,
-                       "data_b64": encode_blob(data)})
+        self._checked({"op": "block", "job_id": job_id, "index": index},
+                      (data,))
 
     def close_stream(self, job_id: str) -> None:
         self._checked({"op": "close_stream", "job_id": job_id})

@@ -61,8 +61,8 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import Span, TraceContext, Tracer, parse_traceparent
 from repro.serve.admission import AdmissionController
 from repro.serve.warm import LanePool, WarmLane
-from repro.serve.wire import (TRACEPARENT_KEY, close_socket, decode_blob,
-                              recv_frame, send_frame)
+from repro.serve.wire import (BLOBS_KEY, TRACEPARENT_KEY, close_socket,
+                              recv_frame, send_frame, set_nodelay)
 from repro.sre.executor_procs import ProcessExecutor
 from repro.sre.runtime import Runtime
 from repro.sre.shm import BlockStore
@@ -372,6 +372,7 @@ class SpeculationServer:
                 continue
             except OSError:  # listener closed under us: shutting down
                 return
+            set_nodelay(conn)
             conn.settimeout(self.settings.conn_idle_timeout_s)
             t = threading.Thread(target=self._serve_conn, args=(conn,),
                                  name="serve-conn", daemon=True)
@@ -450,12 +451,16 @@ class SpeculationServer:
                     "trace_id": job_span.trace_id}
         raw = dict(raw)
         app = str(raw.pop("app", "huffman"))
-        blob = raw.pop("workload_b64", None)
+        blobs = req.get(BLOBS_KEY, [])
         try:
-            if blob is not None:
-                raw["workload"] = decode_blob(blob)
+            if len(blobs) > 1:
+                raise ExperimentError(
+                    f"submit carries at most one workload blob, "
+                    f"got {len(blobs)}")
+            if blobs:
+                raw["workload"] = blobs[0]
             cfg = RunConfig.for_app(app, **raw)
-        except (ExperimentError, TransportError, TypeError) as exc:
+        except (ExperimentError, TypeError) as exc:
             self._m_rejected.labels(tenant=tenant, reason="bad_config").inc()
             self.events.emit("job_reject", tenant=tenant,
                              reason="bad_config", detail=str(exc),
@@ -540,7 +545,11 @@ class SpeculationServer:
                                           "job (io != 'live')"}
         if job.stream_closed or job.done.is_set():
             return {"ok": False, "error": f"{job.id} stream already closed"}
-        data = decode_blob(str(req.get("data_b64", "")))
+        blobs = req.get(BLOBS_KEY, [])
+        if len(blobs) != 1:
+            return {"ok": False, "error": f"block needs exactly one data "
+                                          f"blob, got {len(blobs)}"}
+        data = blobs[0]
         if job.stream_span is None and job.job_span is not None:
             # The stream stage runs from the first block to close_stream.
             job.stream_span = self.tracer.start(

@@ -7,16 +7,18 @@ machinery, and the same :class:`~repro.sre.executor_procs.WorkerSupervisor`
 seat state machine — whose supervisor drives its seats over a socket link
 instead of a pipe link. :class:`RemotePool` is that link: each seat is one
 connection to a session of a remote ``repro worker-pool`` daemon
-(:mod:`repro.sre.worker_pool`), speaking :mod:`repro.serve.wire`
-length-prefixed JSON frames.
+(:mod:`repro.sre.worker_pool`), speaking :mod:`repro.serve.wire` frames:
+a JSON header plus a raw blob section.
 
 What the socket link changes, and what it does not:
 
-* **Transport** — payload frames ride base64 in ``batch`` frames; the
-  streamed one-reply-per-payload protocol is preserved verbatim
-  (``seq``/``status``/``payload_b64``), so per-payload deadlines, the
-  supervisor's reply-sequence check and head-of-line behaviour match the
-  local back-end.
+* **Transport** — a ``batch`` frame carries its pickled payloads as
+  raw blobs; the streamed one-reply-per-payload protocol is preserved
+  verbatim (``seq``/``status`` plus the pickled reply as one blob), so
+  per-payload deadlines, the supervisor's reply-sequence check and
+  head-of-line behaviour match the local back-end. Seat and control
+  sockets set ``TCP_NODELAY``: a streamed reply or a control ack must
+  not sit in Nagle's buffer waiting for the peer's delayed ACK.
 * **shm** — shared memory cannot cross hosts, so the
   :class:`~repro.sre.shm.BlockRef` seam is re-keyed through a chunked
   block push: before a batch ships, every referenced segment is
@@ -50,12 +52,13 @@ import pickle
 import socket
 import threading
 import time
+from collections.abc import Sequence
 from typing import Any
 
 from repro.errors import SchedulingError, SegmentGone, TransportError, WorkerLost
 from repro.obs.metrics import MetricsRegistry
-from repro.serve.wire import (TRACEPARENT_KEY, close_socket, decode_blob,
-                              encode_blob, recv_frame, send_frame)
+from repro.serve.wire import (BLOBS_KEY, TRACEPARENT_KEY, close_socket,
+                              recv_frame, send_frame, set_nodelay)
 from repro.sre import shm
 from repro.sre.executor_procs import (DEFAULT_DISPATCH_TIMEOUT_S,
                                       ProcessExecutor)
@@ -191,8 +194,7 @@ class RemotePool:
     def start(self) -> None:
         """Attach a session over the control connection."""
         sup = self.sup
-        ctl = socket.create_connection((self._host, self._port),
-                                       timeout=CONNECT_TIMEOUT_S)
+        ctl = self._connect()
         self._ctl = ctl
         plan = sup.fault_plan
         send_frame(ctl, {
@@ -240,9 +242,8 @@ class RemotePool:
                         {"op": "detach"},
                         timeout_s=60.0 + self.sup.harvest_timeout_s
                         * self.sup.n_workers)
-                    if reply.get("ok") and reply.get("snapshot_b64"):
-                        snapshot = pickle.loads(
-                            decode_blob(reply["snapshot_b64"]))
+                    if reply.get("ok") and reply.get(BLOBS_KEY):
+                        snapshot = pickle.loads(reply[BLOBS_KEY][0])
                 except (TransportError, OSError, pickle.PickleError):
                     self.lost = "pool lost"
             close_socket(self._ctl)
@@ -261,8 +262,7 @@ class RemotePool:
         """Connect ``seat`` for its incarnation; the pool recycles its
         local worker if the dead connection left in-flight state behind,
         so an accepted handshake always lands on a clean reply stream."""
-        sock = socket.create_connection((self._host, self._port),
-                                        timeout=CONNECT_TIMEOUT_S)
+        sock = self._connect()
         send_frame(sock, {"op": "seat", "session": self.session,
                           "wid": seat.wid, "incarnation": seat.incarnation})
         reply = recv_frame(sock)
@@ -280,11 +280,9 @@ class RemotePool:
              frames: list[bytes]) -> None:
         try:
             self._push_payload_blocks(frames)
-            send_frame(seat.conn, {
-                "op": "batch", "n": len(frames),
-                "frames": [encode_blob(f) for f in frames],
-                TRACEPARENT_KEY: traceparent,
-            })
+            send_frame(seat.conn, {"op": "batch", "n": len(frames),
+                                   TRACEPARENT_KEY: traceparent},
+                       blobs=frames)
         except (TransportError, OSError):
             raise WorkerLost(seat.wid, "crash") from None
         self._m_batches.inc()
@@ -311,7 +309,7 @@ class RemotePool:
             raise WorkerLost(wid, str(reply["lost"]),
                              exitcode=reply.get("exitcode"))
         try:
-            payload = pickle.loads(decode_blob(reply["payload_b64"]))
+            payload = pickle.loads(reply[BLOBS_KEY][0])
         except Exception:  # noqa: BLE001 - undecodable reply == protocol loss
             raise WorkerLost(wid, "protocol") from None
         self._m_replies.inc()
@@ -334,12 +332,17 @@ class RemotePool:
         self.sup.runtime.events.emit("remote_pool_lost", pool=self.address,
                                      session=self.session, reason=why)
 
-    def _ctl_call(self, obj: dict, timeout_s: float) -> dict:
+    def _connect(self) -> socket.socket:
+        return set_nodelay(socket.create_connection(
+            (self._host, self._port), timeout=CONNECT_TIMEOUT_S))
+
+    def _ctl_call(self, obj: dict, timeout_s: float,
+                  blobs: Sequence[bytes] = ()) -> dict:
         """One control-op round trip. Caller holds ``_ctl_lock``."""
         if self._ctl is None:
             raise TransportError("control connection is closed")
         self._ctl.settimeout(timeout_s)
-        send_frame(self._ctl, obj)
+        send_frame(self._ctl, obj, blobs=blobs)
         reply = recv_frame(self._ctl)
         if reply is None:
             raise TransportError("pool closed the control connection")
@@ -427,9 +430,8 @@ class RemotePool:
                     try:
                         self._ctl_call(
                             {"op": "chunk", "segment": ref.segment,
-                             "offset": ref.offset + off,
-                             "data_b64": encode_blob(chunk)},
-                            timeout_s=CONNECT_TIMEOUT_S)
+                             "offset": ref.offset + off},
+                            timeout_s=CONNECT_TIMEOUT_S, blobs=[chunk])
                     except (TransportError, OSError):
                         self._mark_lost("block push failed")
                         return

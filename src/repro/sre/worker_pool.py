@@ -7,9 +7,13 @@ the worker half: a long-lived daemon that hosts one
 attached coordinator session and proxies the streaming per-payload reply
 protocol between the coordinator's sockets and the supervisor's pipes.
 
-Framing is :mod:`repro.serve.wire` length-prefixed JSON — the same
-frames, caps and failure semantics as the serve daemon — with payload
-and reply bytes riding as base64 (``frames`` / ``payload_b64``).
+Framing is :mod:`repro.serve.wire` — the same frames, caps and failure
+semantics as the serve daemon: a JSON header plus a raw blob section, in
+which payload, reply, block-chunk and snapshot bytes ride as-is. Every
+accepted socket has ``TCP_NODELAY`` set, so streamed replies leave at
+once. A connection must send its hello within
+:data:`~repro.sre.executor_dist.CONNECT_TIMEOUT_S`, and ``stop()`` closes
+every accepted connection, so a silent peer can pin no thread.
 
 Topology: one **control** connection per session plus one **data**
 connection per worker seat.
@@ -31,22 +35,25 @@ op             meaning
 ``segment``    materialise a shared-memory segment by name (attach on
                the coordinator's own host, create elsewhere) — the
                chunked-stream replacement for shm on the wire
-``chunk``      one pushed block chunk landing into a created segment
+``chunk``      one pushed block chunk (one blob) landing into a
+               created segment
 ``detach``     stop the session's workers, reply with the final
-               pickled metrics/events snapshot (``snapshot_b64``), and
-               tear the session down
+               pickled metrics/events snapshot (one blob), and tear
+               the session down
 ``shutdown``   ack, then stop the whole pool daemon
 =============  ========================================================
 
 Data (seat) connections carry ``{"op": "seat", "session", "wid",
-"incarnation"}`` as a hello, then ``batch`` frames downstream and one
-reply frame per payload upstream. **One seat connection carries exactly
-one worker incarnation's traffic**: any worker loss is relayed as a
-``{"lost": cause, "respawned": bool}`` frame and the connection is
-closed — the coordinator reconnects with a bumped incarnation, and a
-reconnect onto a seat whose previous connection left in-flight state
-behind recycles the local worker first. That closed-socket barrier is
-what keeps the streamed reply sequence unambiguous across crashes.
+"incarnation"}`` as a hello, then ``batch`` frames downstream (one blob
+per pickled payload) and one reply frame per payload upstream (``seq``,
+``status`` and the pickled reply as its one blob). **One seat
+connection carries exactly one worker incarnation's traffic**: any
+worker loss is relayed as a ``{"lost": cause, "respawned": bool}``
+frame and the connection is closed — the coordinator reconnects with a
+bumped incarnation, and a reconnect onto a seat whose previous
+connection left in-flight state behind recycles the local worker first.
+That closed-socket barrier is what keeps the streamed reply sequence
+unambiguous across crashes.
 """
 
 from __future__ import annotations
@@ -64,9 +71,9 @@ from repro.errors import ExperimentError, TransportError, WorkerLost
 from repro.obs.events import EventLog
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import parse_traceparent
-from repro.serve.wire import (TRACEPARENT_KEY, close_socket, decode_blob,
-                              encode_blob, recv_frame, send_frame)
-from repro.sre import shm
+from repro.serve.wire import (BLOBS_KEY, TRACEPARENT_KEY, close_socket,
+                              recv_frame, send_frame, set_nodelay)
+from repro.sre import executor_dist, shm
 from repro.sre.executor_procs import (DEFAULT_DISPATCH_TIMEOUT_S,
                                       DEFAULT_HARVEST_TIMEOUT_S, PipeLink,
                                       WorkerSupervisor)
@@ -159,6 +166,9 @@ class WorkerPoolServer:
         self._lock = threading.Lock()
         self._listener: socket.socket | None = None
         self._threads: list[threading.Thread] = []
+        #: every accepted connection -> its pool-conn thread; stop()
+        #: closes the sockets and joins the threads.
+        self._conns: dict[socket.socket, threading.Thread] = {}
         self.shutdown_requested = threading.Event()
         self._stopping = False
         try:
@@ -201,11 +211,17 @@ class WorkerPoolServer:
                 self._listener.close()
             except OSError:  # pragma: no cover - defensive
                 pass
+        for t in self._threads:  # the accept loop: no new conns after
+            t.join(timeout=10.0)
         with self._lock:
             sids = list(self._sessions)
         for sid in sids:
             self._teardown_session(sid)
-        for t in self._threads:
+        with self._lock:
+            conns = dict(self._conns)
+        for conn in conns:
+            close_socket(conn)  # wakes a hello/control read on it
+        for t in conns.values():
             t.join(timeout=10.0)
         self.events.emit("pool_stop")
         self.events.close()
@@ -230,19 +246,32 @@ class WorkerPoolServer:
                 continue
             except OSError:  # listener closed under us: shutting down
                 return
-            t = threading.Thread(target=self._serve_hello, args=(conn,),
+            set_nodelay(conn)
+            # A peer gets CONNECT_TIMEOUT_S to say hello; the control and
+            # seat loops then clear the deadline (recv blocks by design).
+            conn.settimeout(executor_dist.CONNECT_TIMEOUT_S)
+            t = threading.Thread(target=self._serve_conn, args=(conn,),
                                  name="pool-conn", daemon=True)
+            with self._lock:
+                self._conns[conn] = t
             t.start()
+
+    def _serve_conn(self, conn: socket.socket) -> None:
+        try:
+            self._serve_hello(conn)
+        finally:
+            close_socket(conn)
+            with self._lock:
+                self._conns.pop(conn, None)
 
     def _serve_hello(self, conn: socket.socket) -> None:
         try:
             hello = recv_frame(conn)
-        except (TransportError, OSError):
-            close_socket(conn)
+        except (TransportError, OSError):  # incl. the hello deadline
             return
         if hello is None:
-            close_socket(conn)
             return
+        conn.settimeout(None)
         op = hello.get("op")
         if op == "attach":
             self._serve_control(conn, hello)
@@ -251,19 +280,19 @@ class WorkerPoolServer:
         elif op == "ping":
             self._reply(conn, {"ok": True, "op": "ping",
                                "pid": os.getpid()})
-            close_socket(conn)
         elif op == "shutdown":
             self._reply(conn, {"ok": True})
-            close_socket(conn)
             self.shutdown_requested.set()
         else:
             self._reply(conn, {"ok": False, "error": f"unknown op {op!r}"})
-            close_socket(conn)
 
     @staticmethod
     def _reply(conn: socket.socket, obj: dict) -> bool:
+        """Send one reply; a ``blobs`` list in ``obj`` becomes the
+        frame's blob section."""
+        obj = dict(obj)
         try:
-            send_frame(conn, obj)
+            send_frame(conn, obj, blobs=obj.pop(BLOBS_KEY, ()))
             return True
         except (TransportError, OSError):
             return False
@@ -277,7 +306,6 @@ class WorkerPoolServer:
         except (ExperimentError, ValueError, TypeError, OSError) as exc:
             self._reply(conn, {"ok": False,
                                "error": f"{type(exc).__name__}: {exc}"})
-            close_socket(conn)
             return
         self._reply(conn, {"ok": True, "session": sess.sid,
                            "workers": sess.supervisor.n_workers,
@@ -369,8 +397,11 @@ class WorkerPoolServer:
         return {"ok": True, "created": created}
 
     def _ctl_chunk(self, sess: _Session, req: dict) -> dict:
+        blobs = req.get(BLOBS_KEY, [])
+        if len(blobs) != 1:
+            return {"ok": False, "error": "chunk needs exactly one data blob"}
         shm.write_block(str(req.get("segment")), int(req.get("offset", -1)),
-                        decode_blob(req.get("data_b64", "")))
+                        blobs[0])
         return {"ok": True}
 
     def _ctl_detach(self, sess: _Session, req: dict) -> dict:
@@ -379,7 +410,7 @@ class WorkerPoolServer:
             {"metrics": sess.runtime.metrics.snapshot(),
              "events": sess.runtime.events.events()},
             protocol=PAYLOAD_PROTOCOL)
-        return {"ok": True, "snapshot_b64": encode_blob(snapshot)}
+        return {"ok": True, BLOBS_KEY: [snapshot]}
 
     def _ctl_shutdown(self, sess: _Session, req: dict) -> dict:
         return {"ok": True}
@@ -432,13 +463,11 @@ class WorkerPoolServer:
             self._reply(conn, {"ok": False,
                                "error": f"unknown session/seat "
                                         f"{sid!r}/{wid!r}"})
-            close_socket(conn)
             return
         seat = sess.seats[wid]
         with sess.lock:
             if sess.stopped:
                 self._reply(conn, {"ok": False, "error": "session stopped"})
-                close_socket(conn)
                 return
             old = seat.conn
             seat.gen += 1
@@ -458,13 +487,10 @@ class WorkerPoolServer:
                     sup.respawn(wid)
                 seat.dirty = False
             ok = sup.alive(wid)
-        if not self._reply(conn, {"ok": bool(ok), "degraded": not ok,
-                                  "incarnation":
-                                      hello.get("incarnation", 0)}):
-            close_socket(conn)
-            return
-        if not ok:
-            close_socket(conn)
+        replied = self._reply(conn, {"ok": bool(ok), "degraded": not ok,
+                                     "incarnation":
+                                         hello.get("incarnation", 0)})
+        if not (replied and ok):
             return
         try:
             self._seat_loop(sess, seat, my_gen, conn)
@@ -472,7 +498,6 @@ class WorkerPoolServer:
             with sess.lock:
                 if seat.gen == my_gen and seat.conn is conn:
                     seat.conn = None
-            close_socket(conn)
 
     def _seat_loop(self, sess: _Session, seat: _Seat, my_gen: int,
                    conn: socket.socket) -> None:
@@ -500,11 +525,9 @@ class WorkerPoolServer:
                 if owed == 0:
                     seat.dirty = False  # idle again: nothing in flight
                 seat.seq += 1
-                send_frame(conn, {
-                    "seq": seat.seq, "status": status,
-                    "payload_b64": encode_blob(
-                        pickle.dumps(payload, protocol=PAYLOAD_PROTOCOL)),
-                })
+                send_frame(conn, {"seq": seat.seq, "status": status},
+                           blobs=[pickle.dumps(payload,
+                                               protocol=PAYLOAD_PROTOCOL)])
         except WorkerLost as lost:
             with sess.lock:
                 superseded = seat.gen != my_gen
@@ -530,7 +553,7 @@ class WorkerPoolServer:
         if req.get("op") != "batch":
             raise TransportError(
                 f"unexpected seat op {req.get('op')!r} (want 'batch')")
-        frames = [decode_blob(f) for f in req.get("frames", [])]
+        frames = req.get(BLOBS_KEY, [])
         if not frames:
             return 0
         ctx = parse_traceparent(req.get(TRACEPARENT_KEY))

@@ -202,3 +202,40 @@ def test_daemon_survives_malformed_and_non_dict_json(server):
         assert evil.recv(1) == b""
         evil.close()
     assert _daemon_still_serves(server)
+
+
+# ---------------------------------------------------------------------------
+# small frames leave at once: TCP_NODELAY on both ends of a serve socket
+# ---------------------------------------------------------------------------
+
+def test_daemon_and_client_sockets_set_nodelay(server):
+    with ServeClient(port=server.port) as client:
+        assert client.ping()["ok"]  # the daemon has accepted the conn
+        assert client._sock.getsockopt(socket.IPPROTO_TCP,
+                                       socket.TCP_NODELAY)
+        with server._conns_lock:
+            mine = client._sock.getsockname()
+            (conn,) = [c for c in server._conns if c.getpeername() == mine]
+        assert conn.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
+
+def test_blob_frames_shed_when_malformed(server):
+    """A block frame without its one blob is refused with an error
+    reply, and a blob section cut short drops the connection; either
+    way the daemon keeps serving."""
+    with ServeClient(port=server.port) as client:
+        job = client.submit({"app": "huffman", "io": "live", "n_blocks": 1,
+                             "executor": "threads", "workers": 1})
+        with pytest.raises(ServeError, match="exactly one data blob"):
+            client._checked({"op": "block", "job_id": job, "index": 0})
+        with pytest.raises(ServeError, match="exactly one data blob"):
+            client._checked({"op": "block", "job_id": job, "index": 0},
+                            (b"a", b"b"))
+        client.send_block(job, 0, b"A" * 4096)
+        client.close_stream(job)
+        assert client.result(job, timeout_s=60.0)["outcome"]
+    evil = _connect(server)
+    body = b'{"op":"block","blobs":[4096]}'
+    evil.sendall(struct.pack(">I", len(body)) + body + b"x" * 10)
+    evil.close()
+    assert _daemon_still_serves(server)

@@ -169,6 +169,21 @@ def test_bulkhead_and_queue_backpressure(server, client):
     assert client.submit(_KMEANS, tenant="carol")  # admitted now
 
 
+def test_inline_workload_rides_as_blob_and_matches_one_shot(client):
+    """``submit(workload=...)`` ships the bytes as the frame's blob; the
+    served digest equals a one-shot run of the same bytes."""
+    data = bytes(range(256)) * 64
+    config = {"app": "huffman", "block_size": 2048, "seed": 0}
+    job = client.submit(config, tenant="alice", workload=data)
+    served = client.result(job, timeout_s=120.0)["output_sha256"]
+    assert served == run_job(RunConfig.for_app(
+        "huffman", workload=data, block_size=2048, seed=0)).output_sha256
+    with pytest.raises(JobRejected) as exc:
+        client._checked({"op": "submit", "tenant": "alice",
+                         "config": config}, (data, data))
+    assert exc.value.reason == "bad_config"
+
+
 def test_live_streaming_job_records_real_arrivals(server, client):
     """io='live': blocks pushed over the socket drive the pipeline and
     the run records their real (monotonic) arrival schedule."""

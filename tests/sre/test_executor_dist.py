@@ -17,11 +17,13 @@ Acceptance bar, mirroring the procs back-end's:
 """
 
 import itertools
+import json
 import multiprocessing
 import pickle
 import socket
 import struct
 import threading
+import time
 from contextlib import contextmanager
 from functools import partial
 
@@ -30,8 +32,7 @@ import pytest
 from repro.errors import TransportError, WorkerLost
 from repro.obs.events import EventLog
 from repro.obs.metrics import MetricsRegistry
-from repro.serve.wire import (MAX_FRAME_BYTES, encode_blob, recv_frame,
-                              send_frame)
+from repro.serve.wire import MAX_FRAME_BYTES, recv_frame, send_frame
 from repro.sre import executor_dist, shm
 from repro.sre.executor_dist import DistExecutor, RemotePool
 from repro.sre.executor_procs import PipeLink, WorkerSupervisor
@@ -385,12 +386,20 @@ def _supervisor_with_fake_seat(link="socket"):
     return sup, theirs
 
 
+def _header(obj):
+    body = json.dumps(obj).encode("utf-8")
+    return struct.pack(">I", len(body)) + body
+
+
 @pytest.mark.parametrize("attack,cause", [
     (b"\x00\x00", "protocol"),                          # truncated header
     (struct.pack(">I", 100) + b'{"par', "protocol"),    # truncated body
     (struct.pack(">I", MAX_FRAME_BYTES + 1), "protocol"),  # oversize
     (struct.pack(">I", 9) + b"[1, 2, 3]", "protocol"),  # non-dict JSON
     (b"", "crash"),                                     # clean EOF
+    (_header({"seq": 1, "status": "ok"}), "protocol"),  # reply, no blob
+    (_header({"seq": 1, "status": "ok", "blobs": [100]})
+     + b"\x80" * 10, "protocol"),                       # truncated blob
 ])
 def test_recv_reply_adversarial_frames(attack, cause):
     sup, evil = _supervisor_with_fake_seat()
@@ -427,10 +436,10 @@ def test_recv_reply_out_of_sequence_is_protocol_loss(link):
     sup, peer = _supervisor_with_fake_seat(link)
     try:
         if link == "socket":
-            payload = encode_blob(pickle.dumps(("x", None),
-                                               protocol=PAYLOAD_PROTOCOL))
-            send_frame(peer, {"seq": 3, "status": "ok",
-                              "payload_b64": payload})
+            # A well-formed reply: only its seq (3, want 1) is wrong.
+            send_frame(peer, {"seq": 3, "status": "ok"},
+                       blobs=[pickle.dumps(("x", None),
+                                           protocol=PAYLOAD_PROTOCOL)])
         else:
             peer.send((3, "ok", ("x", None)))
         with pytest.raises(WorkerLost) as exc:
@@ -451,3 +460,73 @@ def test_recv_reply_relayed_loss_carries_cause():
         assert exc.value.exitcode == -9
     finally:
         peer.close()
+
+
+# ---------------------------------------------------------------------------
+# socket hygiene: hello deadline, stop() reclaims connections, TCP_NODELAY
+# ---------------------------------------------------------------------------
+
+def _pool_conn_threads():
+    return {t for t in threading.enumerate() if t.name == "pool-conn"}
+
+
+def _accepted(pool, client_sock):
+    """The pool's side of ``client_sock``, once the pool has accepted it."""
+    mine = client_sock.getsockname()
+    for conn in list(pool._conns):
+        try:
+            if conn.getpeername() == mine:
+                return conn
+        except OSError:  # closed while we looked
+            pass
+    return None
+
+
+def test_silent_connection_cannot_pin_a_pool_thread(monkeypatch):
+    """A peer that connects and never says hello is closed by the pool
+    within the hello deadline, and one still open at stop() is closed
+    by stop(), which leaves no pool-conn thread behind."""
+    monkeypatch.setattr(executor_dist, "CONNECT_TIMEOUT_S", 0.5)
+    before = _pool_conn_threads()
+    srv = WorkerPoolServer(PoolSettings()).start()
+    try:
+        silent = socket.create_connection(("127.0.0.1", srv.port), timeout=10)
+        t0 = time.monotonic()
+        silent.settimeout(5.0)
+        assert silent.recv(1) == b"", "pool kept a silent connection open"
+        assert time.monotonic() - t0 < 0.5 + 2.0
+        silent.close()
+
+        monkeypatch.setattr(executor_dist, "CONNECT_TIMEOUT_S", 60.0)
+        lingering = socket.create_connection(("127.0.0.1", srv.port),
+                                             timeout=10)
+        deadline = time.monotonic() + 5.0
+        while _accepted(srv, lingering) is None:
+            assert time.monotonic() < deadline, "connection never accepted"
+            time.sleep(0.01)
+    finally:
+        srv.stop()
+    assert not {t for t in _pool_conn_threads() - before if t.is_alive()}
+    lingering.settimeout(5.0)
+    assert lingering.recv(1) == b"", "stop() left the connection open"
+    lingering.close()
+
+
+def _nodelay(sock):
+    return sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
+
+
+def test_seat_and_control_sockets_set_nodelay(pool, pool_addr):
+    rt = Runtime(metrics=MetricsRegistry(), events=EventLog())
+    sup = WorkerSupervisor(RemotePool(pool_addr), 2, runtime=rt)
+    sup.start()
+    try:
+        link = sup.link
+        seats = [sup._slots[w].conn for w in range(2)]
+        assert all(_nodelay(s) for s in seats + [link._ctl])
+        (sess,) = pool._sessions.values()
+        pool_seats = [seat.conn for seat in sess.seats]
+        pool_ctl = _accepted(pool, link._ctl)
+        assert all(_nodelay(s) for s in pool_seats + [pool_ctl])
+    finally:
+        sup.stop()
