@@ -2,8 +2,8 @@
 
 These use conventional multi-round pytest-benchmark timing (unlike the
 figure regenerations) and guard against performance regressions in the hot
-paths: histogramming, tree build, vectorised encode, decode, and the
-simulator's event loop.
+paths: histogramming, tree build, word-packed encode, windowed decode,
+stream assembly, and the simulator's event loop.
 
 Run directly (``python benchmarks/bench_micro.py --executor {sim,threads,
 procs,all}``) it benchmarks the executor back-ends on a pure-Python
@@ -20,7 +20,7 @@ pickle-vs-shm payload-byte comparison instead (see
 import numpy as np
 import pytest
 
-from repro.huffman.codec import decode_stream, encode_block
+from repro.huffman.codec import assemble_stream, decode_stream, encode_block
 from repro.huffman.histogram import byte_histogram
 from repro.huffman.tree import HuffmanTree
 from repro.sim.kernel import Simulator
@@ -68,6 +68,25 @@ def test_micro_decode_block(benchmark, text_block):
     packed, nbits = encode_block(text_block, tree)
     out = benchmark(decode_stream, packed, nbits, tree)
     assert out == text_block
+
+
+def test_micro_decode_megabyte(benchmark, text_mb):
+    tree = HuffmanTree.from_histogram(byte_histogram(text_mb))
+    packed, nbits = encode_block(text_mb, tree)
+    out = benchmark(decode_stream, packed, nbits, tree)
+    assert out == text_mb
+
+
+def test_micro_assemble_stream(benchmark, text_mb):
+    """Place 256 chained 4 KB pieces, as the round-trip verifier does."""
+    tree = HuffmanTree.from_histogram(byte_histogram(text_mb))
+    pieces, total = [], 0
+    for i in range(0, len(text_mb), BLOCK):
+        packed, nbits = encode_block(text_mb[i:i + BLOCK], tree)
+        pieces.append((total, packed, nbits))
+        total += nbits
+    stream = benchmark(assemble_stream, pieces, total)
+    assert np.array_equal(stream, encode_block(text_mb, tree)[0])
 
 
 def test_micro_simulator_event_throughput(benchmark):

@@ -2,9 +2,9 @@
 
 Unrestricted Huffman codes over skewed histograms can produce codes longer
 than the decoder's fast-table width (``codec.PEEK_BITS``), pushing symbols
-onto the slow per-bit path. Package-merge (Larmore & Hirschberg 1990)
-computes the *optimal* prefix code subject to a maximum length ``L`` in
-O(n·L); with ``L = 16`` every code decodes in one table hit.
+onto the decoder's canonical-range lookup. Package-merge (Larmore &
+Hirschberg 1990) computes the *optimal* prefix code subject to a maximum
+length ``L`` in O(n·L); with ``L = 16`` every code decodes in one table hit.
 
 This is an extension beyond the paper (its encoder never limits lengths);
 the runtime accepts either flavour — a length-limited tree is just another
