@@ -18,7 +18,7 @@ import sys
 
 from repro.experiments import fig2
 from repro.experiments.runner import RunConfig, run_huffman
-from repro.metrics.traceview import ascii_gantt
+from repro.obs.traceview import ascii_gantt
 
 
 def main() -> None:
@@ -32,9 +32,9 @@ def main() -> None:
 
     report = run_huffman(config=RunConfig(
         workload="txt", n_blocks=64, policy="balanced",
-        step=1, seed=0, trace=True))
+        step=1, seed=0))
     print("who ran when (speculative TXT run):")
-    print(ascii_gantt(report.trace))
+    print(ascii_gantt(report.events))
 
 
 if __name__ == "__main__":

@@ -41,7 +41,7 @@ _FIGURES = {
 }
 
 
-def _run_experiment(args: argparse.Namespace, *, trace: bool = False,
+def _run_experiment(args: argparse.Namespace, *,
                     metrics_out: str | None = None,
                     events_out: str | None = None):
     """Shared run_huffman invocation for the run/stats/trace subcommands."""
@@ -57,7 +57,6 @@ def _run_experiment(args: argparse.Namespace, *, trace: bool = False,
         verify_k=args.verify_k,
         tolerance=args.tolerance,
         seed=args.seed,
-        trace=trace,
         executor=args.executor,
         transport=args.transport,
         fault_plan=args.fault_plan,
@@ -70,10 +69,17 @@ def _run_experiment(args: argparse.Namespace, *, trace: bool = False,
     ))
 
 
+def _run_events(args: argparse.Namespace, report):
+    """The run's events for the trace exporters: the ``--events-out``
+    file when one was written (it keeps every event), else the ring."""
+    if args.events_out is None:
+        return report.events
+    from repro.obs.events import load_events_jsonl
+    return load_events_jsonl(args.events_out)
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
-    want_trace = args.gantt or args.trace_out is not None
-    report = _run_experiment(args, trace=want_trace,
-                             metrics_out=args.metrics_out,
+    report = _run_experiment(args, metrics_out=args.metrics_out,
                              events_out=args.events_out)
     s = report.summary
     print(f"run        : {report.label}")
@@ -85,14 +91,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"rollbacks  : {s.rollbacks}   wasted encodes: {s.wasted_encodes}")
     print(f"utilisation: {report.utilisation:.1%}")
     print(f"round-trip : {'ok' if report.roundtrip_ok else 'FAILED'}")
-    if args.gantt:
-        from repro.metrics.traceview import ascii_gantt
-        print()
-        print(ascii_gantt(report.trace))
-    if args.trace_out is not None:
-        from repro.metrics.traceview import to_chrome_trace
-        pathlib.Path(args.trace_out).write_text(to_chrome_trace(report.trace))
-        print(f"chrome trace written to {args.trace_out}")
+    if args.gantt or args.trace_out is not None:
+        from repro.obs.traceview import ascii_gantt, to_chrome_trace
+        events = _run_events(args, report)
+        if args.gantt:
+            print()
+            print(ascii_gantt(events))
+        if args.trace_out is not None:
+            pathlib.Path(args.trace_out).write_text(to_chrome_trace(events))
+            print(f"chrome trace written to {args.trace_out}")
     if args.metrics_out is not None:
         from repro.obs.exporters import write_metrics
         fmt = write_metrics(args.metrics_out, report.metrics.snapshot(),
@@ -170,8 +177,8 @@ def _cmd_trace_serve(args: argparse.Namespace) -> int:
     import json as json_mod
 
     from repro.client import ServeClient
-    from repro.metrics.traceview import spans_to_chrome_trace
     from repro.obs.spans import render_span_tree
+    from repro.obs.traceview import spans_to_chrome_trace
 
     if not args.job:
         raise SystemExit("repro trace --serve requires --job JOB_ID")
@@ -197,14 +204,14 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     """Run one experiment and export its trace (Chrome JSON and/or Gantt)."""
     if args.serve:
         return _cmd_trace_serve(args)
-    from repro.metrics.traceview import ascii_gantt, to_chrome_trace
-    report = _run_experiment(args, trace=True)
+    from repro.obs.traceview import ascii_gantt, to_chrome_trace
+    events = _run_experiment(args).events
     if args.out is not None:
-        pathlib.Path(args.out).write_text(to_chrome_trace(report.trace))
+        pathlib.Path(args.out).write_text(to_chrome_trace(events))
         print(f"chrome trace written to {args.out} "
               "(open in chrome://tracing or ui.perfetto.dev)")
     if args.gantt or args.out is None:
-        print(ascii_gantt(report.trace))
+        print(ascii_gantt(events))
     return 0
 
 

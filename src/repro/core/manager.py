@@ -187,10 +187,6 @@ class SpeculationManager:
         self.active_version = version
         self.stats.speculations += 1
         self._m_speculations.inc()
-        self.runtime.trace.record(
-            self.runtime.now, "speculate", f"version:{version.vid}", index=index,
-            reused_candidate=predicted is not None,
-        )
         if predicted is not None:
             # Re-speculation after a failed check: the candidate value was
             # already computed by the check's candidate task — reuse it. The
@@ -277,20 +273,12 @@ class SpeculationManager:
         if self.decisions.accept(self, version, index, error):
             self.stats.checks_passed += 1
             self._m_check_pass.inc()
-            self.runtime.trace.record(
-                self.runtime.now, "check_pass", f"version:{version.vid}",
-                index=index, error=error,
-            )
             events.emit("check_pass", version=version.vid,
                         cause=version.launch_seq, index=index, error=error,
                         tolerance=margin)
             return
         self.stats.checks_failed += 1
         self._m_check_fail.inc()
-        self.runtime.trace.record(
-            self.runtime.now, "check_fail", f"version:{version.vid}",
-            index=index, error=error,
-        )
         fail_seq = events.emit(
             "check_fail", version=version.vid, cause=version.launch_seq,
             index=index, error=error, tolerance=margin)
@@ -397,16 +385,12 @@ class SpeculationManager:
                 self.runtime.now - version.created_at)
             if self.spec.barrier is not None:
                 self.spec.barrier.commit(version.vid, self.runtime.now)
-        self.runtime.trace.record(
-            self.runtime.now, "commit", f"version:{version.vid}",
-        )
 
     def _recompute(self) -> None:
         self.finalized = True
         self.outcome = "recompute"
         self.stats.recomputes += 1
         self._m_recomputes.inc()
-        self.runtime.trace.record(self.runtime.now, "recompute", self.spec.name)
         events = self.runtime.events
         rec_seq = events.emit("spec_recompute")
         with events.cause(rec_seq):

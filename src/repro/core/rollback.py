@@ -90,11 +90,4 @@ class RollbackEngine:
             "rollback_done", version=version.vid, cause=destroy_seq,
             tasks_destroyed=len(footprint), buffer_discarded=discarded,
             wasted_us=wasted)
-        self.runtime.trace.record(
-            self.runtime.now,
-            "rollback",
-            f"version:{version.vid}",
-            tasks_destroyed=len(footprint),
-            created_index=version.created_index,
-        )
         return footprint

@@ -117,7 +117,6 @@ class RunConfig:
     offset_fanout: int = 64
     seed: int = 0
     verify_roundtrip: bool = True
-    trace: bool = False
     label: str | None = None
     depth_first: bool = True
     control_first: bool = True

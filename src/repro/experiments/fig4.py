@@ -10,8 +10,18 @@ from __future__ import annotations
 
 from repro.experiments.config import ExperimentScale
 from repro.experiments.figures import FigureResult, policy_sweep
+from repro.obs.traceview import run_events
 
-__all__ = ["run"]
+__all__ = ["run", "first_spec_dispatch"]
+
+
+def first_spec_dispatch(report) -> float:
+    """When the run dispatched its first speculative encode (NaN if never)."""
+    events = run_events(report.events)
+    spec_encodes = {e["task"] for e in events if e["kind"] == "task_spawn"
+                    and e.get("speculative") and e["task_kind"] == "encode"}
+    return next((e["t"] for e in events if e["kind"] == "task_dispatch"
+                 and e["task"] in spec_encodes), float("nan"))
 
 
 def run(scale: ExperimentScale | None = None, seed: int = 0) -> FigureResult:
@@ -21,7 +31,6 @@ def run(scale: ExperimentScale | None = None, seed: int = 0) -> FigureResult:
         platform="cell",
         scale=scale,
         seed=seed,
-        run_kwargs={"trace": True},
     )
     txt_panel = "txt (cell)"
     cons = result.reports[(txt_panel, "conservative")]
@@ -31,16 +40,10 @@ def run(scale: ExperimentScale | None = None, seed: int = 0) -> FigureResult:
         f"{cons.avg_latency:,.0f} vs {bal.avg_latency:,.0f} µs "
         "(paper: conservative collapses on Cell due to multiple buffering)"
     )
-    def first_spec_start(report):
-        starts = [r for r in report.trace.of_kind("task_start")
-                  if r.detail.get("speculative")
-                  and r.detail.get("task_kind") == "encode"]
-        return starts[0].time if starts else float("nan")
-
     result.notes.append(
         "first speculative encode dispatched at: "
-        f"conservative {first_spec_start(cons):,.0f} µs vs "
-        f"balanced {first_spec_start(bal):,.0f} µs — multiple buffering "
+        f"conservative {first_spec_dispatch(cons):,.0f} µs vs "
+        f"balanced {first_spec_dispatch(bal):,.0f} µs — multiple buffering "
         "keeps conservative workers saturated with natural work"
     )
     return result

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
 
 import numpy as np
 
@@ -56,12 +55,10 @@ def policy_sweep(
     policies: tuple[str, ...] = POLICY_ORDER,
     workloads: tuple[str, ...] = WORKLOAD_ORDER,
     step: int = 1,
-    run_kwargs: dict[str, Any] | None = None,
 ) -> FigureResult:
     """Fig. 3 / Fig. 4 style sweep: latency curves per policy per workload,
     plus the run-times summary panel."""
     scale = scale or active_scale()
-    extra = dict(run_kwargs or {})
     result = FigureResult(figure=figure, title=title)
     result.table_header = ["file", "policy", "avg lat (µs)", "runtime (µs)",
                            "outcome", "rollbacks"]
@@ -80,7 +77,6 @@ def policy_sweep(
                 step=step,
                 seed=seed,
                 label=f"{figure}/{wl}/{policy}",
-                **extra,
             ))
             result.series[panel][policy] = report.latencies
             result.reports[(panel, policy)] = report

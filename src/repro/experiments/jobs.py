@@ -193,8 +193,6 @@ class RunReport:
     workers: int
     #: the registered job name that produced this report.
     app: str = "huffman"
-    #: populated when config.trace=True: the full runtime trace.
-    trace: object | None = None
     #: the run's MetricsRegistry (always populated): counters, gauges and
     #: histograms from every layer — export with repro.obs.exporters.
     metrics: MetricsRegistry | None = None
@@ -202,7 +200,8 @@ class RunReport:
     #: export stamped with run_config.to_dict()) self-describing.
     run_config: RunConfig | None = None
     #: the run's flight recorder (see docs/flight-recorder.md): the ring
-    #: of structured events with causal IDs; None when events=False.
+    #: of structured events with causal IDs, which repro.obs.traceview
+    #: renders as a Chrome trace or Gantt; None when events=False.
     events: EventLog | None = None
     #: human-readable anomaly warnings (repro.obs.anomaly detectors).
     warnings: list[str] | None = None

@@ -54,6 +54,7 @@ class HuffmanApp(App):
     """Huffman hooks: workload or live input, shm store, executor knobs."""
 
     name = "huffman"
+    check = "round-trip"
     live = True
     #: the input bytes the round-trip check compares against.
     data: bytes | None = None

@@ -27,7 +27,6 @@ from repro.obs.exporters import PeriodicSnapshotWriter
 from repro.obs.metrics import MetricsRegistry
 from repro.platforms import get_platform
 from repro.sim.rng import make_rng
-from repro.sim.trace import TraceRecorder
 from repro.sre.registry import make_executor
 from repro.sre.runtime import Runtime
 
@@ -41,6 +40,8 @@ class App:
 
     #: the registered job name; stamped into the event-log header.
     name: ClassVar[str] = ""
+    #: what :meth:`verify` checks, named in the error when it fails.
+    check: ClassVar[str] = "output"
     #: per-block cost of the synthetic ``io="disk"`` arrival model in µs
     #: (None: :class:`~repro.iomodels.DiskModel`'s own default).
     disk_per_block_us: ClassVar[float | None] = None
@@ -174,8 +175,7 @@ def run_app(
         # Served job: every event of this run joins the submit's trace.
         events.set_trace_context(resources.trace)
     runtime = Runtime(
-        trace=TraceRecorder(enabled=cfg.trace), metrics=registry,
-        events=events, depth_first=cfg.depth_first,
+        metrics=registry, events=events, depth_first=cfg.depth_first,
         control_first=cfg.control_first, decisions=decisions,
     )
     writer = None
@@ -232,7 +232,9 @@ def run_app(
         if cfg.verify_roundtrip:
             ok = run.verify(pipeline)
             if not ok:
-                raise ExperimentError(f"{app.name} output failed verification")
+                raise ExperimentError(
+                    f"{app.name} {app.check} check failed: the committed "
+                    "output does not match the sequential reference")
         # Post-run anomaly scan: detectors emit anomaly_* events (before
         # the JSONL sink closes) and produce the report's warnings.
         run_warnings = scan_run(events, registry)
@@ -271,8 +273,7 @@ def run_app(
         utilisation=engine.utilisation(), roundtrip_ok=ok,
         config=pipeline.config, platform_name=plat.name, policy=cfg.policy,
         workers=n_workers, app=app.name,
-        trace=runtime.trace if cfg.trace else None, metrics=registry,
-        run_config=cfg, events=events if cfg.events else None,
+        metrics=registry, run_config=cfg, events=events if cfg.events else None,
         warnings=run_warnings, output_sha256=output_sha,
         extras=run.extras(pipeline, ok),
     )

@@ -26,6 +26,7 @@ class KMeansApp(App):
     """
 
     name = "kmeans"
+    check = "labels"
     disk_per_block_us = 60.0
 
     def inputs(self, rng):

@@ -11,7 +11,6 @@ the committed speculative version or the natural path — count.
 from repro.metrics.latency import LatencyCollector
 from repro.metrics.summary import RunSummary, summarize_run
 from repro.metrics.report import ascii_chart, render_table
-from repro.metrics.traceview import ascii_gantt, to_chrome_trace
 
 __all__ = [
     "LatencyCollector",
@@ -19,6 +18,4 @@ __all__ = [
     "summarize_run",
     "ascii_chart",
     "render_table",
-    "ascii_gantt",
-    "to_chrome_trace",
 ]

@@ -1,12 +1,12 @@
 """Observability: always-on metrics, snapshots and exporters.
 
-This package is the runtime's accounting surface. The simulator already had
-a rich :class:`~repro.sim.trace.TraceRecorder`; ``obs`` complements it with
-*cheap, always-on* counters, gauges and histograms that work identically
-under the simulated clock and the live (threads / process-pool) executors,
-and that can be aggregated across process boundaries.
+This package is the runtime's accounting surface: *cheap, always-on*
+counters, gauges and histograms, and one structured record of every task
+and speculation decision, all of which work identically under the
+simulated clock and the live (threads / process-pool) executors and can
+be aggregated across process boundaries.
 
-Three pieces:
+The pieces:
 
 * :mod:`repro.obs.metrics` — the instruments (:class:`Counter`,
   :class:`Gauge`, :class:`Histogram`) and the named
@@ -21,6 +21,9 @@ Three pieces:
   ring of structured events with causal IDs, so speculation lineage
   (``spec_launch → check_fail → destroy_signal → task_abort*``) is a
   walkable graph (docs/flight-recorder.md).
+* :mod:`repro.obs.traceview` — the run's timeline drawn from those
+  events: Chrome trace-event JSON and an ASCII Gantt (``repro trace``,
+  ``repro run --gantt / --trace-out``).
 * :mod:`repro.obs.explain` / :mod:`repro.obs.top` — post-mortem rollback
   cascade reconstruction (`repro explain`) and the live text dashboard
   (`repro top`; with ``--serve`` it polls a live daemon's ``stats`` op).

@@ -2,8 +2,10 @@
 
 The kernel is deliberately small: a time-ordered event heap
 (:mod:`repro.sim.events`), a simulator clock and run loop
-(:mod:`repro.sim.kernel`), counted resources (:mod:`repro.sim.resources`),
-and structured trace recording (:mod:`repro.sim.trace`).
+(:mod:`repro.sim.kernel`), counted resources (:mod:`repro.sim.resources`)
+and seeded RNG helpers (:mod:`repro.sim.rng`). What happened during a run
+is recorded by the flight recorder (:mod:`repro.obs.events`), on the
+simulated clock and the live executors alike.
 
 The SRE's simulated executor (:mod:`repro.sre.executor_sim`) is built on this
 kernel; everything above it (tasks, speculation, Huffman) is agnostic to
@@ -14,7 +16,6 @@ from repro.sim.events import Event, EventQueue
 from repro.sim.kernel import Simulator
 from repro.sim.resources import Resource, ResourceRequest
 from repro.sim.rng import make_rng, spawn_rngs
-from repro.sim.trace import TraceRecord, TraceRecorder
 
 __all__ = [
     "Event",
@@ -22,8 +23,6 @@ __all__ = [
     "Simulator",
     "Resource",
     "ResourceRequest",
-    "TraceRecord",
-    "TraceRecorder",
     "make_rng",
     "spawn_rngs",
 ]

@@ -57,13 +57,13 @@ class LiveExecutor:
     or simply ``ex.run()`` when all inputs are already delivered.
 
     Observability: the executor clock is *wall time in µs since
-    construction*, and every trace record and metric uses it — so
-    :mod:`repro.metrics.traceview` exports (Chrome trace, ASCII Gantt)
+    construction*, and every event and metric uses it — so
+    :mod:`repro.obs.traceview` exports (Chrome trace, ASCII Gantt)
     read identically for simulated and live runs. The executor registers
     its instruments (``exec_tasks_dispatched``, ``exec_inflight``,
     ``exec_task_wall_us{kind}``, ...) on ``runtime.metrics``; see
     docs/observability.md for the full catalogue. Worker ids are attached
-    to ``task_start`` / ``task_done`` trace records.
+    to the ``task_dispatch`` / ``task_done`` events.
     """
 
     #: Poll interval for the worker wait loop (seconds). The paper's workers
@@ -299,18 +299,21 @@ class LiveExecutor:
 
         Failures never kill a coordinator thread: the failing task is
         reaped like a mis-speculation — flagged so ``finish_task``
-        discards the (empty) outputs, then its dependence cone destroyed.
+        discards the (empty) outputs, then its dependence cone destroyed
+        in the cause scope of a ``task_failed`` event.
         """
         if wall_us is not None:
             self._m_task_wall.labels(kind=task.kind).observe(wall_us)
+        events = self.runtime.events
         with self._cond:
+            failed_seq = None
             if failure is not None:
                 self._m_failures.inc()
                 task.request_abort()
-                self.runtime.trace.record(
-                    self.runtime.now, "task_failed", task.name,
-                    task_kind=task.kind, error=repr(failure),
-                )
+                failed_seq = events.emit(
+                    "task_failed", task=task.name,
+                    version=task.tags.get("spec_version"),
+                    error=repr(failure))
             self._note_complete(wid, task)
             self.runtime.finish_task(task, outputs, precomputed=True,
                                      worker=wid)
@@ -318,7 +321,8 @@ class LiveExecutor:
             self._inflight -= 1
             self._m_inflight.set(self._inflight)
             if failure is not None:
-                self.runtime.abort_dependents([task], include_roots=False)
+                with events.cause(failed_seq):
+                    self.runtime.abort_dependents([task], include_roots=False)
                 self._errors.append(TaskExecutionError(task.name, failure))
             self._cond.notify_all()
 

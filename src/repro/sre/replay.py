@@ -597,8 +597,9 @@ def config_from_header(
             "regenerated from the log — replay named workloads instead"
         )
     clean = dict(rc)
-    clean.update(trace=False, metrics_out=None, events=True,
-                 events_out=events_out)
+    # Logs from builds that still had RunConfig.trace carry the key.
+    clean.pop("trace", None)
+    clean.update(metrics_out=None, events=True, events_out=events_out)
     for key, value in (overrides or {}).items():
         if value is not None:
             clean[key] = value

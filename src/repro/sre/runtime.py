@@ -1,7 +1,7 @@
 """The runtime core shared by both executors.
 
 :class:`Runtime` owns the dynamic DFG, the split ready queues, memory
-accounting, the trace and the always-on metrics registry
+accounting, the flight recorder and the always-on metrics registry
 (:mod:`repro.obs`). It implements everything except *when* tasks run:
 executors call :meth:`begin_task` / :meth:`finish_task` around execution and
 read ready tasks through the dispatch policy.
@@ -26,7 +26,6 @@ from typing import Any, Callable, Iterable
 from repro.errors import TaskExecutionError, TaskStateError
 from repro.obs.events import EventLog
 from repro.obs.metrics import MetricsRegistry
-from repro.sim.trace import TraceRecorder
 from repro.sre.graph import DFG
 from repro.sre.memory import MemoryLedger, sizeof_value
 from repro.sre.queues import ReadyQueue
@@ -42,7 +41,6 @@ class Runtime:
     def __init__(
         self,
         *,
-        trace: TraceRecorder | None = None,
         metrics: MetricsRegistry | None = None,
         events: EventLog | None = None,
         depth_first: bool = True,
@@ -57,12 +55,12 @@ class Runtime:
         #: runtime itself never consults it; typed loosely because sre/
         #: must not depend on core/.
         self.decisions = decisions
-        self.trace = trace if trace is not None else TraceRecorder(enabled=False)
-        #: Always-on counter surface (see docs/observability.md). Traces can
-        #: be disabled wholesale for big sweeps; these counters are cheap
+        #: Always-on counter surface (see docs/observability.md): cheap
         #: enough to stay on, so long runs always have final accounting.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        #: Structured event log with causal IDs (docs/flight-recorder.md).
+        #: Structured event log with causal IDs (docs/flight-recorder.md):
+        #: the run's one record of every task, and what
+        #: :mod:`repro.obs.traceview` draws its charts from.
         self.events = events if events is not None else EventLog()
         self._init_metrics()
         self.memory = MemoryLedger() if track_memory else None
@@ -208,8 +206,6 @@ class Runtime:
         queue.push(task)
         self._m_ready.inc()
         self._note_queue_depth()
-        self.trace.record(self.now, "task_ready", task.name, task_kind=task.kind,
-                          speculative=task.speculative)
         self.events.emit("task_ready", task=task.name,
                          version=task.tags.get("spec_version"))
         for fn in list(self._ready_listeners):
@@ -224,16 +220,11 @@ class Runtime:
         Args:
             task: the task an executor took from a ready queue.
             worker: id of the worker slot that will run it, when the
-                executor knows (recorded in the trace so per-worker Gantt
-                views work identically for sim and live runs).
+                executor knows (recorded on ``task_dispatch`` so per-worker
+                Gantt views work identically for sim and live runs).
         """
         task.mark_running(self.now)
         self._note_queue_depth()
-        detail: dict[str, Any] = {"task_kind": task.kind,
-                                  "speculative": task.speculative}
-        if worker is not None:
-            detail["worker"] = worker
-        self.trace.record(self.now, "task_start", task.name, **detail)
         self.events.emit("task_dispatch", task=task.name,
                          version=task.tags.get("spec_version"), worker=worker)
 
@@ -255,23 +246,22 @@ class Runtime:
         The threaded executor computes task functions outside the runtime
         lock and passes the result via ``outputs`` with ``precomputed=True``;
         the simulated executor lets this method execute the function.
-        ``worker`` (optional) tags the trace record with the worker slot
-        that ran the task, mirroring :meth:`begin_task`.
+        ``worker`` (optional) tags the ``task_done`` event with the worker
+        slot that ran the task, mirroring :meth:`begin_task`.
         """
         if task.abort_requested:
             if precomputed and task.undo is not None and not task.side_effect_free:
                 # The threaded executor already ran the function (outside
                 # the lock); its side effects must be compensated.
                 task.undo(task)
-                self.trace.record(self.now, "undo", task.name, task_kind=task.kind)
+                self.events.emit("undo", task=task.name,
+                                 version=task.tags.get("spec_version"))
             task.mark_done(self.now)  # normal end of occupancy...
             task.state = TaskState.ABORTED  # ...but reaped with its content
             self.tasks_aborted += 1
             if task.speculative:
                 self.speculative_aborted += 1
             self._m_aborted[task.speculative].inc()
-            self.trace.record(self.now, "task_abort", task.name, task_kind=task.kind,
-                              speculative=task.speculative, while_running=True)
             ran_us = (task.finish_time - task.start_time
                       if task.start_time is not None and task.finish_time is not None
                       else None)
@@ -296,8 +286,6 @@ class Runtime:
                 self.tasks_aborted += 1
                 self._m_aborted[task.speculative].inc()
                 self._m_failures.inc()
-                self.trace.record(self.now, "task_failed", task.name,
-                                  task_kind=task.kind, error=repr(exc))
                 failed_seq = self.events.emit(
                     "task_failed", task=task.name,
                     version=task.tags.get("spec_version"), error=repr(exc))
@@ -317,10 +305,6 @@ class Runtime:
                 task.finish_time - task.start_time)
         if self.memory is not None:
             self.memory.allocate(task.name, sizeof_value(outputs), task.speculative)
-        detail = {"task_kind": task.kind, "speculative": task.speculative}
-        if worker is not None:
-            detail["worker"] = worker
-        self.trace.record(self.now, "task_done", task.name, **detail)
         self.events.emit("task_done", task=task.name,
                          version=task.tags.get("spec_version"), worker=worker,
                          dur_us=(task.finish_time - task.start_time
@@ -358,7 +342,8 @@ class Runtime:
                 # User-defined rollback routine (§II extension): compensate
                 # the side effects the completed task already performed.
                 task.undo(task)
-                self.trace.record(self.now, "undo", task.name, task_kind=task.kind)
+                self.events.emit("undo", task=task.name,
+                                 version=task.tags.get("spec_version"))
             if self.memory is not None:
                 self.memory.discard(task.name)
             task.state = TaskState.ABORTED
@@ -366,8 +351,6 @@ class Runtime:
             if task.speculative:
                 self.speculative_aborted += 1
             self._m_aborted[task.speculative].inc()
-            self.trace.record(self.now, "task_abort", task.name, task_kind=task.kind,
-                              speculative=task.speculative, after_done=True)
             self.events.emit("task_abort", task=task.name,
                              version=task.tags.get("spec_version"),
                              after_done=True,
@@ -389,8 +372,6 @@ class Runtime:
             if task.speculative:
                 self.speculative_aborted += 1
             self._m_aborted[task.speculative].inc()
-            self.trace.record(self.now, "task_abort", task.name, task_kind=task.kind,
-                              speculative=task.speculative)
             self.events.emit("task_abort", task=task.name,
                              version=task.tags.get("spec_version"),
                              was_ready=was_ready or None)

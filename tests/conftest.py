@@ -7,7 +7,6 @@ import pytest
 
 from repro.platforms import X86Platform
 from repro.sim.kernel import Simulator
-from repro.sim.trace import TraceRecorder
 from repro.sre.executor_sim import SimulatedExecutor
 from repro.sre.runtime import Runtime
 from repro.sre.task import Task
@@ -20,7 +19,7 @@ def sim() -> Simulator:
 
 @pytest.fixture
 def runtime() -> Runtime:
-    return Runtime(trace=TraceRecorder(enabled=True))
+    return Runtime()
 
 
 @pytest.fixture
@@ -32,7 +31,7 @@ class Harness:
     """A runtime + simulated executor pair with helpers for graph tests."""
 
     def __init__(self, workers: int = 4, policy: str = "conservative") -> None:
-        self.runtime = Runtime(trace=TraceRecorder(enabled=True))
+        self.runtime = Runtime()
         self.platform = X86Platform(workers=workers)
         self.executor = SimulatedExecutor(
             self.runtime, self.platform, policy=policy, workers=workers
@@ -63,3 +62,8 @@ def harness() -> Harness:
 
 def make_harness(**kw) -> Harness:
     return Harness(**kw)
+
+
+def event_kinds(runtime: Runtime) -> list[str]:
+    """The kinds of a runtime's flight-recorder events, in order."""
+    return [e["kind"] for e in runtime.events.events()]

@@ -85,10 +85,11 @@ def test_rollback_emits_trace():
     h = make_harness()
     version, *_ = _version_with_chain(h, vid=3)
     RollbackEngine(h.runtime).rollback(version)
-    rec = h.runtime.trace.last("rollback")
-    assert rec is not None
-    assert rec.subject == "version:3"
-    assert rec.detail["tasks_destroyed"] == 2
+    rec = [e for e in h.runtime.events.events()
+           if e["kind"] == "rollback_done"]
+    assert len(rec) == 1
+    assert rec[0]["version"] == 3
+    assert rec[0]["tasks_destroyed"] == 2
 
 
 # ----------------------------------------------------------------------

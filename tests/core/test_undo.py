@@ -7,7 +7,7 @@ from repro.core.spec import SpecVersion
 from repro.errors import TaskStateError
 from repro.sre.task import Task, TaskState
 
-from tests.conftest import make_harness
+from tests.conftest import event_kinds, make_harness
 
 
 def test_side_effecting_speculative_task_requires_undo():
@@ -39,7 +39,7 @@ def test_undo_called_on_rollback_of_completed_task():
     RollbackEngine(h.runtime).rollback(version)
     assert store == []
     assert t.state is TaskState.ABORTED
-    assert h.runtime.trace.count("undo") == 1
+    assert event_kinds(h.runtime).count("undo") == 1
 
 
 def test_undo_not_called_for_unlaunched_task():

@@ -67,6 +67,13 @@ def test_run_trace_export(tmp_path, capsys):
     import json
     doc = json.loads(out_file.read_text())
     assert doc["traceEvents"]
+    # with --events-out the chart is drawn from that file: same chart
+    from_file = tmp_path / "trace-from-file.json"
+    rc = main(["run", "--workload", "txt", "--blocks", "16",
+               "--events-out", str(tmp_path / "run.events.jsonl"),
+               "--trace-out", str(from_file)])
+    assert rc == 0
+    assert json.loads(from_file.read_text()) == doc
 
 
 def test_filter_command(capsys):

@@ -15,7 +15,9 @@ import pytest
 from repro.errors import ExperimentError
 from repro.experiments.config import RunConfig
 from repro.experiments.jobs import JobResources, run_job
-from repro.experiments.runner import run_huffman
+from repro.experiments.runner import HuffmanApp, run_huffman
+from repro.filterapp.runner import FilterApp
+from repro.kmeansapp.runner import KMeansApp
 
 _APPS = ("huffman", "filter", "kmeans")
 
@@ -68,6 +70,17 @@ def test_verify_roundtrip_flag_honoured_for_every_app(app):
     assert on.roundtrip_ok is True
     assert off.roundtrip_ok is None
     assert off.output_sha256 == on.output_sha256
+
+
+@pytest.mark.parametrize("app_cls, check", [
+    (HuffmanApp, "huffman round-trip check failed"),
+    (FilterApp, "filter output check failed"),
+    (KMeansApp, "kmeans labels check failed"),
+], ids=_APPS)
+def test_failed_verification_names_the_check(app_cls, check, monkeypatch):
+    monkeypatch.setattr(app_cls, "verify", lambda self, pipeline: False)
+    with pytest.raises(ExperimentError, match=check):
+        run_job(RunConfig.for_app(app_cls.name, n_blocks=8))
 
 
 @pytest.mark.parametrize("app", ["filter", "kmeans"])

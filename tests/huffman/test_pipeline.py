@@ -6,7 +6,6 @@ import pytest
 from repro.errors import ExperimentError
 from repro.huffman.pipeline import HuffmanConfig, HuffmanPipeline
 from repro.platforms import X86Platform
-from repro.sim.trace import TraceRecorder
 from repro.sre.executor_sim import SimulatedExecutor
 from repro.sre.runtime import Runtime
 
@@ -24,7 +23,7 @@ def _config(**kw):
 def _run(data: bytes, config: HuffmanConfig, policy="balanced", workers=4,
          arrival_gap=1.0):
     blocks = [data[i:i + BLOCK] for i in range(0, len(data), BLOCK)]
-    rt = Runtime(trace=TraceRecorder(enabled=True))
+    rt = Runtime()
     ex = SimulatedExecutor(rt, X86Platform(workers=workers), policy=policy,
                            workers=workers)
     pipe = HuffmanPipeline(rt, config, len(blocks))
@@ -199,12 +198,12 @@ def test_config_validation():
 def test_trace_contains_speculation_events():
     data = _drifting()
     blocks = [data[i:i + BLOCK] for i in range(0, len(data), BLOCK)]
-    rt = Runtime(trace=TraceRecorder(enabled=True))
+    rt = Runtime()
     ex = SimulatedExecutor(rt, X86Platform(workers=4), policy="balanced", workers=4)
     pipe = HuffmanPipeline(rt, _config(), len(blocks))
     for i, b in enumerate(blocks):
         ex.sim.schedule_at(float(i), lambda i=i, b=b: pipe.feed_block(i, b))
     ex.run()
-    kinds = rt.trace.kinds()
-    assert "speculate" in kinds
-    assert "rollback" in kinds or "commit" in kinds
+    kinds = {e["kind"] for e in rt.events.events()}
+    assert "spec_predict" in kinds
+    assert "rollback_done" in kinds or "spec_commit" in kinds

@@ -8,6 +8,7 @@ records quantitatively.
 import numpy as np
 import pytest
 
+from repro.experiments.fig4 import first_spec_dispatch
 from repro.experiments.runner import RunConfig, run_huffman
 
 
@@ -102,22 +103,15 @@ def test_cell_conservative_starves_speculation():
     workers fed with natural (count) tasks, so speculative work is
     dispatched much later than under balanced — while on x86 (depth-1
     dispatch) both policies start speculating at the same instant."""
-
-    def first_spec_start(report):
-        starts = [r for r in report.trace.of_kind("task_start")
-                  if r.detail.get("speculative")
-                  and r.detail.get("task_kind") == "encode"]
-        return starts[0].time
-
     runs = {
         (plat, pol): _run(workload="txt", n_blocks=N_TXT, platform=plat,
-                                 policy=pol, step=1, seed=0, trace=True)
+                                 policy=pol, step=1, seed=0)
         for plat in ("x86", "cell") for pol in ("balanced", "conservative")
     }
-    x86_ratio = (first_spec_start(runs[("x86", "conservative")])
-                 / first_spec_start(runs[("x86", "balanced")]))
-    cell_ratio = (first_spec_start(runs[("cell", "conservative")])
-                  / first_spec_start(runs[("cell", "balanced")]))
+    x86_ratio = (first_spec_dispatch(runs[("x86", "conservative")])
+                 / first_spec_dispatch(runs[("x86", "balanced")]))
+    cell_ratio = (first_spec_dispatch(runs[("cell", "conservative")])
+                  / first_spec_dispatch(runs[("cell", "balanced")]))
     assert x86_ratio < 1.1
     assert cell_ratio > 1.3
     # and the latency cost follows: conservative is the worst speculative

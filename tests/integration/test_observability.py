@@ -1,8 +1,8 @@
 """End-to-end observability: metrics and traces across executor back-ends.
 
 The acceptance bar for the observability layer: every executor back-end
-produces (a) a Chrome trace that round-trips through the traceview
-exporters and (b) a metrics snapshot whose speculation counters agree with
+produces (a) a Chrome trace, drawn from the flight recorder by the
+traceview exporters, with one span per task end, and (b) a metrics snapshot whose speculation counters agree with
 the SpeculationManager's own SpeculationStats (double-entry accounting —
 both are incremented at the same sites, so any divergence is a bug).
 """
@@ -12,7 +12,7 @@ import json
 import pytest
 
 from repro.experiments.runner import RunConfig, run_huffman
-from repro.metrics.traceview import ascii_gantt, to_chrome_trace
+from repro.obs.traceview import ascii_gantt, to_chrome_trace
 from repro.obs.exporters import load_json_snapshot
 
 pytestmark = pytest.mark.slow
@@ -22,7 +22,7 @@ def _run(metrics=None, **kw):
     return run_huffman(config=RunConfig(**kw), metrics=metrics)
 
 _LIVE = dict(workload="txt", n_blocks=24, seed=3, workers=2,
-             feed_gap_s=0.0005, trace=True)
+             feed_gap_s=0.0005)
 
 
 def _assert_spec_counters_match(report):
@@ -38,18 +38,28 @@ def _assert_spec_counters_match(report):
 
 
 def _assert_trace_roundtrips(report):
-    doc = json.loads(to_chrome_trace(report.trace))
+    doc = json.loads(to_chrome_trace(report.events))
     spans = [e for e in doc["traceEvents"] if e["ph"] == "X"]
     assert spans, "live run produced no task spans"
     kinds = {e["tid"] for e in spans}
     assert "encode" in kinds and "count" in kinds
-    assert "encode" in ascii_gantt(report.trace)
+    assert "encode" in ascii_gantt(report.events)
+    # one span per task end, in end order; a task that ran on a worker
+    # (every done, every abort reaped while running) names that worker
+    ends = [e for e in report.events.events()
+            if e["kind"] in ("task_done", "task_abort")]
+    assert [s["name"] for s in spans] == [e["task"] for e in ends]
+    for span, end in zip(spans, ends):
+        if end["kind"] == "task_done":
+            assert span["args"]["worker"] == end["worker"]
+        elif end.get("while_running"):
+            assert "worker" in span["args"]
 
 
 @pytest.mark.parametrize("executor", ["sim", "threads", "procs"])
 def test_metrics_match_spec_stats_per_executor(executor):
     if executor == "sim":
-        report = _run(workload="txt", n_blocks=24, seed=3, trace=True)
+        report = _run(workload="txt", n_blocks=24, seed=3)
     else:
         report = _run(executor=executor, **_LIVE)
     assert report.roundtrip_ok
@@ -61,7 +71,7 @@ def test_metrics_match_spec_stats_per_executor(executor):
 def test_task_accounting_per_executor(executor):
     """Completed-task counters and latency histograms populate everywhere."""
     kwargs = dict(_LIVE, executor=executor) if executor != "sim" else dict(
-        workload="txt", n_blocks=24, seed=3, trace=True)
+        workload="txt", n_blocks=24, seed=3)
     report = _run(**kwargs)
     reg = report.metrics
     completed = (reg.value("sre_tasks_completed", speculative="yes")

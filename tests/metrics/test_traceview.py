@@ -1,32 +1,56 @@
-"""Unit tests for trace export (chrome JSON + ASCII gantt)."""
+"""Trace export (chrome JSON + ASCII gantt) from the flight recorder."""
 
+import hashlib
 import json
 
-from repro.metrics.traceview import ascii_gantt, to_chrome_trace
-from repro.sim.trace import TraceRecorder
+import pytest
+
+from repro.errors import ObservabilityError
+from repro.experiments.config import RunConfig
+from repro.experiments.fig4 import first_spec_dispatch
+from repro.experiments.runner import run_huffman
+from repro.obs.events import EventLog, load_events_jsonl
+from repro.obs.traceview import ascii_gantt, to_chrome_trace
 
 
-def _trace_with_tasks() -> TraceRecorder:
-    tr = TraceRecorder()
-    tr.record(0.0, "task_start", "count:0", task_kind="count", speculative=False)
-    tr.record(10.0, "task_done", "count:0", task_kind="count", speculative=False)
-    tr.record(5.0, "task_start", "encode:0", task_kind="encode", speculative=True)
-    tr.record(50.0, "task_abort", "encode:0", task_kind="encode", speculative=True)
-    tr.record(20.0, "speculate", "version:1", index=1)
-    tr.record(45.0, "rollback", "version:1", tasks_destroyed=3)
-    return tr
+def _log(*records) -> EventLog:
+    """An EventLog holding ``(t, kind, fields)`` records, in order."""
+    now = [0.0]
+    log = EventLog(clock=lambda: now[0])
+    for t, kind, fields in records:
+        now[0] = t
+        log.emit(kind, **fields)
+    return log
+
+
+def _trace_with_tasks() -> EventLog:
+    return _log(
+        (0.0, "task_spawn", dict(task="count:0", task_kind="count")),
+        (0.0, "task_spawn", dict(task="encode:0", task_kind="encode",
+                                 speculative=True)),
+        (0.0, "task_dispatch", dict(task="count:0", worker=0)),
+        (5.0, "task_dispatch", dict(task="encode:0", worker=1)),
+        (10.0, "task_done", dict(task="count:0", worker=0)),
+        (20.0, "spec_predict", dict(version=1, index=1)),
+        (45.0, "rollback_done", dict(version=1, tasks_destroyed=3)),
+        (50.0, "task_abort", dict(task="encode:0", while_running=True)),
+    )
+
+
+def _x_and_instants(log):
+    events = json.loads(to_chrome_trace(log))["traceEvents"]
+    return ([e for e in events if e["ph"] == "X"],
+            [e for e in events if e["ph"] == "i"])
 
 
 def test_chrome_trace_is_valid_json_with_spans():
-    doc = json.loads(to_chrome_trace(_trace_with_tasks()))
-    events = doc["traceEvents"]
-    spans = [e for e in events if e["ph"] == "X"]
-    instants = [e for e in events if e["ph"] == "i"]
+    spans, instants = _x_and_instants(_trace_with_tasks())
     assert len(spans) == 2
     assert len(instants) == 2
     enc = next(e for e in spans if e["name"] == "encode:0")
     assert enc["args"]["aborted"] is True
     assert enc["args"]["speculative"] is True
+    assert enc["args"]["worker"] == 1
     assert enc["ts"] == 5.0 and enc["dur"] == 45.0
 
 
@@ -51,33 +75,30 @@ def test_ascii_gantt_kind_filter():
 
 
 def test_ascii_gantt_empty():
-    assert ascii_gantt(TraceRecorder()) == "(empty trace)"
+    assert ascii_gantt(EventLog()) == "(empty trace)"
 
 
 def test_export_from_real_run():
-    from repro.experiments.runner import RunConfig, run_huffman
     report = run_huffman(config=RunConfig(workload="txt", n_blocks=32,
-                                          policy="balanced", step=1, seed=0,
-                                          trace=True))
-    doc = json.loads(to_chrome_trace(report.trace))
+                                          policy="balanced", step=1, seed=0))
+    doc = json.loads(to_chrome_trace(report.events))
     kinds = {e["tid"] for e in doc["traceEvents"]}
     assert {"count", "reduce", "tree", "offset", "encode"} <= kinds
-    gantt = ascii_gantt(report.trace)
+    gantt = ascii_gantt(report.events)
     assert "encode" in gantt
 
 
 def test_startless_abort_yields_zero_width_span():
-    """Regression: a task_abort with no task_start must not vanish.
+    """Regression: a task_abort with no task_dispatch must not vanish.
 
-    The process back-end reaps abort-flagged tasks whose payloads the
-    worker skipped — those tasks never emit task_start. They should show
-    up as zero-width aborted spans, not silently disappear.
+    A task reaped from a ready queue never dispatches. It should show up
+    as a zero-width aborted span, not silently disappear.
     """
-    tr = TraceRecorder()
-    tr.record(30.0, "task_abort", "encode:7", task_kind="encode",
-              speculative=True)
-    doc = json.loads(to_chrome_trace(tr))
-    spans = [e for e in doc["traceEvents"] if e["ph"] == "X"]
+    spans, _ = _x_and_instants(_log(
+        (0.0, "task_spawn", dict(task="encode:7", task_kind="encode",
+                                 speculative=True)),
+        (30.0, "task_abort", dict(task="encode:7", was_ready=True)),
+    ))
     assert len(spans) == 1
     span = spans[0]
     assert span["name"] == "encode:7"
@@ -89,22 +110,115 @@ def test_startless_abort_yields_zero_width_span():
 
 
 def test_startless_done_yields_zero_width_span():
-    """A narrowed trace (kinds=...) without starts still shows completions."""
-    tr = TraceRecorder(kinds=["task_done"])
-    tr.record(1.0, "task_start", "count:0", task_kind="count")   # filtered out
-    tr.record(9.0, "task_done", "count:0", task_kind="count")
-    doc = json.loads(to_chrome_trace(tr))
-    spans = [e for e in doc["traceEvents"] if e["ph"] == "X"]
+    """An event list without dispatches still shows completions."""
+    log = _log(
+        (0.0, "task_spawn", dict(task="count:0", task_kind="count")),
+        (1.0, "task_dispatch", dict(task="count:0", worker=0)),
+        (9.0, "task_done", dict(task="count:0", worker=0)),
+    )
+    spans, _ = _x_and_instants(
+        [e for e in log.events() if e["kind"] != "task_dispatch"])
     assert [s["name"] for s in spans] == ["count:0"]
     assert spans[0]["ts"] == 9.0
     assert spans[0]["args"]["aborted"] is False
+    assert spans[0]["args"]["worker"] == 0
 
 
 def test_startless_spans_reach_ascii_gantt():
-    tr = TraceRecorder()
-    tr.record(10.0, "task_done", "count:0", task_kind="count")
-    out = ascii_gantt(tr, width=20)
+    out = ascii_gantt(_log(
+        (0.0, "task_spawn", dict(task="count:0", task_kind="count")),
+        (10.0, "task_done", dict(task="count:0")),
+    ), width=20)
     assert "count" in out
+
+
+def test_instant_names_keep_the_speculation_labels():
+    _, instants = _x_and_instants(_log(
+        (1.0, "spec_predict", dict(version=1, index=0)),
+        (2.0, "spec_launch", dict(version=1, index=0)),
+        (3.0, "check_fail", dict(version=1, index=8, error=0.5)),
+        (3.0, "spec_launch", dict(version=2, index=8, reused=True)),
+        (4.0, "task_spawn", dict(task="tree:final", task_kind="tree")),
+        (5.0, "undo", dict(task="store:3")),
+        (6.0, "check_pass", dict(version=2, final=True)),
+        (6.0, "spec_commit", dict(version=2)),
+        (7.0, "spec_recompute", {}),
+    ))
+    assert [(e["name"], e["ts"]) for e in instants] == [
+        ("speculate:version:1", 1.0), ("check_fail:version:1", 3.0),
+        ("speculate:version:2", 3.0), ("undo:store:3", 5.0),
+        ("check_pass:version:2", 6.0), ("commit:version:2", 6.0),
+        ("recompute:tree", 7.0)]
+    assert instants[1]["args"]["error"] == 0.5
+
+
+# ----------------------------------------------------------------------
+# pinned output: seeded 64-block sim runs, digests taken with the
+# pre-events exporters; the events-based ones must match byte for byte
+# ----------------------------------------------------------------------
+_GOLDEN = {
+    "txt": dict(
+        tolerance=0.01,
+        x_sha256="967e0c0b0553652097823b16d7b4a301"
+                 "139e9b503f300083cff02cc306b7ef78",
+        gantt_sha256="891beda593a93bd1b3dd0773867b2dac"
+                     "9d34cbe187080fc2657267474597f7f1",
+        instants=[("speculate:version:1", 189.176),
+                  ("commit:version:1", 669.4000000000001)]),
+    "pdf": dict(
+        tolerance=0.0,
+        x_sha256="609b5d7eb164c2f5a5f5d91f1e266fa1"
+                 "67e7f69cdb16755c7b75a076fb0d8d06",
+        gantt_sha256="00f6ee5102c4062473bad53bfe63cd4a"
+                     "0038e745e007782592e470cad2b92254",
+        instants=[("speculate:version:1", 189.176),
+                  ("rollback:version:1", 669.4000000000001),
+                  ("recompute:huffman", 669.4000000000001)]),
+}
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("workload", sorted(_GOLDEN))
+def test_sim_charts_match_pinned_digests(workload):
+    gold = _GOLDEN[workload]
+    report = run_huffman(RunConfig(workload=workload, n_blocks=64, seed=0,
+                                   tolerance=gold["tolerance"]))
+    spans, instants = _x_and_instants(report.events)
+    assert _sha(json.dumps(spans, sort_keys=True)) == gold["x_sha256"]
+    assert _sha(ascii_gantt(report.events)) == gold["gantt_sha256"]
+    named = {(e["name"], e["ts"]) for e in instants}
+    assert set(gold["instants"]) <= named
+
+
+def test_events_out_file_exports_like_the_ring(tmp_path):
+    path = tmp_path / "run.events.jsonl"
+    report = run_huffman(RunConfig(workload="pdf", n_blocks=16, seed=0,
+                                   tolerance=0.0, events_out=str(path)))
+    from_file = load_events_jsonl(str(path))
+    assert to_chrome_trace(from_file) == to_chrome_trace(report.events)
+    assert ascii_gantt(from_file) == ascii_gantt(report.events)
+
+
+def test_wrapped_ring_refuses_to_chart():
+    report = run_huffman(RunConfig(workload="txt", n_blocks=16, seed=0,
+                                   events_capacity=64))
+    assert report.events.events()[0]["seq"] > 1
+    for export in (to_chrome_trace, ascii_gantt):
+        with pytest.raises(ObservabilityError,
+                           match="events_capacity.*--events-out"):
+            export(report.events)
+    with pytest.raises(ObservabilityError, match="events_capacity"):
+        first_spec_dispatch(report)
+
+
+def test_run_without_events_refuses_to_chart():
+    report = run_huffman(RunConfig(workload="txt", n_blocks=8, seed=0,
+                                   events=False))
+    with pytest.raises(ObservabilityError, match="events=False"):
+        ascii_gantt(report.events)
 
 
 # ----------------------------------------------------------------------
@@ -126,7 +240,7 @@ def _served_spans():
 
 
 def test_spans_to_chrome_trace_splits_daemon_and_worker_clocks():
-    from repro.metrics.traceview import spans_to_chrome_trace
+    from repro.obs.traceview import spans_to_chrome_trace
     doc = json.loads(spans_to_chrome_trace(_served_spans()))
     events = {e["name"]: e for e in doc["traceEvents"]}
     assert events["job"]["pid"] == 1 and events["job"]["tid"] == "job"
@@ -140,7 +254,7 @@ def test_spans_to_chrome_trace_splits_daemon_and_worker_clocks():
 
 
 def test_spans_to_chrome_trace_marks_open_spans():
-    from repro.metrics.traceview import spans_to_chrome_trace
+    from repro.obs.traceview import spans_to_chrome_trace
     doc = json.loads(spans_to_chrome_trace(_served_spans()))
     queue = next(e for e in doc["traceEvents"] if e["name"] == "queue")
     assert queue["dur"] == 0.001

@@ -6,7 +6,6 @@ from repro.errors import SchedulingError
 from repro.platforms import CellPlatform, X86Platform
 from repro.platforms.base import Platform
 from repro.platforms.costmodel import CostModel, KindCost
-from repro.sim.trace import TraceRecorder
 from repro.sre.executor_sim import SimulatedExecutor
 from repro.sre.runtime import Runtime
 from repro.sre.task import Task, TaskState
@@ -22,7 +21,7 @@ def _flat_platform(us=10.0, workers=2, **kw):
 
 
 def _setup(workers=2, policy="conservative", platform=None):
-    rt = Runtime(trace=TraceRecorder(enabled=True))
+    rt = Runtime()
     plat = platform or _flat_platform(workers=workers)
     ex = SimulatedExecutor(rt, plat, policy=policy, workers=workers)
     return rt, ex

@@ -93,6 +93,13 @@ def test_task_failure_reaped_and_reraised_from_run():
     assert bad.state is TaskState.ABORTED
     assert dep.state is TaskState.ABORTED
     assert len(ex.errors) == 1
+    # the failure is an event, and the dependents abort in its cause scope
+    events = rt.events.events()
+    failed = [e for e in events if e["kind"] == "task_failed"]
+    assert [e["task"] for e in failed] == ["bad"]
+    dep_abort = next(e for e in events
+                     if e["kind"] == "task_abort" and e["task"] == "dep")
+    assert dep_abort["cause"] == failed[0]["seq"]
 
 
 def test_double_start_rejected():

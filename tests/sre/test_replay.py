@@ -123,9 +123,23 @@ def test_config_from_header_applies_overrides_and_redirects_outputs():
                                                 "tolerance": None})
     assert cfg.policy == "aggressive"
     assert cfg.tolerance == 0.01     # None override ignored
-    assert cfg.trace is False        # side outputs redirected
-    assert cfg.metrics_out is None
+    assert cfg.metrics_out is None   # side outputs redirected
     assert cfg.events is True
+
+
+def test_config_from_header_drops_the_retired_trace_key():
+    # Logs recorded before RunConfig lost its ``trace`` field still
+    # carry it in the header; replay must still build a config from them.
+    header = {"kind": "log_header", "schema": "repro.events",
+              "schema_version": 1, "run_id": "0123abcd", "seq": 0, "t": 0.0,
+              "meta": {"app": "huffman", "run_config": {
+                  "app": "huffman", "workload": "pdf", "n_blocks": 16,
+                  "tolerance": 0.0, "seed": 0, "trace": False,
+                  "events": True, "events_out": "old.events.jsonl"}}}
+    cfg = config_from_header(header)
+    assert (cfg.workload, cfg.n_blocks, cfg.tolerance) == ("pdf", 16, 0.0)
+    assert cfg.events_out is None
+    assert "trace" not in cfg.to_dict()
 
 
 def test_director_finish_names_first_unconsumed_gate():

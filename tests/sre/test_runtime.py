@@ -3,13 +3,13 @@
 import pytest
 
 from repro.errors import TaskStateError
-from repro.sim.trace import TraceRecorder
 from repro.sre.runtime import Runtime
+from tests.conftest import event_kinds
 from repro.sre.task import Task, TaskState
 
 
 def _rt():
-    return Runtime(trace=TraceRecorder(enabled=True))
+    return Runtime()
 
 
 def _finish(rt, task):
@@ -204,9 +204,10 @@ def test_trace_records_lifecycle():
     rt = _rt()
     t = rt.add_task(Task("t", lambda: 1))
     _finish(rt, t)
-    assert rt.trace.count("task_ready") == 1
-    assert rt.trace.count("task_start") == 1
-    assert rt.trace.count("task_done") == 1
+    kinds = event_kinds(rt)
+    assert kinds.count("task_ready") == 1
+    assert kinds.count("task_dispatch") == 1
+    assert kinds.count("task_done") == 1
 
 
 def test_failing_task_raises_contextual_error():
@@ -227,4 +228,4 @@ def test_failing_task_raises_contextual_error():
     # the failing cone is aborted, the runtime stays consistent
     assert t.state is TaskState.ABORTED
     assert child.state is TaskState.ABORTED
-    assert rt.trace.count("task_failed") == 1
+    assert event_kinds(rt).count("task_failed") == 1
