@@ -26,7 +26,7 @@ from repro.errors import ExperimentError
 from repro.experiments.config import RunConfig
 from repro.experiments.jobs import RunReport
 from repro.experiments.scaffold import App, register_app
-from repro.huffman.pipeline import HuffmanConfig, HuffmanPipeline
+from repro.huffman.pipeline import HuffmanConfig, HuffmanPipeline, region_blocks
 from repro.iomodels.socket import LiveArrivals
 from repro.metrics.summary import summarize_run
 from repro.sre.shm import BlockStore
@@ -133,7 +133,9 @@ class HuffmanApp(App):
         cfg = self.cfg
         hconfig = HuffmanConfig(
             block_size=cfg.block_size, reduce_ratio=cfg.reduce_ratio,
-            offset_fanout=cfg.offset_fanout, **self.speculation())
+            offset_fanout=cfg.offset_fanout,
+            region_blocks=region_blocks(cfg.executor, cfg.block_size),
+            **self.speculation())
         return HuffmanPipeline(runtime, hconfig, n_blocks, store=self.store)
 
     def verify(self, pipeline):

@@ -14,8 +14,18 @@ Orchestrates the paper's Fig. 2 data-flow graphs over the SRE runtime:
 * the non-speculative path (or the recompute path after a failed final
   check) runs the same second pass with the true tree, emitting directly.
 
-Everything here is executor-agnostic: the same pipeline runs under the
-simulated executor (paper figures) and the threaded executor (live demo).
+Everything here is executor-agnostic — the same pipeline runs under the
+simulated executor (paper figures) and the live ones (threads, procs,
+dist) — with one exception, the region length K. ``count`` and ``encode``
+are *region* tasks over up to K consecutive blocks: a count region never
+crosses a reduce group and is spawned once its last block has arrived; an
+encode region never crosses an offset group and belongs to exactly one
+version. Completion still runs per block (latency stamps, wait-buffer
+deposits, wasted-encode accounting), so only the task population depends
+on K. :func:`region_blocks` fixes K from the executor: 1 on ``sim``, so
+the simulated figures keep their per-block tasks, and
+``REGION_BYTES // block_size`` on the live executors, where a 4 KB block's
+dispatch costs more than its kernel.
 """
 
 from __future__ import annotations
@@ -41,8 +51,8 @@ from repro.huffman.checkers import compression_size_error
 from repro.huffman.codec import assemble_stream, decode_stream
 from repro.huffman.histogram import zero_histogram
 from repro.huffman.tasks import (
-    make_count_task,
-    make_encode_task,
+    make_count_region,
+    make_encode_region,
     make_offset_task,
     make_reduce_task,
     make_tree_task,
@@ -53,7 +63,27 @@ from repro.sre.runtime import Runtime
 from repro.sre.shm import BlockRef, BlockStore
 from repro.sre.task import Task
 
-__all__ = ["HuffmanConfig", "HuffmanPipeline", "PipelineResult"]
+__all__ = ["HuffmanConfig", "HuffmanPipeline", "PipelineResult", "REGION_BYTES",
+           "region_blocks"]
+
+#: Most block bytes one live ``count`` / ``encode`` region covers: the
+#: paper's Cell back-end per-task cap, and half the process executor's
+#: ``DEFAULT_BATCH_BYTES``, so a region still rides in a batch.
+REGION_BYTES = 32 * 1024
+
+
+def region_blocks(executor: str, block_size: int) -> int:
+    """Region length K for a run on ``executor``.
+
+    1 on ``sim``: the simulated figures, claims and bench gate were
+    calibrated on per-block tasks. Elsewhere as many blocks as fit in
+    :data:`REGION_BYTES` (at least one). Fixed per run, never measured:
+    a timing-dependent K would make the task population — and with it
+    fault indices and replay — depend on timing.
+    """
+    if executor == "sim":
+        return 1
+    return max(1, REGION_BYTES // block_size)
 
 
 @dataclass
@@ -78,10 +108,16 @@ class HuffmanConfig:
     #: build length-limited (package-merge) trees instead of plain Huffman;
     #: bounds decoder table size at a tiny compression cost.
     max_code_length: int | None = None
+    #: most consecutive blocks one count / encode task covers (K); see
+    #: :func:`region_blocks`. 1 = one task per block.
+    region_blocks: int = 1
 
     def __post_init__(self) -> None:
-        if self.block_size < 1 or self.reduce_ratio < 1 or self.offset_fanout < 1:
-            raise ExperimentError("block_size, reduce_ratio, offset_fanout must be >= 1")
+        if min(self.block_size, self.reduce_ratio, self.offset_fanout,
+               self.region_blocks) < 1:
+            raise ExperimentError(
+                "block_size, reduce_ratio, offset_fanout, region_blocks "
+                "must be >= 1")
         if self.step < 0:
             raise ExperimentError("step must be >= 0")
         if not (0.0 <= self.tolerance):
@@ -162,6 +198,8 @@ class HuffmanPipeline:
         self._all_refs: list[BlockRef] = []
         self._reduce_tasks: dict[int, Task] = {}
         self._reduce_group_have: dict[int, int] = defaultdict(int)
+        #: blocks arrived per count region, keyed by its first block.
+        self._count_region_have: dict[int, int] = defaultdict(int)
         self._builders: list[_SecondPassBuilder] = []
         self._fed = 0
         self._assembled: dict[int, tuple[int, np.ndarray, int]] = {}
@@ -221,7 +259,23 @@ class HuffmanPipeline:
             if ref is not None:
                 self.block_refs[index] = ref
                 self._all_refs.append(ref)
-        task = make_count_task(index, arr, ref)
+        start, end = self._count_region(index)
+        self._count_region_have[start] += 1
+        if self._count_region_have[start] == end - start:
+            self._make_count(start, end)
+
+    def _count_region(self, index: int) -> tuple[int, int]:
+        """The count region holding ``index``: K-block runs inside its
+        reduce group, so a region never crosses a reduce boundary."""
+        ratio, k = self.config.reduce_ratio, self.config.region_blocks
+        group_start = index - index % ratio
+        start = group_start + (index - group_start) // k * k
+        return start, min(start + k, group_start + ratio, self.n_blocks)
+
+    def _make_count(self, start: int, end: int) -> None:
+        task = make_count_region(start,
+                                 [self.blocks[i] for i in range(start, end)],
+                                 refs=self._block_bindings(start, end))
         task.on_complete.append(self._count_done)
         self.runtime.add_task(task, self.st_first)
 
@@ -232,8 +286,11 @@ class HuffmanPipeline:
     # first pass
     # ------------------------------------------------------------------
     def _count_done(self, task: Task, outs: dict[str, Any]) -> None:
-        index = task.tags["block"]
-        hist = outs["out"]
+        start, _end = task.tags["blocks"]
+        for index, hist in enumerate(outs["hists"], start):
+            self._block_counted(index, hist)
+
+    def _block_counted(self, index: int, hist: np.ndarray) -> None:
         self.block_hists[index] = hist
         if self.store is not None:
             href = self.store.put(hist)
@@ -314,16 +371,22 @@ class HuffmanPipeline:
         builder.bootstrap()
 
     def _encode_done(self, version: SpecVersion | None, outs: dict[str, Any]) -> None:
-        block = outs["block"]
         now = self.runtime.now
-        entry = (outs["offset"], outs["payload"], outs["nbits"])
-        if version is None:
-            self.collector.record_encode(block, now, None)
-            self._commit_sink(block, entry, now)
-        else:
-            self.collector.record_encode(block, now, version.vid)
-            assert self.barrier is not None
-            self.barrier.deposit(version.vid, block, entry, now)
+        for block, offset, payload, nbits in outs["pieces"]:
+            entry = (offset, payload, nbits)
+            if version is None:
+                self.collector.record_encode(block, now, None)
+                self._commit_sink(block, entry, now)
+            else:
+                self.collector.record_encode(block, now, version.vid)
+                assert self.barrier is not None
+                self.barrier.deposit(version.vid, block, entry, now)
+
+    def _block_bindings(self, start: int, end: int) -> list | None:
+        """Per-block payload bindings (ref where stored, array where not)."""
+        if self.store is None:
+            return None
+        return [self.block_refs.get(i, self.blocks[i]) for i in range(start, end)]
 
     def _hist_bindings(self, start: int, end: int) -> list | None:
         """Per-histogram payload bindings (ref where stored, array where not)."""
@@ -556,15 +619,17 @@ class _SecondPassBuilder:
         st = pipeline.st_spec if self.version is not None else pipeline.st_second
         if self.version is not None:
             self._pin(range(start, end), pipeline.block_refs)
-        for k, index in enumerate(range(start, end)):
-            task = make_encode_task(
-                f"encode:{self.label}:{index}",
-                index,
-                pipeline.blocks[index],
+        k = pipeline.config.region_blocks
+        for first in range(start, end, k):
+            last = min(first + k, end)
+            task = make_encode_region(
+                f"encode:{self.label}",
+                first,
+                [pipeline.blocks[i] for i in range(first, last)],
                 self.tree,
-                int(offsets[k]),
+                offsets[first - start:last - start],
                 speculative=self.version is not None,
-                ref=pipeline.block_refs.get(index),
+                refs=pipeline._block_bindings(first, last),
                 tree_ref=self.tree_ref,
             )
             if self.version is not None:

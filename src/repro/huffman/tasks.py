@@ -6,6 +6,13 @@ function over its inputs. Values known at creation time (block bytes, the
 tree of an already-decided speculation version) are closure-captured; values
 whose *timing* matters (the previous reduce/offset in a chain) flow through
 ports.
+
+``count`` and ``encode`` are *region* tasks: one task over a run of
+consecutive blocks, returning one histogram / one encoded piece per block.
+A one-block region is exactly the per-block task the simulated figures
+were calibrated on (same name, same cost hint); the live executors use
+longer regions so dispatch is paid once per region (see
+:mod:`repro.huffman.pipeline`).
 """
 
 from __future__ import annotations
@@ -23,11 +30,11 @@ from repro.sre.shm import BlockRef
 from repro.sre.task import Task
 
 __all__ = [
-    "make_count_task",
+    "make_count_region",
     "make_reduce_task",
     "make_tree_task",
     "make_offset_task",
-    "make_encode_task",
+    "make_encode_region",
     "DEPTH_COUNT",
     "DEPTH_REDUCE",
     "DEPTH_TREE",
@@ -52,8 +59,8 @@ DEPTH_ENCODE = 4
 # with ``partial``; values whose *timing* matters still flow through ports.
 # ---------------------------------------------------------------------------
 
-def _count_kernel(data: np.ndarray) -> dict[str, np.ndarray]:
-    return {"out": byte_histogram(data)}
+def _count_kernel(blocks: list[np.ndarray]) -> dict[str, list[np.ndarray]]:
+    return {"hists": [byte_histogram(data) for data in blocks]}
 
 
 def _reduce_kernel(hists: list[np.ndarray], prev: np.ndarray) -> dict[str, np.ndarray]:
@@ -72,31 +79,38 @@ def _offset_kernel(hists: list[np.ndarray], tree: HuffmanTree, prev: int) -> dic
     return {"offsets": offsets, "cum": end}
 
 
-def _encode_kernel(data: np.ndarray, tree: HuffmanTree, block_id: int,
-                   offset: int) -> dict[str, object]:
-    payload, nbits = encode_block(data, tree)
-    return {
-        "payload": payload,
-        "nbits": nbits,
-        "block": block_id,
-        "offset": int(offset),
-    }
+def _encode_kernel(blocks: list[np.ndarray], tree: HuffmanTree, first_block: int,
+                   offsets: list[int]) -> dict[str, list[tuple]]:
+    pieces = []
+    for k, (data, offset) in enumerate(zip(blocks, offsets)):
+        payload, nbits = encode_block(data, tree)
+        pieces.append((first_block + k, offset, payload, nbits))
+    return {"pieces": pieces}
 
 
-def make_count_task(block_id: int, data: np.ndarray,
-                    ref: BlockRef | None = None) -> Task:
-    """First-pass histogram of one input block.
+def _region_name(prefix: str, first_block: int, n: int) -> str:
+    """``count:7`` for a one-block region, ``count:8-15`` for a longer one."""
+    if n == 1:
+        return f"{prefix}:{first_block}"
+    return f"{prefix}:{first_block}-{first_block + n - 1}"
 
-    When ``ref`` is given (shared-memory transport) the payload binds the
-    handle instead of the bytes; cost hints still reflect the real size.
+
+def make_count_region(first_block: int, blocks: Sequence[np.ndarray],
+                      refs: Sequence[BlockRef | np.ndarray] | None = None) -> Task:
+    """First-pass histograms of the consecutive blocks from ``first_block``.
+
+    Outputs ``hists``, one histogram per block. When ``refs`` is given
+    (shared-memory transport) the payload binds those per-block bindings
+    — a stored block's handle, else its bytes — instead of ``blocks``;
+    cost hints still reflect the real size.
     """
     return Task(
-        f"count:{block_id}",
-        partial(_count_kernel, data if ref is None else ref),
+        _region_name("count", first_block, len(blocks)),
+        partial(_count_kernel, list(blocks if refs is None else refs)),
         kind="count",
         depth=DEPTH_COUNT,
-        cost_hint={"bytes": float(data.size)},
-        tags={"block": block_id},
+        cost_hint={"bytes": float(sum(data.size for data in blocks))},
+        tags={"blocks": (first_block, first_block + len(blocks))},
     )
 
 
@@ -166,25 +180,31 @@ def make_offset_task(
     )
 
 
-def make_encode_task(
+def make_encode_region(
     name: str,
-    block_id: int,
-    data: np.ndarray,
+    first_block: int,
+    blocks: Sequence[np.ndarray],
     tree: HuffmanTree,
-    offset: int,
+    offsets: Sequence[int],
     *,
     speculative: bool,
-    ref: BlockRef | None = None,
+    refs: Sequence[BlockRef | np.ndarray] | None = None,
     tree_ref: BlockRef | None = None,
 ) -> Task:
-    """Second-pass encode of one block at a known bit offset."""
+    """Second-pass encode of consecutive blocks at known bit offsets.
+
+    ``name`` is the task-name prefix (``encode:v1``); the region's block
+    span completes it. Outputs ``pieces``: one ``(block, offset, payload,
+    nbits)`` tuple per block.
+    """
     return Task(
-        name,
-        partial(_encode_kernel, data if ref is None else ref,
-                tree if tree_ref is None else tree_ref, block_id, offset),
+        _region_name(name, first_block, len(blocks)),
+        partial(_encode_kernel, list(blocks if refs is None else refs),
+                tree if tree_ref is None else tree_ref, first_block,
+                [int(o) for o in offsets]),
         kind="encode",
         depth=DEPTH_ENCODE,
         speculative=speculative,
-        cost_hint={"bytes": float(data.size)},
-        tags={"block": block_id},
+        cost_hint={"bytes": float(sum(data.size for data in blocks))},
+        tags={"blocks": (first_block, first_block + len(blocks))},
     )

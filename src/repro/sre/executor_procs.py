@@ -903,7 +903,8 @@ class ProcessExecutor(LiveExecutor):
             bytes + referenced shared-memory bytes).
         batch_max: most tasks shipped in one pipe message (1 disables
             batching).
-        batch_bytes: only payloads at or below this wire size are batched.
+        batch_bytes: only payloads at or below this wire size are batched;
+            a bigger one ships in a pipe message of its own.
         steal: allow idle seats to steal claimed-but-unshipped work from
             a straggling seat's deque (half the deque, from its tail).
             Disable to pin every claimed task to the seat that batched it
@@ -1174,9 +1175,11 @@ class ProcessExecutor(LiveExecutor):
         amortises pipe traffic without ever serialising work an idle
         seat could overlap. Shippable claims are accounted in flight
         (``queued=True`` — no ``_note_dispatch`` yet) and parked in the
-        seat's deque by the caller, where an idle seat may steal them;
-        control/unpicklable extras are returned for prompt inline
-        execution; budget violators are returned as failures.
+        seat's deque by the caller, where an idle seat may steal them —
+        a payload over ``batch_bytes`` too, which the stream then ships
+        in a message of its own; control/unpicklable extras are returned
+        for prompt inline execution; budget violators are returned as
+        failures.
         """
         shippable: list[tuple[Task, bytes]] = []
         inline: list[Task] = []
@@ -1196,9 +1199,8 @@ class ProcessExecutor(LiveExecutor):
                 continue
             self._begin_dispatch(wid, extra, queued=True)
             blob = self._serialize_or_none(extra)
-            if blob is None or len(blob) > self.batch_bytes:
-                # Unpicklable, or too big to ride along: run it inline
-                # rather than delaying the stream (already accounted).
+            if blob is None:
+                # Unpicklable: run it inline (already accounted).
                 self._note_dispatch(wid, extra)
                 inline.append(extra)
                 continue
@@ -1526,12 +1528,17 @@ class ProcessExecutor(LiveExecutor):
                     dq.extend(shippable)
                     claim = False
                 while dq and len(fifo) + len(chunk) < self.batch_max:
+                    alone = len(dq[0][1]) > self.batch_bytes
+                    if alone and chunk:
+                        break  # oversized: ships in a message of its own
                     task, blob = dq.popleft()
                     if task.abort_requested:
                         reaped.append(task)
                         continue
                     self._note_dispatch(wid, task)
                     chunk.append((task, blob))
+                    if alone:
+                        break
                 drained = not dq
             # Claims that cannot ship resolve on the coordinator before
             # this thread blocks in the reply wait.

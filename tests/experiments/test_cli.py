@@ -39,12 +39,18 @@ def test_run_fault_requires_procs():
 
 
 @pytest.mark.procs
-def test_run_fault_injects_and_reports(capsys):
+def test_run_fault_injects_and_reports(capsys, tmp_path):
+    # One worker: every payload lands on slot 0, so kill@1 always fires.
+    events = tmp_path / "fault.events.jsonl"
     rc = main(["run", "--blocks", "16", "--executor", "procs",
-               "--fault", "kill@1"])
+               "--workers", "1", "--fault", "kill@1",
+               "--events-out", str(events)])
     assert rc == 0
     out = capsys.readouterr().out
     assert "worker_churn" in out
+    log = events.read_text()
+    assert '"kind": "worker_crash"' in log
+    assert '"kind": "worker_respawn"' in log
 
 
 def test_requires_subcommand():

@@ -1,9 +1,10 @@
 """Huffman pipeline under adversarial arrival orders.
 
 Unlike the filter app (which needs the previous block's raw tail), the
-Huffman pipeline has no ordering requirement: counts are per-block, reduce
-groups complete whenever their members do, and the offset chain wires
-retroactively. Blocks may arrive in any order.
+Huffman pipeline has no ordering requirement: a count region spawns once
+all its blocks have arrived, reduce groups complete whenever their members
+do, and the offset chain wires retroactively. Blocks may arrive in any
+order.
 """
 
 import numpy as np
@@ -46,6 +47,17 @@ def test_shuffled_arrival_order():
     order = list(rng.permutation(16))
     result = _run_order(order)
     assert result.n_blocks == 16
+
+
+@pytest.mark.parametrize("region_blocks", [3, 8])
+def test_shuffled_arrival_with_regions(region_blocks):
+    """A count region spawns once all its blocks have arrived, whatever
+    their order; 18 blocks leave a short last group, and K = 8 is capped
+    by the 4-block reduce group."""
+    rng = np.random.default_rng(7)
+    order = list(rng.permutation(18))
+    result = _run_order(order, n_blocks=18, region_blocks=region_blocks)
+    assert result.n_blocks == 18
 
 
 def test_interleaved_group_completion():

@@ -6,8 +6,8 @@ from repro.huffman.histogram import byte_histogram, zero_histogram
 from repro.huffman.tasks import (
     DEPTH_COUNT,
     DEPTH_ENCODE,
-    make_count_task,
-    make_encode_task,
+    make_count_region,
+    make_encode_region,
     make_offset_task,
     make_reduce_task,
     make_tree_task,
@@ -21,13 +21,26 @@ def _arr(data: bytes) -> np.ndarray:
 
 
 def test_count_task_produces_histogram():
-    t = make_count_task(3, _arr(b"aab"))
-    out = t.run()["out"]
+    t = make_count_region(3, [_arr(b"aab")])
+    (out,) = t.run()["hists"]
     assert out[ord("a")] == 2
+    assert t.name == "count:3"
     assert t.kind == "count"
     assert t.depth == DEPTH_COUNT
     assert t.cost_hint == {"bytes": 3.0}
-    assert t.tags["block"] == 3
+    assert t.tags["blocks"] == (3, 4)
+
+
+def test_count_region_returns_one_histogram_per_block():
+    blocks = [_arr(b"aab"), _arr(b"bbbc"), _arr(b"z")]
+    t = make_count_region(8, blocks)
+    hists = t.run()["hists"]
+    assert t.name == "count:8-10"
+    assert t.cost_hint == {"bytes": 8.0}
+    assert t.tags["blocks"] == (8, 11)
+    assert len(hists) == 3
+    for block, hist in zip(blocks, hists):
+        assert np.array_equal(hist, byte_histogram(block))
 
 
 def test_reduce_task_accumulates_prefix():
@@ -69,10 +82,26 @@ def test_offset_task_chains_and_is_speculative_flagged():
 def test_encode_task_roundtrips():
     data = b"encode me " * 20
     tree = HuffmanTree.from_histogram(byte_histogram(data))
-    t = make_encode_task("e", 7, _arr(data), tree, offset=64, speculative=False)
-    out = t.run()
-    assert out["block"] == 7
-    assert out["offset"] == 64
-    assert decode_stream(out["payload"], out["nbits"], tree) == data
+    t = make_encode_region("encode:nat", 7, [_arr(data)], tree, [64],
+                           speculative=False)
+    ((block, offset, payload, nbits),) = t.run()["pieces"]
+    assert t.name == "encode:nat:7"
+    assert block == 7
+    assert offset == 64
+    assert decode_stream(payload, nbits, tree) == data
     assert t.depth == DEPTH_ENCODE
     assert not t.speculative
+
+
+def test_encode_region_returns_one_piece_per_block():
+    blocks = [b"first block ", b"second one", b"third"]
+    tree = HuffmanTree.from_histogram(byte_histogram(b"".join(blocks)))
+    t = make_encode_region("encode:v2", 4, [_arr(b) for b in blocks], tree,
+                           [0, 100, 200], speculative=True)
+    pieces = t.run()["pieces"]
+    assert t.name == "encode:v2:4-6"
+    assert t.speculative
+    assert t.cost_hint == {"bytes": float(sum(map(len, blocks)))}
+    assert [(b, off) for b, off, _p, _n in pieces] == [(4, 0), (5, 100), (6, 200)]
+    for data, (_b, _off, payload, nbits) in zip(blocks, pieces):
+        assert decode_stream(payload, nbits, tree) == data

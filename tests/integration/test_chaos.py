@@ -33,6 +33,14 @@ pytestmark = pytest.mark.slow
 _N_BLOCKS = 16
 _BLOCK = 4096
 
+#: A one-worker speculative 24-block run: count → reduce → reduce →
+#: offset → encode is a dependency chain, so slot 0 receives at least five
+#: pipe messages in sequence and ``kill@3`` fires on every run, however
+#: few region tasks the live pipeline spawns.
+_KILLED_RUN = dict(workload="txt", n_blocks=24, seed=3, executor="procs",
+                   transport="shm", workers=1, feed_gap_s=0.0005,
+                   fault_plan="kill@3")
+
 
 def _my_shm_names():
     return {p.rsplit("/", 1)[-1] for p in glob.glob("/dev/shm/repro-*")}
@@ -103,6 +111,7 @@ def test_chaos_output_byte_identical_and_leak_free(fault, opts):
         crashes = registry.counter("procs_worker_crashes",
                                    labelnames=("cause",))
         assert sum(s["value"] for s in crashes.snapshot_series()) >= 1
+        assert registry.value("procs_worker_respawns") >= 1
 
 
 def test_full_speculative_run_survives_worker_kill():
@@ -110,10 +119,7 @@ def test_full_speculative_run_survives_worker_kill():
     SIGKILLed mid-run — commit, clean round-trip, zero leaks, and the
     churn warning tells the user what happened."""
     before = _my_shm_names()
-    report = run_huffman(config=RunConfig(
-        workload="txt", n_blocks=24, seed=3, executor="procs",
-        transport="shm", workers=2, feed_gap_s=0.0005, fault_plan="kill@3",
-    ))
+    report = run_huffman(config=RunConfig(**_KILLED_RUN))
     assert not (_my_shm_names() - before)
     assert report.roundtrip_ok
     assert report.metrics.gauge("shm_segments").value() == 0
@@ -123,10 +129,7 @@ def test_full_speculative_run_survives_worker_kill():
 
 
 def test_explain_renders_the_crash_cascade():
-    report = run_huffman(config=RunConfig(
-        workload="txt", n_blocks=24, seed=3, executor="procs",
-        transport="shm", workers=2, feed_gap_s=0.0005, fault_plan="kill@3",
-    ))
+    report = run_huffman(config=RunConfig(**_KILLED_RUN))
     events = report.events.events()
     cascades = build_crash_cascades(events)
     assert len(cascades) == 1
@@ -169,6 +172,8 @@ def test_quarantine_force_releases_pinned_shm_blocks():
         ex.raise_errors()
     assert registry.value("shm_refs_released", reason="crash") == 2
     assert registry.value("procs_tasks_quarantined") == 1
+    assert registry.value("procs_worker_crashes", cause="crash") >= 1
+    assert registry.value("procs_worker_respawns") >= 1
     assert store.refcount(ref) == 0
     # The version machinery's own late release/acquire must not blow up.
     store.release(ref, reason="rollback")

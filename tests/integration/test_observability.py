@@ -12,6 +12,7 @@ import json
 import pytest
 
 from repro.experiments.runner import RunConfig, run_huffman
+from repro.huffman.pipeline import region_blocks
 from repro.obs.traceview import ascii_gantt, to_chrome_trace
 from repro.obs.exporters import load_json_snapshot
 
@@ -85,21 +86,39 @@ def test_task_accounting_per_executor(executor):
     assert hist.labels(kind="encode").count() > 0
 
 
+def _regions(n_blocks: int, group: int, k: int) -> int:
+    """Region tasks over ``n_blocks``: K-block runs inside each group."""
+    return sum(-(-min(group, n_blocks - start) // k)
+               for start in range(0, n_blocks, group))
+
+
+def _done(report, kind: str) -> int:
+    return sum(1 for e in report.events.events()
+               if e["kind"] == "task_done" and e["task"].startswith(kind + ":"))
+
+
 def test_procs_nonspec_counters_equal_sim():
-    """Cross-process aggregation: the procs coordinator's merged registry
-    counts exactly the tasks a sim run counts (nonspec runs are
-    deterministic in task population across back-ends)."""
-    sim = _run(workload="txt", n_blocks=24, seed=3, speculative=False)
-    procs = _run(workload="txt", n_blocks=24, seed=3,
+    """Cross-process aggregation: sim and procs commit the same blocks and
+    observe one latency each. Their task populations differ by design —
+    sim runs one count / encode per block, procs one per region of up to
+    K blocks — so the live population is pinned to the region formula."""
+    n, k = 24, region_blocks("procs", 4096)
+    sim = _run(workload="txt", n_blocks=n, seed=3, speculative=False)
+    procs = _run(workload="txt", n_blocks=n, seed=3,
                         speculative=False, executor="procs", workers=2,
                         feed_gap_s=0.0005)
-    for name, labels in (
-        ("sre_tasks_completed", {"speculative": "no"}),
-        ("sre_tasks_completed", {"speculative": "yes"}),
-        ("sre_tasks_ready", {}),
-    ):
-        assert sim.metrics.value(name, **labels) == \
-            procs.metrics.value(name, **labels), name
+    for report in (sim, procs):
+        assert report.metrics.value("blocks_committed") == n
+        latency = report.metrics.get("block_latency_us")
+        assert sum(s["count"] for s in latency.snapshot_series()) == n
+    for report, kk in ((sim, 1), (procs, k)):
+        assert _done(report, "count") == _regions(n, 16, kk)
+        assert _done(report, "encode") == _regions(n, 64, kk)
+    # Everything but count and encode is the same population.
+    fused = (n - _regions(n, 16, k)) + (n - _regions(n, 64, k))
+    assert procs.metrics.value("sre_tasks_completed", speculative="no") == \
+        sim.metrics.value("sre_tasks_completed", speculative="no") - fused
+    assert procs.metrics.value("sre_tasks_completed", speculative="yes") == 0
 
 
 def test_procs_worker_counters_are_harvested():

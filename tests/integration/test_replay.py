@@ -95,9 +95,14 @@ def test_replay_procs_shm(tmp_path):
 @pytest.mark.procs
 @pytest.mark.slow
 def test_replay_chaos_kill_reproduces_crash_cascade(tmp_path):
+    # One worker: the count → reduce → offset → encode chain sends slot 0
+    # at least five messages in sequence, so kill@3 fires on every run.
     path, report = _record(tmp_path, name="chaos.events.jsonl",
-                           executor="procs", transport="shm",
+                           executor="procs", transport="shm", workers=1,
                            fault_plan="kill@3")
+    kinds = [e["kind"] for e in report.events.events()]
+    assert "worker_crash" in kinds
+    assert "worker_respawn" in kinds
     res = replay_path(str(path))
     _assert_faithful(res, report)
     # the fault plan rode in on the header, so the replayed run saw the

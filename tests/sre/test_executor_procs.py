@@ -241,6 +241,27 @@ def test_unpicklable_payload_runs_inline_on_coordinator():
     assert ex.tasks_shipped == 0
 
 
+def _size(blob):
+    return {"out": len(blob)}
+
+
+def test_oversized_extra_ships_alone_to_a_worker():
+    """A claimed extra over ``batch_bytes`` ships to the worker in a
+    message of its own; it never falls back to the coordinator."""
+    rt = Runtime()
+    ex = ProcessExecutor(rt, workers=1)
+    for i in range(3):
+        rt.add_task(Task(f"t{i}", partial(_identity, i)))
+    big = rt.add_task(Task("big", partial(_size, bytes(100_000))))
+    for i in range(3, 6):
+        rt.add_task(Task(f"t{i}", partial(_identity, i)))
+    ex.run(timeout=60.0)
+    assert big.outputs == {"out": 100_000}
+    assert ex.tasks_inline == 0
+    assert ex.tasks_shipped == 7
+    assert rt.metrics.value("procs_worker_tasks", worker="0") == 7
+
+
 def test_control_tasks_always_run_inline():
     rt = Runtime()
     ex = ProcessExecutor(rt, workers=2)

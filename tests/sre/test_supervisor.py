@@ -135,6 +135,7 @@ def test_dropped_reply_is_recovered_like_a_hang():
     ex.run(timeout=60.0)
     assert [t.outputs["out"] for t in tasks] == [0, 1, 2]
     assert rt.metrics.value("procs_worker_crashes", cause="hang") == 1
+    assert rt.metrics.value("procs_worker_respawns") == 1
 
 
 def test_slow_worker_within_deadline_is_not_a_crash():
@@ -165,6 +166,7 @@ def test_poisonous_payload_is_quarantined():
     kinds = _kinds(rt)
     assert "task_quarantine" in kinds
     assert kinds.count("worker_crash") == 2  # initial + one retry
+    assert "worker_respawn" in kinds
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +183,7 @@ def test_seat_degrades_to_inline_and_run_completes():
     ex.run(timeout=60.0)
     assert [t.outputs["out"] for t in tasks] == [0, 1, 2, 3]
     assert rt.metrics.value("procs_workers_degraded") == 1
+    assert "worker_crash" in _kinds(rt)
     assert "worker_degraded" in _kinds(rt)
     # Everything after the degradation ran on the coordinator.
     assert ex.tasks_inline >= 1
