@@ -4,17 +4,6 @@ These use conventional multi-round pytest-benchmark timing (unlike the
 figure regenerations) and guard against performance regressions in the hot
 paths: histogramming, tree build, word-packed encode, windowed decode,
 stream assembly, and the simulator's event loop.
-
-Run directly (``python benchmarks/bench_micro.py --executor {sim,threads,
-procs,all}``) it benchmarks the executor back-ends on a pure-Python
-histogram workload instead, printing the threads-vs-procs speedup table
-(see :mod:`repro.experiments.executor_bench`). On a multi-core host the
-process pool beats the GIL-bound thread pool roughly by the core count;
-on a single core both degenerate to serial.
-
-``python benchmarks/bench_micro.py --transport-table`` prints the
-pickle-vs-shm payload-byte comparison instead (see
-:mod:`repro.experiments.transport_bench` and docs/transport.md).
 """
 
 import numpy as np
@@ -112,19 +101,3 @@ def test_micro_workload_generation(benchmark):
     data = benchmark(wl.generate, 256 * 1024, 0)
     assert len(data) == 256 * 1024
 
-
-if __name__ == "__main__":
-    import sys
-
-    if "--transport-table" in sys.argv:
-        from repro.experiments.transport_bench import (
-            render_table,
-            run_transport_bench,
-        )
-
-        print(render_table(run_transport_bench()))
-        sys.exit(0)
-
-    from repro.experiments.executor_bench import main
-
-    sys.exit(main())

@@ -3,22 +3,23 @@
 Subcommands::
 
     repro run --workload txt --policy balanced --blocks 256 [--gantt]
-    repro run --executor procs --metrics-out run.prom       # live process pool
+    repro run --executor procs --metrics-out run.prom       # live pool + metrics
     repro run --events-out run.events.jsonl                 # flight recorder
-    repro stats [--json] [--out FILE]                       # run + metrics dump
     repro trace --executor threads -o trace.json            # run + chrome trace
     repro explain run.events.jsonl [--version N]            # rollback post-mortem
     repro replay run.events.jsonl                           # deterministic replay
     repro replay run.events.jsonl --force-policy aggressive --diff  # counterfactual
     repro top run.metrics.json [--once]                     # live text dashboard
     repro bench [--emit-bench-json BENCH_huffman.json]      # perf baseline
-    repro executors                                         # threads-vs-procs table
-    repro transport                                         # pickle-vs-shm table
     repro fig3 | fig4 | fig5 | fig6 | fig7 | fig8 | fig9   # regenerate a figure
     repro claims                                            # headline table
     repro filter | kmeans                                   # Fig. 1 / §II-A apps
     repro compress FILE [-o OUT] / repro decompress FILE    # container codec
     repro list                                              # what's available
+
+``--metrics-out m.json`` writes the JSON snapshot instead of Prometheus
+text. Per-layer timings (per-task executor cost, shm, wire framing, warm
+serve jobs) come from the benchmark, ``python3 perfbench/run.py``.
 
 Set ``REPRO_SCALE=paper`` for full paper-scale geometry (slower).
 """
@@ -32,8 +33,14 @@ import sys
 from repro.experiments import claims as claims_mod
 from repro.experiments import fig2, fig3, fig4, fig5, fig6, fig7, fig8, fig9, resources
 from repro.experiments.runner import RunConfig, run_huffman
+from repro.sre.policies import policy_names
+from repro.workloads.registry import WORKLOADS
 
 __all__ = ["main", "build_parser"]
+
+#: ``--policy`` / ``--force-policy`` values: the dispatch-policy registry
+#: plus ``nonspec``, the no-speculation shorthand.
+_POLICY_CHOICES = ["nonspec", *policy_names()]
 
 _FIGURES = {
     "fig2": fig2, "fig3": fig3, "fig4": fig4, "fig5": fig5, "fig6": fig6,
@@ -44,7 +51,7 @@ _FIGURES = {
 def _run_experiment(args: argparse.Namespace, *,
                     metrics_out: str | None = None,
                     events_out: str | None = None):
-    """Shared run_huffman invocation for the run/stats/trace subcommands."""
+    """Shared run_huffman invocation for the run/trace subcommands."""
     return run_huffman(config=RunConfig(
         workload=args.workload,
         n_blocks=args.blocks,
@@ -150,25 +157,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         pathlib.Path(args.emit_bench_json).write_text(
             json_mod.dumps(doc, indent=2) + "\n")
         print(f"bench doc written to {args.emit_bench_json}")
-    return 0
-
-
-def _cmd_stats(args: argparse.Namespace) -> int:
-    """Run one experiment and emit its metrics snapshot.
-
-    Prints Prometheus text exposition by default (``--json`` for the JSON
-    snapshot format); ``--out FILE`` writes to a file instead of stdout.
-    """
-    report = _run_experiment(args)
-    from repro.obs.exporters import to_json_snapshot, to_prometheus_text, write_metrics
-    snapshot = report.metrics.snapshot()
-    if args.out is not None:
-        fmt = write_metrics(args.out, snapshot, "json" if args.json else "prom")
-        print(f"metrics snapshot ({fmt}) written to {args.out}")
-    else:
-        text = (to_json_snapshot(snapshot) if args.json
-                else to_prometheus_text(snapshot))
-        print(text, end="" if text.endswith("\n") else "\n")
     return 0
 
 
@@ -283,29 +271,6 @@ def _cmd_figure(name: str, args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_executors(args: argparse.Namespace) -> int:
-    from repro.experiments.executor_bench import compare_executors, render_table
-    names = (("sim", "threads", "procs") if args.executor == "all"
-             else (args.executor,))
-    timings = compare_executors(names, blocks=args.blocks,
-                                block_kb=args.block_kb, workers=args.workers,
-                                seed=args.seed)
-    print(f"{args.blocks} x {args.block_kb} KB pure-Python histogram tasks, "
-          f"{args.workers} workers")
-    print(render_table(timings))
-    return 0
-
-
-def _cmd_transport(args: argparse.Namespace) -> int:
-    from repro.experiments.transport_bench import render_table, run_transport_bench
-    rows = run_transport_bench(blocks=args.blocks, workers=args.workers,
-                               seed=args.seed)
-    print(f"{args.blocks} x 4 KB txt blocks, {args.workers} workers "
-          "(payload bytes = coordinator→worker pipe traffic)")
-    print(render_table(rows))
-    return 0
-
-
 def _cmd_claims(args: argparse.Namespace) -> int:
     print(claims_mod.render(claims_mod.run(seed=args.seed)))
     return 0
@@ -314,12 +279,11 @@ def _cmd_claims(args: argparse.Namespace) -> int:
 def _cmd_list(_args: argparse.Namespace) -> int:
     from repro.sre.registry import executor_names
     print("figures :", ", ".join(sorted(_FIGURES)))
-    print("workloads: txt, bmp, pdf, markov")
+    print("workloads:", ", ".join(WORKLOADS))
     print("platforms: x86, cell")
     print("executors:", ", ".join(executor_names()))
     print("transports: pickle, shm")
-    print("policies : nonspec, conservative, aggressive, balanced, fcfs, "
-          "ratio, throttled")
+    print("policies :", ", ".join(_POLICY_CHOICES))
     print("verification: every_k, optimistic, full")
     print("apps     : filter (Fig. 1), kmeans (§II-A)")
     return 0
@@ -364,6 +328,16 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     if args.events_out is not None:
         print(f"replay event log written to {args.events_out}")
     return 0
+
+
+def _add_daemon_address(p: argparse.ArgumentParser, when: str = "") -> None:
+    """``--host`` / ``--port`` / ``--port-file`` of a running daemon, as
+    read back by :func:`_resolve_port`; ``when`` qualifies the help."""
+    p.add_argument("--host", default="127.0.0.1", help=f"daemon host{when}")
+    p.add_argument("--port", type=int, default=None, help=f"daemon port{when}")
+    p.add_argument("--port-file", default=None, dest="port_file",
+                   help=f"read the daemon port from this file{when}, as "
+                        "written by `repro serve --port-file`")
 
 
 def _resolve_port(args: argparse.Namespace) -> int:
@@ -529,9 +503,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_experiment_args(p: argparse.ArgumentParser, blocks: int = 256) -> None:
-        """Knobs shared by the run / stats / trace subcommands."""
+        """Knobs shared by the run / trace subcommands."""
         p.add_argument("--workload", default="txt",
-                       choices=["txt", "bmp", "pdf", "markov"])
+                       choices=list(WORKLOADS))
         p.add_argument("--blocks", type=int, default=blocks)
         from repro.sre.registry import executor_names
         p.add_argument("--executor", default="sim",
@@ -546,8 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--platform", default="x86", choices=["x86", "cell"])
         p.add_argument("--io", default="disk", choices=["disk", "socket"])
         p.add_argument("--policy", default="balanced",
-                       choices=["nonspec", "conservative", "aggressive",
-                                "balanced", "fcfs"])
+                       choices=_POLICY_CHOICES)
         p.add_argument("--nonspec", action="store_true",
                        help="disable speculation entirely")
         p.add_argument("--step", type=int, default=1)
@@ -595,17 +568,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "this path; feed it to `repro explain`")
     p_run.set_defaults(fn=_cmd_run)
 
-    p_stats = sub.add_parser(
-        "stats",
-        help="run one experiment and print/export its metrics snapshot")
-    add_experiment_args(p_stats, blocks=64)
-    p_stats.add_argument("--json", action="store_true",
-                         help="emit the JSON snapshot format instead of "
-                              "Prometheus text exposition")
-    p_stats.add_argument("-o", "--out", default=None,
-                         help="write to this file instead of stdout")
-    p_stats.set_defaults(fn=_cmd_stats)
-
     p_trace = sub.add_parser(
         "trace",
         help="run one experiment and export its trace (chrome JSON / gantt)")
@@ -622,13 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "--port-file; see docs/tracing.md)")
     p_trace.add_argument("--job", default=None,
                          help="job id to trace (with --serve)")
-    p_trace.add_argument("--host", default="127.0.0.1",
-                         help="daemon host (with --serve)")
-    p_trace.add_argument("--port", type=int, default=None,
-                         help="daemon port (with --serve)")
-    p_trace.add_argument("--port-file", default=None, dest="port_file",
-                         help="read the daemon port from this file "
-                              "(with --serve)")
+    _add_daemon_address(p_trace, when=" (with --serve)")
     p_trace.add_argument("--spans-json", default=None, dest="spans_json",
                          help="with --serve: also write the raw span list "
                               "(JSON) to this path")
@@ -688,8 +644,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "--events-out` (must carry the log_header "
                                "schema record)")
     p_replay.add_argument("--force-policy", default=None, dest="force_policy",
-                          choices=["nonspec", "conservative", "aggressive",
-                                   "balanced", "fcfs"],
+                          choices=_POLICY_CHOICES,
                           help="counterfactual: re-run under this dispatch "
                                "policy instead of the recorded one")
     p_replay.add_argument("--force-tolerance", type=float, default=None,
@@ -745,25 +700,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="write the machine-readable bench doc here "
                               "(compare with tools/bench_gate.py)")
     p_bench.set_defaults(fn=_cmd_bench)
-
-    p_exec = sub.add_parser(
-        "executors",
-        help="benchmark the executor back-ends (threads-vs-procs speedup)")
-    p_exec.add_argument("--executor", default="all",
-                        choices=["sim", "threads", "procs", "all"])
-    p_exec.add_argument("--blocks", type=int, default=32)
-    p_exec.add_argument("--block-kb", type=int, default=256, dest="block_kb")
-    p_exec.add_argument("--workers", type=int, default=4)
-    p_exec.add_argument("--seed", type=int, default=0)
-    p_exec.set_defaults(fn=_cmd_executors)
-
-    p_tr = sub.add_parser(
-        "transport",
-        help="benchmark payload transports (pickle vs shared memory)")
-    p_tr.add_argument("--blocks", type=int, default=64)
-    p_tr.add_argument("--workers", type=int, default=4)
-    p_tr.add_argument("--seed", type=int, default=0)
-    p_tr.set_defaults(fn=_cmd_transport)
 
     p_claims = sub.add_parser("claims", help="headline paper-vs-measured table")
     p_claims.add_argument("--seed", type=int, default=0)
@@ -856,16 +792,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_submit = sub.add_parser(
         "submit", help="submit one job to a running `repro serve` daemon")
-    p_submit.add_argument("--host", default="127.0.0.1")
-    p_submit.add_argument("--port", type=int, default=None)
-    p_submit.add_argument("--port-file", default=None, dest="port_file",
-                          help="read the daemon port from this file "
-                               "(written by `repro serve --port-file`)")
+    _add_daemon_address(p_submit)
     p_submit.add_argument("--tenant", default="default")
     p_submit.add_argument("--app", default="huffman",
                           choices=["huffman", "filter", "kmeans"])
     p_submit.add_argument("--workload", default="txt",
-                          choices=["txt", "bmp", "pdf", "markov"])
+                          choices=list(WORKLOADS))
     p_submit.add_argument("--blocks", type=int, default=None)
     p_submit.add_argument("--executor", default="sim",
                           help="huffman only: sim, threads or procs (procs "
@@ -888,9 +820,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_jobs = sub.add_parser(
         "jobs", help="inspect (or shut down) a running `repro serve` daemon")
-    p_jobs.add_argument("--host", default="127.0.0.1")
-    p_jobs.add_argument("--port", type=int, default=None)
-    p_jobs.add_argument("--port-file", default=None, dest="port_file")
+    _add_daemon_address(p_jobs)
     p_jobs.add_argument("--stats", action="store_true",
                         help="also print admission / breaker / lane / "
                              "arena state")

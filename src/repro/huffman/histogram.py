@@ -15,7 +15,6 @@ from repro.errors import CodecError
 
 __all__ = [
     "byte_histogram",
-    "byte_histogram_py",
     "merge_histograms",
     "zero_histogram",
     "ALPHABET",
@@ -45,21 +44,6 @@ def byte_histogram(data: bytes | bytearray | memoryview | np.ndarray) -> np.ndar
     if view.size == 0:
         return zero_histogram()
     return np.bincount(view, minlength=ALPHABET).astype(np.int64)
-
-
-def byte_histogram_py(data: bytes | bytearray | memoryview) -> list[int]:
-    """Pure-Python histogram — the GIL-bound reference kernel.
-
-    Byte-for-byte the same result as :func:`byte_histogram` but computed in
-    interpreted bytecode, holding the GIL the whole time. Never the
-    production path: it exists so the executor benchmarks can measure what
-    each back-end does with work the GIL cannot overlap (threads serialise
-    it; processes parallelise it).
-    """
-    counts = [0] * ALPHABET
-    for b in bytes(data):
-        counts[b] += 1
-    return counts
 
 
 def merge_histograms(hists: Iterable[np.ndarray]) -> np.ndarray:

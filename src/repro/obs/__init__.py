@@ -47,8 +47,8 @@ Quickstart::
     print(to_prometheus_text(reg.snapshot()))
 
 Every run started through :func:`repro.experiments.jobs.run_job` (or any
-app's runner) carries a registry on ``report.metrics``; ``repro run --metrics-out`` and
-``repro stats`` expose it from the command line.
+app's runner) carries a registry on ``report.metrics``; ``repro run
+--metrics-out`` exports it from the command line.
 """
 
 from repro.obs.metrics import (

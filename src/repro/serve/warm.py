@@ -6,7 +6,7 @@ lane, build a :class:`~repro.sre.executor_procs.ProcessExecutor` around
 it (``supervisor=`` injection; the executor rebinds the supervisor to
 the job's runtime and leaves the processes running on shutdown), and
 return it. The second job on a lane skips the entire pool start-up:
-that latency gap is the tentpole measurement of ``tools/serve_bench.py``.
+the benchmark's ``serve.*`` legs measure the warm jobs' latency.
 
 Lanes are keyed by **pool signature** — ``(tenant, workers,
 fault_plan)`` — because a supervisor is stateful in exactly those

@@ -34,6 +34,7 @@ __all__ = [
     "ThrottledPolicy",
     "FCFSPolicy",
     "get_policy",
+    "policy_names",
 ]
 
 
@@ -209,6 +210,11 @@ _POLICIES = {
     for cls in (ConservativePolicy, AggressivePolicy, BalancedPolicy,
                 RatioPolicy, ThrottledPolicy, FCFSPolicy)
 }
+
+
+def policy_names() -> tuple[str, ...]:
+    """Names :func:`get_policy` accepts, in registration order."""
+    return tuple(_POLICIES)
 
 
 def get_policy(name: str) -> DispatchPolicy:

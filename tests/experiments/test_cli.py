@@ -27,6 +27,56 @@ def test_run_nonspec_flag(capsys):
     assert "non_speculative" in capsys.readouterr().out
 
 
+def _choices(subcommand, dest):
+    """The ``choices`` of one subcommand's option, as registered."""
+    import argparse
+    from repro.cli import build_parser
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return next(a.choices for a in sub.choices[subcommand]._actions
+                if a.dest == dest)
+
+
+def test_run_accepts_every_registered_policy(capsys):
+    # ratio and throttled are registered policies that RunConfig accepts;
+    # the parser must not turn them away with a hand-copied list
+    rc = main(["run", "--blocks", "8", "--policy", "ratio"])
+    assert rc == 0
+    assert "run        : txt/x86/ratio" in capsys.readouterr().out
+
+
+def test_list_matches_parser_choices(capsys):
+    from repro.sre.policies import policy_names
+    from repro.workloads.registry import WORKLOADS
+    assert main(["list"]) == 0
+    listed = {}
+    for line in capsys.readouterr().out.splitlines():
+        key, _, values = line.partition(":")
+        listed[key.strip()] = values.strip().split(", ")
+    assert listed["policies"] == list(_choices("run", "policy"))
+    assert listed["policies"] == list(_choices("replay", "force_policy"))
+    assert set(listed["policies"]) == {"nonspec", *policy_names()}
+    assert listed["workloads"] == list(_choices("run", "workload"))
+    assert listed["workloads"] == list(_choices("submit", "workload"))
+    assert set(listed["workloads"]) == set(WORKLOADS)
+
+
+def test_daemon_address_flags_resolve_port(tmp_path):
+    from repro.cli import _resolve_port, build_parser
+    port_file = tmp_path / "serve.port"
+    port_file.write_text("7071\n")
+    parser = build_parser()
+    for argv in (["trace", "--serve"], ["submit"], ["jobs"]):
+        args = parser.parse_args([*argv, "--port-file", str(port_file)])
+        assert args.host == "127.0.0.1"
+        assert _resolve_port(args) == 7071
+        args = parser.parse_args([*argv, "--port", "9", "--port-file",
+                                  str(port_file)])
+        assert _resolve_port(args) == 9
+        with pytest.raises(SystemExit, match="--port or --port-file"):
+            _resolve_port(parser.parse_args(argv))
+
+
 def test_run_rejects_bad_workload():
     with pytest.raises(SystemExit):
         main(["run", "--workload", "exe"])
@@ -121,6 +171,7 @@ def test_run_metrics_out(tmp_path, capsys):
     assert "metrics snapshot (prom)" in capsys.readouterr().out
     text = path.read_text()
     assert "# TYPE repro_spec_commits_total counter" in text
+    assert "# TYPE repro_sre_tasks_completed_total counter" in text
     assert "repro_sre_tasks_ready_total" in text
 
 
@@ -129,23 +180,6 @@ def test_run_metrics_out_format_override(tmp_path):
     path = tmp_path / "metrics.txt"
     rc = main(["run", "--blocks", "16", "--metrics-out", str(path),
                "--metrics-format", "json"])
-    assert rc == 0
-    snap = load_json_snapshot(path.read_text())
-    assert any(m["name"] == "spec_commits" for m in snap["metrics"])
-
-
-def test_stats_prints_prometheus(capsys):
-    rc = main(["stats", "--blocks", "16"])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "# TYPE repro_sre_tasks_completed_total counter" in out
-    assert out.endswith("\n")
-
-
-def test_stats_json_to_file(tmp_path, capsys):
-    from repro.obs.exporters import load_json_snapshot
-    path = tmp_path / "s.json"
-    rc = main(["stats", "--blocks", "16", "--json", "--out", str(path)])
     assert rc == 0
     snap = load_json_snapshot(path.read_text())
     names = {m["name"] for m in snap["metrics"]}
@@ -184,14 +218,6 @@ def test_run_rejects_unknown_transport():
     with pytest.raises(SystemExit):
         main(["run", "--workload", "txt", "--blocks", "16",
               "--transport", "fax"])
-
-
-def test_transport_command(capsys):
-    rc = main(["transport", "--blocks", "8", "--workers", "2"])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "pickle" in out and "shm" in out
-    assert "payload-byte ratio" in out
 
 
 def test_run_events_out_then_explain(tmp_path, capsys):

@@ -105,7 +105,34 @@ def test_repo_docs_are_currently_clean():
     known = check_doc_links.known_subcommands(_ROOT)
     errors = []
     for md in check_doc_links.iter_markdown(_ROOT):
-        errors.extend(check_doc_links.check_subcommands(md, known))
-        errors.extend(check_doc_links.check_file(md))
-        errors.extend(check_doc_links.check_python_blocks(md))
+        errors.extend(check_doc_links.check_markdown(md, known))
     assert errors == []
+
+
+def _check_markdown(tmp_path, name, text):
+    md = tmp_path / name
+    md.write_text(text)
+    return check_doc_links.check_markdown(
+        md, {"run": {"--blocks"}, "replay": set()})
+
+
+def test_changes_md_may_name_removed_subcommands(tmp_path):
+    # the PR log keeps history: a subcommand a later change removed, or a
+    # flag it dropped, is not an error there
+    text = "Added `repro stats --json` and `repro run --gantt`.\n"
+    assert _check_markdown(tmp_path, "CHANGES.md", text) == []
+
+
+def test_other_markdown_still_checks_subcommands(tmp_path):
+    errors = _check_markdown(tmp_path, "README.md",
+                             "Use `repro stats --json` here.\n")
+    assert len(errors) == 1 and "unknown `repro stats`" in errors[0]
+    errors = _check_markdown(tmp_path, "notes.md",
+                             "```bash\nrepro run --gantt\n```\n")
+    assert len(errors) == 1 and "has no --gantt option" in errors[0]
+
+
+def test_changes_md_links_still_checked(tmp_path):
+    errors = _check_markdown(tmp_path, "CHANGES.md",
+                             "See [the design](docs/missing.md).\n")
+    assert len(errors) == 1 and "broken link -> docs/missing.md" in errors[0]

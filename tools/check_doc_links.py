@@ -11,10 +11,13 @@ doesn't have (or lose one in a rename). For each recognised subcommand
 the ``--flags`` on the same line are checked against the subparser's
 registered option strings too (``repro top --serve``, ``repro trace
 --spans-json`` and friends must really exist; flags on continuation
-lines after a ``\\`` are not checked). Fenced ``python`` blocks are
-parsed with :mod:`ast`, and every call to a job runner (``run_huffman``,
-``run_job``, ``run_filter_experiment``, ``run_kmeans_experiment``) may
-pass only the runner keywords (``config`` / ``metrics`` / ``decisions`` /
+lines after a ``\\`` are not checked). CHANGES.md is exempt from the
+subcommand and flag check: it is the append-only record of past
+changes, so it names commands that later changes removed; its links are
+still checked. Fenced ``python`` blocks are parsed with :mod:`ast`, and
+every call to a job runner (``run_huffman``, ``run_job``,
+``run_filter_experiment``, ``run_kmeans_experiment``) may pass only the
+runner keywords (``config`` / ``metrics`` / ``decisions`` /
 ``resources``) — run parameters go in a ``RunConfig``. Exits non-zero
 listing every broken link / unknown subcommand / unknown flag / stale
 runner call, so CI catches docs drifting from the tree — renamed files,
@@ -190,6 +193,22 @@ def check_python_blocks(path: pathlib.Path) -> list[str]:
     return errors
 
 
+#: markdown files whose CLI examples are history, not documentation.
+_HISTORY_FILES = {"CHANGES.md"}
+
+
+def check_markdown(
+    path: pathlib.Path, known: "dict[str, set[str]] | None"
+) -> list[str]:
+    """Every check for one markdown file. ``known`` is
+    :func:`known_subcommands`' mapping, or ``None`` to skip the CLI
+    check; history files always skip it."""
+    errors = check_file(path) + check_python_blocks(path)
+    if known is not None and path.name not in _HISTORY_FILES:
+        errors.extend(check_subcommands(path, known))
+    return errors
+
+
 def check_file(path: pathlib.Path) -> list[str]:
     errors = []
     for n, line in enumerate(path.read_text().splitlines(), start=1):
@@ -217,10 +236,7 @@ def main(argv: list[str]) -> int:
     n_files = 0
     for md in iter_markdown(root):
         n_files += 1
-        errors.extend(check_file(md))
-        errors.extend(check_python_blocks(md))
-        if known is not None:
-            errors.extend(check_subcommands(md, known))
+        errors.extend(check_markdown(md, known))
     for err in errors:
         print(err, file=sys.stderr)
     print(f"checked {n_files} markdown files: "
