@@ -27,7 +27,9 @@ Set ``REPRO_SCALE=paper`` for full paper-scale geometry (slower).
 from __future__ import annotations
 
 import argparse
+import os
 import pathlib
+import signal
 import sys
 
 from repro.experiments import claims as claims_mod
@@ -69,7 +71,6 @@ def _run_experiment(args: argparse.Namespace, *,
         fault_plan=args.fault_plan,
         pool=args.pool,
         workers=args.workers,
-        steal=not args.no_steal,
         dispatch_timeout_s=args.dispatch_timeout_s,
         metrics_out=metrics_out,
         events_out=events_out,
@@ -540,10 +541,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="inject deterministic worker faults on the "
                             "procs/dist back-ends, e.g. 'kill@3' or "
                             "'hang@2:w1,kill@1!' (see docs/fault-tolerance.md)")
-        p.add_argument("--no-steal", action="store_true", dest="no_steal",
-                       help="pin claimed payloads to the seat that batched "
-                            "them instead of letting idle seats steal from "
-                            "a straggler's deque (procs back-end)")
         p.add_argument("--dispatch-timeout", type=float, default=60.0,
                        dest="dispatch_timeout_s", metavar="SECONDS",
                        help="per-payload reply deadline on the procs "
@@ -834,7 +831,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        status = args.fn(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (`repro fig3 | head -1`): stop quietly.
+        # Point stdout at devnull so the interpreter's exit-time flush of
+        # the unwritten buffer cannot raise again, and report the status
+        # a shell gives a process that SIGPIPE ended.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 128 + signal.SIGPIPE
+    return status
 
 
 if __name__ == "__main__":  # pragma: no cover

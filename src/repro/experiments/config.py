@@ -149,9 +149,6 @@ class RunConfig:
     #: payload, so each reply gets this long — the deadline is never
     #: scaled by batch size.
     dispatch_timeout_s: float = 60.0
-    #: allow idle seats to steal claimed-but-unshipped payloads from a
-    #: straggling seat's deque (process back-end only).
-    steal: bool = True
     #: worker deaths one task may cause/witness before it is quarantined.
     max_task_retries: int = 2
     #: base of the exponential backoff between re-dispatches.

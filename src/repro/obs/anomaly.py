@@ -29,11 +29,6 @@ Detectors (thresholds in :class:`AnomalyThresholds`):
   arrived at shutdown, so worker-side counters under-report this run.
   (A degraded seat has no pipe *by design* — its loss is the worker-churn
   detector's story, not a harvest failure.)
-* **straggling seat** — ``steal_k`` or more payloads stolen from one
-  seat's deque (``task_steal`` events): that worker ran so far behind
-  its peers that idle seats kept draining the backlog claimed on its
-  behalf. The run's throughput survived via stealing, but the seat
-  itself (CPU contention, swapping, a slow kernel mix) deserves a look.
 * **breaker flap** — one tenant's circuit breaker opened ``flap_k`` or
   more times within ``flap_window_us`` (``breaker_open`` events from a
   serve daemon's log): the tenant is crash-looping — its cooldown
@@ -71,7 +66,6 @@ class AnomalyThresholds:
     stall_floor_us: float = 50_000.0
     budget_frac: float = 0.8
     crash_k: int = 1
-    steal_k: int = 4
     flap_k: int = 3
     flap_window_us: float = 60e6
 
@@ -184,31 +178,6 @@ def _detect_worker_churn(
     )
 
 
-def _detect_straggler(
-    events: list[dict[str, Any]], th: AnomalyThresholds
-) -> Anomaly | None:
-    steals = [e for e in events if e.get("kind") == "task_steal"]
-    if not steals:
-        return None
-    by_victim: dict[Any, int] = {}
-    for e in steals:
-        victim = e.get("from_worker")
-        by_victim[victim] = by_victim.get(victim, 0) + 1
-    victim, count = max(by_victim.items(), key=lambda kv: kv[1])
-    if count < th.steal_k:
-        return None
-    return Anomaly(
-        "straggler",
-        f"straggling seat: {count} payload(s) stolen from worker "
-        f"{victim}'s deque by idle seats ({len(steals)} steal(s) total) — "
-        "that worker ran far behind its peers and throughput survived on "
-        "work stealing, not on a balanced pool",
-        {"worker": victim, "stolen_from": count, "steals": len(steals),
-         "by_victim": {str(k): v for k, v in sorted(by_victim.items(),
-                                                    key=lambda kv: str(kv[0]))}},
-    )
-
-
 def _detect_breaker_flap(
     events: list[dict[str, Any]], th: AnomalyThresholds
 ) -> Anomaly | None:
@@ -277,7 +246,6 @@ def detect_anomalies(
         _detect_misspec_burst(coord, th),
         _detect_ready_stall(coord, th),
         _detect_worker_churn(coord, th),
-        _detect_straggler(coord, th),
         _detect_harvest_loss(coord, th),
         _detect_breaker_flap(coord, th),
     ]

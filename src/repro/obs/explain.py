@@ -36,7 +36,7 @@ from repro.obs.events import children_of, index_by_seq, read_event_log, walk_to_
 
 __all__ = ["RollbackCascade", "CrashCascade", "build_cascades",
            "build_crash_cascades", "format_cascades",
-           "format_crash_cascades", "format_steals", "explain_events",
+           "format_crash_cascades", "explain_events",
            "explain_path"]
 
 
@@ -312,44 +312,18 @@ def format_cascades(cascades: list[RollbackCascade],
     return "\n".join(out)
 
 
-def format_steals(events: list[dict[str, Any]]) -> str | None:
-    """Render the work-stealing section of `repro explain`.
-
-    One line per victim seat: how many claimed payloads idle seats drained
-    from its deque (``task_steal`` events), and which seats took them —
-    the dispatch layer's account of *where* a straggler slowed the run.
-    Returns None when the run saw no steals.
-    """
-    steals = [e for e in events if e.get("kind") == "task_steal"]
-    if not steals:
-        return None
-    by_victim: dict[Any, list[dict[str, Any]]] = {}
-    for e in steals:
-        by_victim.setdefault(e.get("from_worker"), []).append(e)
-    out = [f"{len(steals)} payload(s) stolen from straggling seat(s)"]
-    for victim, taken in sorted(by_victim.items(), key=lambda kv: str(kv[0])):
-        thieves = sorted({e.get("worker") for e in taken})
-        out.append(f"  seat {victim}: {len(taken)} payload(s) drained by "
-                   f"seat(s) {thieves}")
-    return "\n".join(out)
-
-
 def explain_events(events: list[dict[str, Any]],
                    version: int | None = None) -> str:
     """Build and render the cascade report for an in-memory event list.
 
     Rollback cascades first, then — when the run saw physical failure —
-    the worker-crash recovery section, then the work-stealing summary
-    when idle seats drained a straggler's deque.
+    the worker-crash recovery section.
     """
     run_id = events[0].get("run_id") if events else None
     report = format_cascades(build_cascades(events, version), run_id)
     crashes = build_crash_cascades(events)
     if crashes:
         report += "\n\n" + format_crash_cascades(crashes)
-    steals = format_steals(events)
-    if steals:
-        report += "\n\n" + steals
     return report
 
 

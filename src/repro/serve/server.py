@@ -843,7 +843,6 @@ class SpeculationServer:
                 workers=lane.workers,
                 supervisor=lane.supervisor,
                 store=store,
-                steal=cfg.steal,
                 dispatch_timeout_s=cfg.dispatch_timeout_s,
                 max_task_retries=cfg.max_task_retries,
                 retry_backoff_s=cfg.retry_backoff_s,

@@ -8,15 +8,16 @@ execution substrate through a few hooks:
 
 * :meth:`_execute` — run one dispatched task's function (inline on the
   coordinator thread, or shipped to another address space);
-* :meth:`_acquire_work` — called under the lock to take the next unit of
-  work for a seat (base: pop the ready queues through the policy and
-  account the dispatch). Back-ends with seat-local backlogs (the process
-  executor's work-stealing deques) override this to drain or steal them;
-* :meth:`_dispatch_cycle` — run one acquired unit of work to completion.
-  The base implementation pairs one blocking :meth:`_execute` with one
-  :meth:`_finish_dispatch`; a streaming back-end overrides it to complete
-  *many* tasks per cycle, each the moment its reply lands, so completion
-  accounting is not coupled to a single blocking ``_execute`` call;
+* :meth:`_acquire_work` — called under the lock to take the next task
+  for a seat: pop the ready queues through the policy and account the
+  dispatch. Work waits in the ready queues, never in a seat-local
+  backlog, so whichever seat frees first takes it;
+* :meth:`_dispatch_cycle` — run one acquired task to completion. The
+  base implementation pairs one blocking :meth:`_execute` with one
+  :meth:`_finish_dispatch`; a streaming back-end overrides it to claim a
+  bounded window of extras beside the task and complete each the moment
+  its reply lands, so completion accounting is not coupled to a single
+  blocking ``_execute`` call;
 * :meth:`_start_backend` / :meth:`_stop_backend` — bring auxiliary
   resources (worker processes, pipes) up and down around the coordinator
   threads.
@@ -268,24 +269,14 @@ class LiveExecutor:
     # dispatch bookkeeping (shared by the worker loop and batching
     # back-ends that take extra tasks mid-_execute)
     # ------------------------------------------------------------------
-    def _begin_dispatch(self, wid: int, task: Task, *,
-                        queued: bool = False) -> None:
-        """Account one task entering execution. Caller holds the lock.
-
-        ``queued=True`` accounts a task claimed into a seat-local backlog
-        (it counts as in flight — ``wait_idle`` must not declare the run
-        drained while it is pending) without notifying the substrate via
-        :meth:`_note_dispatch`; the back-end calls that itself when the
-        payload actually ships, possibly from a different seat after a
-        steal.
-        """
+    def _begin_dispatch(self, wid: int, task: Task) -> None:
+        """Account one task entering execution. Caller holds the lock."""
         self.runtime.begin_task(task, worker=wid)
         self.policy.notify_started(task)
         self._inflight += 1
         self._m_dispatched.inc()
         self._m_inflight.set(self._inflight)
-        if not queued:
-            self._note_dispatch(wid, task)
+        self._note_dispatch(wid, task)
 
     def _finish_dispatch(
         self,
@@ -335,13 +326,11 @@ class LiveExecutor:
         with self._cond:
             self._cond.notify_all()
 
-    def _acquire_work(self, wid: int) -> Any:
-        """Take the next unit of work for seat ``wid``; None when idle.
+    def _acquire_work(self, wid: int) -> Task | None:
+        """Take the next task for seat ``wid``; None when idle.
 
-        Called under the lock. The base implementation pops the ready
-        queues through the dispatch policy and accounts the dispatch;
-        back-ends with seat-local backlogs override this to also drain
-        their own deque or steal from a straggling seat's.
+        Called under the lock: pops the ready queues through the dispatch
+        policy and accounts the dispatch.
         """
         task = self.policy.select(
             self.runtime.natural_queue, self.runtime.speculative_queue
@@ -350,8 +339,8 @@ class LiveExecutor:
             self._begin_dispatch(wid, task)
         return task
 
-    def _dispatch_cycle(self, wid: int, task: Any) -> None:
-        """Run one acquired unit of work to completion (lock not held).
+    def _dispatch_cycle(self, wid: int, task: Task) -> None:
+        """Run one acquired task to completion (lock not held).
 
         The base cycle is one blocking :meth:`_execute` paired with one
         :meth:`_finish_dispatch`. Streaming back-ends override this to

@@ -2,7 +2,7 @@
 worker pool on the far side of a TCP connection.
 
 :class:`DistExecutor` *is* :class:`~repro.sre.executor_procs.ProcessExecutor`
-— same batching, work-stealing, retry/quarantine and streaming-reply
+— same bounded batching window, retry/quarantine and streaming-reply
 machinery, and the same :class:`~repro.sre.executor_procs.WorkerSupervisor`
 seat state machine — whose supervisor drives its seats over a socket link
 instead of a pipe link. :class:`RemotePool` is that link: each seat is one
@@ -468,7 +468,7 @@ class DistExecutor(ProcessExecutor):
     Args:
         pool: ``"host:port"`` of a running ``repro worker-pool``.
         Everything else: :class:`ProcessExecutor`'s keywords — same
-        policies, batching, stealing, retry/quarantine semantics.
+        policies, bounded batching window, retry/quarantine semantics.
         ``fault_plan`` ships to the pool at attach and arms on the remote
         workers — :mod:`repro.testing.faults` maps onto sockets verbatim
         (drop/delay/hang/kill all exercise the reconnect path instead of
@@ -476,9 +476,8 @@ class DistExecutor(ProcessExecutor):
     """
 
     def __init__(self, runtime: Runtime, *, pool: str, **options: Any) -> None:
-        local_only = sorted({"start_method", "supervisor"} & options.keys())
-        if local_only:  # seats are sockets to the pool, never local forks
-            raise TypeError(f"DistExecutor does not take {local_only}")
+        if "supervisor" in options:  # seats are sockets to the pool
+            raise TypeError("DistExecutor does not take 'supervisor'")
         self._pool_address = pool
         super().__init__(runtime, **options)
 

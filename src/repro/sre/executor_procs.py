@@ -24,23 +24,21 @@ Two transport refinements keep the pipe off the critical path:
   check counts the *referenced* bytes (``Task.payload_footprint``), not
   the handle bytes, and ``procs_payload_bytes_avoided`` accounts what
   stayed off the wire.
-* **batching with streaming replies** — when the ready queues hold more
-  work than there are idle seats, small payloads ride along in one pipe
-  message (one header + payload frames), amortising syscalls and wakeups
-  across kernels. The worker replies **once per payload**, not once per
-  batch, and the coordinator completes each task the moment its reply
-  lands — a fast batch-mate's result (often the histogram a verification
-  check is waiting on) is never held hostage behind a slow member's body.
-  Batching never starves parallelism: extras are claimed only while every
-  idle seat still has a task left in the queues.
-* **work-stealing deques** — claimed-but-unshipped work parks in a
-  per-seat deque instead of being pinned to the seat that batched it. An
-  idle coordinator (empty queues, empty own deque) steals half of the
-  deepest victim deque, from its tail, and ships the stolen payloads down
-  its *own* worker's pipe (``task_steal`` events, ``procs_tasks_stolen``).
-  A straggling worker therefore delays only the payloads already in its
-  pipe, never the backlog claimed on its behalf. ``steal=False`` disables
-  stealing (RunConfig/CLI knob).
+* **one bounded window per seat, with streaming replies** — when the
+  ready queues hold more work than there are idle seats, a seat claims
+  up to ``batch_max`` tasks and ships them all at once: small payloads
+  ride along in one pipe message (one header + payload frames),
+  amortising syscalls and wakeups across kernels, and one over
+  ``batch_bytes`` goes in a message of its own. The worker replies
+  **once per payload**, not once per batch, and the coordinator completes
+  each task the moment its reply lands — a fast batch-mate's result
+  (often the histogram a verification check is waiting on) is never held
+  hostage behind a slow member's body. Batching never starves
+  parallelism: extras are claimed only while every idle seat still has a
+  task left in the queues. A seat claims nothing it does not ship, so a
+  straggling worker delays only the payloads already in its pipe; the
+  rest of the work waits in the ready queues for whichever seat frees
+  first — the paper's Cell multiple buffer, one window deep.
 
 Three classes of task never leave the coordinator:
 
@@ -134,8 +132,12 @@ __all__ = ["ProcessExecutor", "WorkerSupervisor", "PipeLink", "RetryPolicy",
 #: a worker is a pipeline bug, and it should fail loudly at dispatch.
 DEFAULT_PAYLOAD_BUDGET = 8 * 1024 * 1024
 
-#: Most tasks a coordinator thread ships in one pipe message.
-DEFAULT_BATCH_MAX = 8
+#: A seat's pipe window: the most tasks one coordinator thread claims and
+#: ships per dispatch cycle. The worker idles between windows while its
+#: coordinator completes the last reply and claims the next window; on a
+#: 2-core host an 8-deep window paid that gap often enough to cost batch
+#: pdf over dist 5-10 % of its throughput, a 16-deep one does not.
+DEFAULT_BATCH_MAX = 16
 
 #: Only payloads at or below this wire size are batched; bigger ones ship
 #: alone so a long transfer never delays unrelated small kernels.
@@ -339,17 +341,6 @@ def _process_main(conn, abort_flags, wid: int, fault_plan=None,
 
 class _WorkerCrash(RuntimeError):
     """A worker process reported a payload failure (carries its traceback)."""
-
-
-class _Claimed:
-    """A deque'd ``(task, blob)`` pair popped by ``_acquire_work`` —
-    already serialized and accounted in flight, not yet shipped."""
-
-    __slots__ = ("task", "blob")
-
-    def __init__(self, task: Task, blob: bytes) -> None:
-        self.task = task
-        self.blob = blob
 
 
 # ---------------------------------------------------------------------------
@@ -901,16 +892,10 @@ class ProcessExecutor(LiveExecutor):
         workers: worker processes (and paired coordinator threads).
         payload_budget: per-task payload-footprint cap in bytes (wire
             bytes + referenced shared-memory bytes).
-        batch_max: most tasks shipped in one pipe message (1 disables
-            batching).
-        batch_bytes: only payloads at or below this wire size are batched;
-            a bigger one ships in a pipe message of its own.
-        steal: allow idle seats to steal claimed-but-unshipped work from
-            a straggling seat's deque (half the deque, from its tail).
-            Disable to pin every claimed task to the seat that batched it
-            (useful for A/B-ing straggler behaviour).
-        start_method: multiprocessing start method; default prefers
-            ``fork`` (cheap, inherits imports) where available.
+        batch_max: a seat's pipe window — the most tasks one seat claims
+            and ships per dispatch cycle (1 disables batching).
+        batch_bytes: only payloads at or below this wire size share a
+            pipe message; a bigger one ships in a message of its own.
         dispatch_timeout_s: per-payload reply deadline. Replies stream
             back one per payload, so each gets this long — the deadline
             is never scaled by batch size.
@@ -948,8 +933,6 @@ class ProcessExecutor(LiveExecutor):
         payload_budget: int = DEFAULT_PAYLOAD_BUDGET,
         batch_max: int = DEFAULT_BATCH_MAX,
         batch_bytes: int = DEFAULT_BATCH_BYTES,
-        steal: bool = True,
-        start_method: str | None = None,
         dispatch_timeout_s: float = DEFAULT_DISPATCH_TIMEOUT_S,
         max_task_retries: int = 2,
         retry_backoff_s: float = 0.05,
@@ -969,15 +952,11 @@ class ProcessExecutor(LiveExecutor):
         self.payload_budget = payload_budget
         self.batch_max = batch_max
         self.batch_bytes = batch_bytes
-        self.steal = steal
         self.dispatch_timeout_s = dispatch_timeout_s
-        if start_method is not None:
-            self._ctx = multiprocessing.get_context(start_method)
-        else:
-            try:
-                self._ctx = multiprocessing.get_context("fork")
-            except ValueError:  # pragma: no cover - non-POSIX
-                self._ctx = multiprocessing.get_context()
+        try:  # fork is cheap and inherits imports
+            self._ctx = multiprocessing.get_context("fork")
+        except ValueError:  # pragma: no cover - non-POSIX
+            self._ctx = multiprocessing.get_context()
         if supervisor is not None:
             if supervisor.n_workers != workers:
                 raise SchedulingError(
@@ -995,22 +974,14 @@ class ProcessExecutor(LiveExecutor):
         self.retry_policy = RetryPolicy(max_retries=max_task_retries,
                                         backoff_s=retry_backoff_s)
         self._store = store
-        #: all tasks currently in a worker's pipe, by seat. Only *shipped*
-        #: payloads live here (the abort-flag relay targets the worker's
-        #: address space); claimed-but-unshipped work lives in _deques.
+        #: every task in a seat's current window, by seat — the abort-flag
+        #: relay targets that worker's address space. A window is shipped
+        #: in the cycle that claims it, so claimed means in the pipe.
         self._current: list[list[Task]] = [[] for _ in range(workers)]
-        #: per-seat deques of claimed-but-unshipped (task, blob) pairs.
-        #: Appended only by the owning seat; idle seats steal from the
-        #: tail under the lock.
-        self._deques: list[deque[tuple[Task, bytes]]] = [
-            deque() for _ in range(workers)]
         #: seats currently inside a dispatch cycle (lock-protected); the
         #: batching guard computes idleness from this, not from the
         #: in-flight *task* count.
         self._busy: list[bool] = [False] * workers
-        #: each busy seat's current dispatch_stream event seq — the causal
-        #: parent for task_steal events against that seat.
-        self._stream_seq: list[int | None] = [None] * workers
         #: Introspection counters (coordinator-lock protected). Mirrored as
         #: registry metrics (procs_tasks_shipped / _inline / payload_bytes)
         #: so exporters see them without touching executor internals.
@@ -1043,10 +1014,6 @@ class ProcessExecutor(LiveExecutor):
         self._m_quarantined = m.counter(
             "procs_tasks_quarantined",
             "tasks failed permanently after repeatedly losing their worker")
-        self._m_stolen = m.counter(
-            "procs_tasks_stolen",
-            "claimed payloads stolen from a straggling seat's deque by an "
-            "idle seat")
         self._m_stream_depth = m.histogram(
             "procs_reply_stream_depth",
             "payloads still unanswered in a seat's pipe when one streamed "
@@ -1168,24 +1135,21 @@ class ProcessExecutor(LiveExecutor):
     def _take_extras(
         self, wid: int
     ) -> tuple[list[tuple[Task, bytes]], list[Task], list[tuple[Task, PlatformError]]]:
-        """Claim extra ready tasks into this seat's dispatch stream.
+        """Claim extra ready tasks into this seat's pipe window.
 
-        Called under the lock. Extras are claimed only while the ready
-        queues hold more tasks than there are idle *seats* — batching
-        amortises pipe traffic without ever serialising work an idle
-        seat could overlap. Shippable claims are accounted in flight
-        (``queued=True`` — no ``_note_dispatch`` yet) and parked in the
-        seat's deque by the caller, where an idle seat may steal them —
-        a payload over ``batch_bytes`` too, which the stream then ships
-        in a message of its own; control/unpicklable extras are returned
-        for prompt inline execution; budget violators are returned as
-        failures.
+        Called under the lock. At most ``batch_max - 1`` payloads join
+        the head, and only while the ready queues hold more tasks than
+        there are idle *seats* — batching amortises pipe traffic without
+        ever serialising work an idle seat could overlap. Every shippable
+        claim ships in this same cycle (a payload over ``batch_bytes``
+        in a message of its own), so nothing claimed ever waits outside
+        a worker's pipe. Control/unpicklable extras are returned for
+        inline execution; budget violators are returned as failures.
         """
         shippable: list[tuple[Task, bytes]] = []
         inline: list[Task] = []
         failed: list[tuple[Task, PlatformError]] = []
-        limit = 2 * self.batch_max - 1  # one pipe window + one deque refill
-        while len(shippable) < limit:
+        while len(shippable) < self.batch_max - 1:
             nat = self.runtime.natural_queue
             spec = self.runtime.speculative_queue
             if len(nat) + len(spec) <= self._idle_seats():
@@ -1193,21 +1157,16 @@ class ProcessExecutor(LiveExecutor):
             extra = self.policy.select(nat, spec)
             if extra is None:
                 break
-            if extra.abort_requested or extra.control:
-                self._begin_dispatch(wid, extra)
-                inline.append(extra)
-                continue
-            self._begin_dispatch(wid, extra, queued=True)
-            blob = self._serialize_or_none(extra)
+            self._begin_dispatch(wid, extra)
+            blob = None
+            if not extra.abort_requested:
+                blob = self._serialize_or_none(extra)
             if blob is None:
-                # Unpicklable: run it inline (already accounted).
-                self._note_dispatch(wid, extra)
-                inline.append(extra)
+                inline.append(extra)  # aborted, control or unpicklable
                 continue
             try:
                 self._check_budget(extra, blob)
             except PlatformError as exc:
-                self._note_dispatch(wid, extra)
                 failed.append((extra, exc))
                 continue
             shippable.append((extra, blob))
@@ -1218,11 +1177,8 @@ class ProcessExecutor(LiveExecutor):
         outputs: dict[str, Any] = {}
         t0 = self._clock()
         if not extra.abort_requested:
-            with self._cond:
-                self.tasks_inline += 1
-            self._m_inline.inc()
             try:
-                outputs = extra.run()
+                outputs = self._run_inline(extra)
             except Exception as exc:
                 failure = exc
         self._finish_dispatch(wid, extra, outputs, failure,
@@ -1392,75 +1348,24 @@ class ProcessExecutor(LiveExecutor):
                                     wall_us=self._clock() - t0)
 
     # ------------------------------------------------------------------
-    # work acquisition: own deque -> ready queues -> steal
-    # ------------------------------------------------------------------
-    def _acquire_work(self, wid: int) -> Any:
-        """Take work for seat ``wid``: its own deque first, then the
-        ready queues, then — both empty — steal from a straggling seat.
-
-        Called under the lock. Queue pops are accounted ``queued=True``:
-        the task counts as in flight immediately (``wait_idle`` must not
-        drain under it) but ``_note_dispatch`` — the abort-flag relay
-        into the worker's address space — only happens when the payload
-        actually ships, possibly from a different seat after a steal.
-        """
-        dq = self._deques[wid]
-        if dq:
-            self._busy[wid] = True
-            return _Claimed(*dq.popleft())
-        task = self.policy.select(
-            self.runtime.natural_queue, self.runtime.speculative_queue)
-        if task is not None:
-            self._begin_dispatch(wid, task, queued=True)
-            self._busy[wid] = True
-            return task
-        if self.steal and self._steal_into(wid):
-            self._busy[wid] = True
-            return _Claimed(*dq.popleft())
-        return None
-
-    def _steal_into(self, wid: int) -> bool:
-        """Steal half of the deepest victim deque into seat ``wid``'s.
-
-        Called under the lock. Steals from the victim's **tail** — the
-        victim keeps draining its head undisturbed — preserving claim
-        order among the stolen tasks. Each theft is a ``task_steal``
-        event causally rooted in the victim's ``dispatch_stream``.
-        """
-        victim, depth = -1, 0
-        for vid, vdq in enumerate(self._deques):
-            if vid != wid and len(vdq) > depth:
-                victim, depth = vid, len(vdq)
-        if depth == 0:
-            return False
-        vdq = self._deques[victim]
-        stolen = [vdq.pop() for _ in range((depth + 1) // 2)]
-        stolen.reverse()
-        cause = self._stream_seq[victim]
-        for task, _blob in stolen:
-            self._m_stolen.inc()
-            self.runtime.events.emit(
-                "task_steal", task=task.name,
-                version=task.tags.get("spec_version"),
-                cause=cause, worker=wid, from_worker=victim)
-        self._deques[wid].extend(stolen)
-        return True
-
-    # ------------------------------------------------------------------
     # the streaming dispatch cycle
     # ------------------------------------------------------------------
-    def _dispatch_cycle(self, wid: int, work: Any) -> None:
-        """Drive one acquired unit of work — and everything claimed or
-        stolen along the way — to completion."""
+    def _acquire_work(self, wid: int) -> Task | None:
+        """The base queue pop, marking the seat busy for the batching
+        guard (:meth:`_idle_seats`)."""
+        task = super()._acquire_work(wid)
+        if task is not None:
+            self._busy[wid] = True
+        return task
+
+    def _dispatch_cycle(self, wid: int, task: Task) -> None:
+        """Drive one acquired task — and every extra claimed beside it —
+        to completion."""
         try:
-            if isinstance(work, _Claimed):
-                self._run_stream(wid, (work.task, work.blob))
-            else:
-                self._run_primary(wid, work)
+            self._run_primary(wid, task)
         finally:
             with self._cond:
                 self._busy[wid] = False
-                self._stream_seq[wid] = None
                 self._cond.notify_all()
 
     def _run_primary(self, wid: int, task: Task) -> None:
@@ -1498,88 +1403,42 @@ class ProcessExecutor(LiveExecutor):
     def _run_stream(self, wid: int, head: tuple[Task, bytes]) -> None:
         """The streaming dispatch cycle for seat ``wid``.
 
-        Repeatedly: top up the pipe window (at most ``batch_max``
-        unanswered payloads) from the seat's deque — claiming extra
-        ready work on the first pass, while the queues are deeper than
-        the idle seats — then await exactly **one** reply and complete
-        its task the moment it lands. A fast payload's completion (and
-        the speculation check it feeds) is therefore never held hostage
-        by a slow pipe-mate; a lost worker recovers just the in-pipe
-        window, and claimed-but-unshipped work stays stealable in the
-        deque the whole time. The cycle ends when the window and the
-        deque are both empty.
+        Claims at most ``batch_max - 1`` extras beside the head (only
+        when the head is small enough to share a message), ships the
+        whole window before the first reply wait — small payloads
+        together, an oversized one alone — then awaits the replies one
+        at a time and completes each task the moment its reply lands. A
+        fast payload's completion (and the speculation check it feeds)
+        is therefore never held hostage by a slow pipe-mate, and a lost
+        worker recovers just this window. The cycle ends when the window
+        drains; it never refills from the ready queues.
         """
-        fifo: deque[tuple[Task, bytes, float]] = deque()  # in-pipe window
-        claim = self.batch_max > 1 and len(head[1]) <= self.batch_bytes
-        pending_head: tuple[Task, bytes] | None = head
-        while True:
-            chunk: list[tuple[Task, bytes]] = []
-            reaped: list[Task] = []
-            inline_extras: list[Task] = []
-            failed_extras: list[tuple[Task, PlatformError]] = []
+        window = [head]
+        inline_extras: list[Task] = []
+        failed_extras: list[tuple[Task, PlatformError]] = []
+        if self.batch_max > 1 and len(head[1]) <= self.batch_bytes:
             with self._cond:
-                dq = self._deques[wid]
-                if pending_head is not None:
-                    dq.appendleft(pending_head)
-                    pending_head = None
-                if claim:
-                    shippable, inline_extras, failed_extras = \
-                        self._take_extras(wid)
-                    dq.extend(shippable)
-                    claim = False
-                while dq and len(fifo) + len(chunk) < self.batch_max:
-                    alone = len(dq[0][1]) > self.batch_bytes
-                    if alone and chunk:
-                        break  # oversized: ships in a message of its own
-                    task, blob = dq.popleft()
-                    if task.abort_requested:
-                        reaped.append(task)
-                        continue
-                    self._note_dispatch(wid, task)
-                    chunk.append((task, blob))
-                    if alone:
-                        break
-                drained = not dq
-            # Claims that cannot ship resolve on the coordinator before
-            # this thread blocks in the reply wait.
-            for extra, exc in failed_extras:
-                self._finish_dispatch(wid, extra, {}, exc)
-            for extra in inline_extras:
-                self._finish_inline_extra(wid, extra)
-            for task in reaped:
-                self._finish_dispatch(wid, task, {}, None)
-            if chunk:
-                if not self.supervisor.alive(wid):
-                    # Seat degraded mid-run: the coordinator is the
-                    # execution substrate of last resort.
-                    for task, _blob in chunk:
-                        t0 = self._clock()
-                        status, payload = ((_SKIPPED, None)
-                                           if task.abort_requested
-                                           else self._reply_inline(task))
-                        self._resolve_reply(wid, task, status, payload,
-                                            wall_us=self._clock() - t0)
-                else:
-                    announce = self._stream_seq[wid] is None
-                    try:
-                        self.supervisor.send(wid, [b for _t, b in chunk])
-                    except WorkerLost as lost:
-                        now = self._clock()
-                        fifo.extend((t, b, now) for t, b in chunk)
-                        self._recover_stream(wid, lost, fifo)
-                        continue
-                    now = self._clock()
-                    fifo.extend((t, b, now) for t, b in chunk)
-                    self._account_shipped(chunk)
-                    if announce:
-                        self._stream_seq[wid] = self.runtime.events.emit(
-                            "dispatch_stream", worker=wid,
-                            payloads=len(chunk),
-                            queued=len(self._deques[wid]))
-            if not fifo:
-                if drained:
-                    return
-                continue
+                shippable, inline_extras, failed_extras = \
+                    self._take_extras(wid)
+            window.extend(shippable)
+        # Claims that cannot ship resolve on the coordinator first: a
+        # check among them may roll back window-mates, which are then
+        # reaped here instead of computed by the worker.
+        for extra, exc in failed_extras:
+            self._finish_dispatch(wid, extra, {}, exc)
+        for extra in inline_extras:
+            self._finish_inline_extra(wid, extra)
+        fifo: deque[tuple[Task, bytes, float]] = deque()  # in-pipe window
+        chunk: list[tuple[Task, bytes]] = []
+        for task, blob in window:
+            if len(blob) > self.batch_bytes:
+                self._ship(wid, chunk, fifo)
+                self._ship(wid, [(task, blob)], fifo)
+                chunk = []
+            else:
+                chunk.append((task, blob))
+        self._ship(wid, chunk, fifo)
+        while fifo:
             try:
                 status, payload = self.supervisor.recv_reply(
                     wid, self.dispatch_timeout_s)
@@ -1590,6 +1449,43 @@ class ProcessExecutor(LiveExecutor):
             self._m_stream_depth.observe(len(fifo) + 1)
             self._resolve_reply(wid, task, status, payload,
                                 wall_us=self._clock() - t_sent)
+
+    def _ship(self, wid: int, chunk: list[tuple[Task, bytes]],
+              fifo: deque[tuple[Task, bytes, float]]) -> None:
+        """Send one pipe message of the window, appending its payloads to
+        the in-pipe ``fifo``.
+
+        A member aborted since its claim is reaped here, never shipped;
+        a seat that degraded mid-run runs the message inline instead.
+        """
+        live: list[tuple[Task, bytes]] = []
+        for task, blob in chunk:
+            if task.abort_requested:
+                self._finish_dispatch(wid, task, {}, None)
+            else:
+                live.append((task, blob))
+        if not live:
+            return
+        if not self.supervisor.alive(wid):
+            # Seat degraded mid-run: the coordinator is the execution
+            # substrate of last resort.
+            for task, _blob in live:
+                t0 = self._clock()
+                status, payload = ((_SKIPPED, None) if task.abort_requested
+                                   else self._reply_inline(task))
+                self._resolve_reply(wid, task, status, payload,
+                                    wall_us=self._clock() - t0)
+            return
+        try:
+            self.supervisor.send(wid, [b for _t, b in live])
+        except WorkerLost as lost:
+            now = self._clock()
+            fifo.extend((t, b, now) for t, b in live)
+            self._recover_stream(wid, lost, fifo)
+            return
+        now = self._clock()
+        fifo.extend((t, b, now) for t, b in live)
+        self._account_shipped(live)
 
 
 register_executor("procs", ProcessExecutor)

@@ -477,7 +477,6 @@ class CascadeSummary:
     shm_rollback_bytes: int = 0
     worker_crashes: int = 0
     task_retries: int = 0
-    steals: int = 0
     commits: int = 0
     recomputes: int = 0
     outcome: str | None = None
@@ -509,8 +508,6 @@ class CascadeSummary:
                 s.worker_crashes += 1
             elif kind == "task_retry":
                 s.task_retries += 1
-            elif kind == "task_steal":
-                s.steals += 1
             elif kind == "spec_commit":
                 s.commits += 1
                 s.outcome = s.outcome or "commit"
@@ -596,9 +593,10 @@ def config_from_header(
             "recorded run used a raw-bytes workload; the input cannot be "
             "regenerated from the log — replay named workloads instead"
         )
-    clean = dict(rc)
-    # Logs from builds that still had RunConfig.trace carry the key.
-    clean.pop("trace", None)
+    # Logs from older builds carry RunConfig fields since retired (e.g.
+    # ``trace``); the replay is built from the fields this build has.
+    known = {f.name for f in fields(RunConfig)}
+    clean = {k: v for k, v in rc.items() if k in known}
     clean.update(metrics_out=None, events=True, events_out=events_out)
     for key, value in (overrides or {}).items():
         if value is not None:

@@ -347,3 +347,24 @@ def test_docstring_subcommands_exist():
     assert advertised, "CLI docstring lists no subcommands?"
     missing = advertised - known
     assert not missing, f"docstring advertises unknown subcommands: {missing}"
+
+
+def test_closed_stdout_exits_quietly():
+    """`repro list | head -0`: a reader that went away is no crash."""
+    import os
+    import pathlib as _pl
+    import subprocess
+    import sys
+    src = _pl.Path(__file__).resolve().parents[2] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    r, w = os.pipe()
+    os.close(r)  # no reader: the first write fails with EPIPE
+    try:
+        proc = subprocess.run([sys.executable, "-m", "repro.cli", "list"],
+                              stdout=w, stderr=subprocess.PIPE, env=env,
+                              text=True, timeout=60)
+    finally:
+        os.close(w)
+    assert "Traceback" not in proc.stderr, proc.stderr
+    assert "BrokenPipeError" not in proc.stderr
+    assert proc.returncode == 141

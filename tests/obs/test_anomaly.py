@@ -159,41 +159,6 @@ def test_degraded_harvest_is_not_a_harvest_loss():
 
 
 # ----------------------------------------------------------------------
-# straggling seat (work stealing)
-# ----------------------------------------------------------------------
-def _steals(n, victim=0):
-    return [_ev("task_steal", 100 + i, task=f"t{i}", worker=1,
-                from_worker=victim) for i in range(n)]
-
-
-def test_repeated_steals_from_one_seat_flag_straggler():
-    events = _bracket() + _steals(4)
-    (anomaly,) = detect_anomalies(events)
-    assert anomaly.kind == "straggler"
-    assert anomaly.data["worker"] == 0
-    assert anomaly.data["stolen_from"] == 4
-    assert anomaly.data["steals"] == 4
-    assert "stealing" in anomaly.message
-
-
-def test_steals_below_threshold_are_quiet():
-    assert detect_anomalies(_bracket() + _steals(3)) == []
-
-
-def test_steals_spread_across_victims_do_not_flag():
-    # 6 steals, but no single victim loses steal_k payloads
-    events = _bracket() + _steals(2, victim=0) + _steals(2, victim=1) \
-        + _steals(2, victim=2)
-    assert detect_anomalies(events) == []
-
-
-def test_steal_threshold_is_tunable():
-    th = AnomalyThresholds(steal_k=1)
-    (anomaly,) = detect_anomalies(_bracket() + _steals(1), thresholds=th)
-    assert anomaly.kind == "straggler"
-
-
-# ----------------------------------------------------------------------
 # breaker flap (serve daemon event logs)
 # ----------------------------------------------------------------------
 def _opens(times, tenant="alice"):

@@ -76,7 +76,6 @@ def test_cascade_summary_counts():
         _ev("shm_release", 13, reason="commit", nbytes=1),
         _ev("worker_crash", 14, worker=0),
         _ev("task_retry", 15, task="x"),
-        _ev("task_steal", 16, task="y", worker=1, from_worker=0),
     ])
     assert s.speculations == 2  # predict + reused launch
     assert s.checks_passed == 2 and s.checks_failed == 1
@@ -84,7 +83,7 @@ def test_cascade_summary_counts():
     assert s.tasks_destroyed == 7 and s.buffer_discarded == 3
     assert s.wasted_us == 120.0
     assert s.shm_rollback_bytes == 4096  # commit-release excluded
-    assert s.worker_crashes == 1 and s.task_retries == 1 and s.steals == 1
+    assert s.worker_crashes == 1 and s.task_retries == 1
     assert s.commits == 1 and s.recomputes == 0
     assert s.outcome == "commit"
     assert s.compressed_bits == 4096
@@ -140,6 +139,23 @@ def test_config_from_header_drops_the_retired_trace_key():
     assert (cfg.workload, cfg.n_blocks, cfg.tolerance) == ("pdf", 16, 0.0)
     assert cfg.events_out is None
     assert "trace" not in cfg.to_dict()
+
+
+def test_config_from_header_drops_the_retired_steal_key():
+    # Logs recorded while RunConfig still had its work-stealing switch
+    # carry ``steal`` in the header; replay must still build a config.
+    header = {"kind": "log_header", "schema": "repro.events",
+              "schema_version": 1, "run_id": "4567cdef", "seq": 0, "t": 0.0,
+              "meta": {"app": "huffman", "run_config": {
+                  "app": "huffman", "workload": "txt", "n_blocks": 24,
+                  "tolerance": 0.0, "seed": 3, "executor": "procs",
+                  "workers": 2, "steal": False, "dispatch_timeout_s": 60.0,
+                  "events": True, "events_out": "old.events.jsonl"}}}
+    cfg = config_from_header(header)
+    assert (cfg.workload, cfg.n_blocks, cfg.seed) == ("txt", 24, 3)
+    assert (cfg.executor, cfg.workers) == ("procs", 2)
+    assert cfg.events_out is None
+    assert "steal" not in cfg.to_dict()
 
 
 def test_director_finish_names_first_unconsumed_gate():

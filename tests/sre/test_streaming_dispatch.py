@@ -1,11 +1,11 @@
 """Streaming dispatch on the process pool: per-payload completion,
-per-payload wall attribution, and work-stealing deques.
+per-payload wall attribution, and one bounded window per seat.
 
 This is the head-of-line regression suite. Before replies streamed one
-per payload, a batch's fast members waited on its slowest member twice
-over: their *replies* were held until the whole batch resolved, and the
-backlog claimed into the seat's batch was pinned there even while other
-seats idled. The tests here fail (by hanging into their waits) against
+per payload, a batch's fast members waited on its slowest member: their
+*replies* were held until the whole batch resolved. A seat now claims
+only the window it ships, so a straggler can hold nothing beyond its
+own pipe. The tests here fail (by hanging into their waits) against
 whole-batch dispatch.
 
 Task functions are module-level so payloads pickle and genuinely ship;
@@ -20,7 +20,7 @@ import pytest
 
 from repro.obs.events import EventLog
 from repro.obs.metrics import MetricsRegistry
-from repro.sre.executor_procs import ProcessExecutor, _Claimed
+from repro.sre.executor_procs import ProcessExecutor
 from repro.sre.runtime import Runtime
 from repro.sre.task import Task, TaskState
 
@@ -29,6 +29,12 @@ pytestmark = [pytest.mark.procs, pytest.mark.threaded]
 
 def _identity(i):
     return {"out": i}
+
+
+def _touch(path):
+    with open(path, "w") as fh:
+        fh.write("ran")
+    return {"out": "ran"}
 
 
 def _sleep_identity(seconds, i):
@@ -104,25 +110,20 @@ def test_wall_time_is_attributed_per_payload():
 
 
 # ---------------------------------------------------------------------------
-# work stealing: idle seats drain a straggler's deque
+# one window per seat: a straggler holds only what is in its pipe
 # ---------------------------------------------------------------------------
 
-def test_idle_seat_steals_backlog_from_straggling_seat(tmp_path):
-    """Seat B blocks on its own gated head; seat A blocks on a gated head
-    with a backlog of fast payloads claimed into its deque. Releasing B
-    leaves it idle with empty queues, so it must steal A's backlog and
-    finish it while A's gate is still closed."""
+def test_straggler_holds_only_its_window(tmp_path):
+    """Seat B blocks on its own gated head; seat A then claims a wave
+    larger than one window behind a gated head. A ships at most
+    ``batch_max`` payloads, so the rest of the wave stays in the ready
+    queues and completes on B once B frees, while A is still gated."""
     start_b, gate_b = tmp_path / "start_b", tmp_path / "gate_b"
     start_a, gate_a = tmp_path / "start_a", tmp_path / "gate_a"
     registry = MetricsRegistry()
-    events = EventLog("steal-test")
+    events = EventLog("window-test")
     rt = Runtime(metrics=registry, events=events)
-    ex = ProcessExecutor(rt, workers=2)
-    ex.start()
-    # Occupy one seat first, so the wave below is claimed by the other.
-    ex.submit(rt.add_task, Task(
-        "slow_b", partial(_touch_then_wait, str(start_b), str(gate_b))))
-    assert _wait_until(start_b.exists)
+    ex = ProcessExecutor(rt, workers=2, batch_max=4)
     fasts = []
 
     def _add_wave():
@@ -131,61 +132,66 @@ def test_idle_seat_steals_backlog_from_straggling_seat(tmp_path):
         for i in range(20):
             fasts.append(rt.add_task(Task(f"f{i}", partial(_identity, i))))
 
-    ex.submit(_add_wave)  # one lock hold: only the idle seat can claim it
-    assert _wait_until(start_a.exists)  # seat A's head is executing
-    gate_b.write_text("go")  # seat B drains the queue, goes idle, steals
-    assert _wait_until(lambda: registry.value("procs_tasks_stolen") > 0)
-    # Stolen work completes while the straggler is still gated: only a
-    # theft can finish a payload claimed behind slow_a's closed gate.
-    assert _wait_until(
-        lambda: any(t.state is TaskState.DONE for t in fasts))
-    assert not gate_a.exists()
-    gate_a.write_text("go")
-    ex.close_input()
-    assert ex.wait_idle(timeout=60.0)
-    ex.shutdown()
+    ex.start()
+    try:
+        # Occupy one seat first, so the wave below is claimed by the other.
+        ex.submit(rt.add_task, Task(
+            "slow_b", partial(_touch_then_wait, str(start_b), str(gate_b))))
+        assert _wait_until(start_b.exists)
+        ex.submit(_add_wave)  # one lock hold: only the idle seat claims it
+        assert _wait_until(start_a.exists)  # seat A's head is executing
+        dispatched = [e for e in events.events()
+                      if e["kind"] == "task_dispatch"]
+        seat_a = next(e["worker"] for e in dispatched
+                      if e["task"] == "slow_a")
+        held = {e["task"] for e in dispatched if e["worker"] == seat_a}
+        assert "slow_a" in held and len(held) <= ex.batch_max
+        assert ex.tasks_shipped <= 1 + ex.batch_max  # slow_b + A's window
+        gate_b.write_text("go")  # B takes the rest from the ready queues
+        rest = [t for t in fasts if t.name not in held]
+        assert len(rest) >= len(fasts) - (ex.batch_max - 1)
+        assert _wait_until(
+            lambda: all(t.state is TaskState.DONE for t in rest),
+            timeout_s=30.0)
+        assert not gate_a.exists()  # ...all while the straggler is gated
+        assert all(t.state is TaskState.RUNNING
+                   for t in fasts if t.name in held)
+    finally:
+        gate_a.write_text("go")
+        gate_b.write_text("go")
+        ex.close_input()
+        drained = ex.wait_idle(timeout=60.0)
+        ex.shutdown()
+    assert drained
     assert {t.outputs["out"] for t in fasts} == set(range(20))
-    steals = [e for e in events.events() if e["kind"] == "task_steal"]
-    assert steals
-    assert registry.value("procs_tasks_stolen") == len(steals)
-    assert all(e["worker"] != e["from_worker"] for e in steals)
-    # Each theft is causally rooted in the victim's dispatch_stream.
-    streams = {e["seq"] for e in events.events()
-               if e["kind"] == "dispatch_stream"}
-    assert all(e.get("cause") in streams for e in steals)
+    assert registry.value("procs_inline_reruns") == 0
 
 
-def test_acquire_work_steals_half_only_when_enabled():
-    """White-box: an idle seat with empty queues steals ⌈half⌉ of the
-    deepest victim deque (order preserved) — unless ``steal=False``."""
-    for steal in (True, False):
-        registry = MetricsRegistry()
-        events = EventLog("steal-unit")
-        rt = Runtime(metrics=registry, events=events)
-        ex = ProcessExecutor(rt, workers=2, steal=steal)
-        for i in range(5):
-            rt.add_task(Task(f"t{i}", partial(_identity, i)))
-        with ex._cond:
-            head = ex._acquire_work(1)  # seat 1 takes t0, marks itself busy
-            ex._busy[0] = True  # no idle seat: the claim sweeps the queue
-            shippable, inline, failed = ex._take_extras(1)
-            ex._deques[1].extend(shippable)
-            ex._busy[0] = False
-            assert head.name == "t0" and not inline and not failed
-            assert [t.name for t, _ in ex._deques[1]] == [
-                "t1", "t2", "t3", "t4"]
-            got = ex._acquire_work(0)
-        if steal:
-            assert isinstance(got, _Claimed) and got.task.name == "t3"
-            assert [t.name for t, _ in ex._deques[0]] == ["t4"]
-            assert [t.name for t, _ in ex._deques[1]] == ["t1", "t2"]
-            assert registry.value("procs_tasks_stolen") == 2
-            kinds = [e["kind"] for e in events.events()]
-            assert kinds.count("task_steal") == 2
-        else:
-            assert got is None
-            assert len(ex._deques[1]) == 4
-            assert registry.value("procs_tasks_stolen") == 0
+def test_claimed_extra_aborted_before_it_ships_is_reaped(tmp_path):
+    """An extra aborted between its claim and its send is reaped on the
+    coordinator — its body never runs — and its window-mates still ship
+    and run on the worker, not as skipped bystanders re-run inline."""
+    marker = tmp_path / "ran"
+    rt = Runtime()
+    ex = ProcessExecutor(rt, workers=1)
+    tasks = [rt.add_task(Task(f"t{i}", partial(_identity, i)))
+             for i in range(4)]
+    victim = rt.add_task(Task("victim", partial(_touch, str(marker))))
+    claim = ex._take_extras
+
+    def _claim_then_abort(wid):
+        shippable, inline, failed = claim(wid)
+        assert victim in [t for t, _b in shippable]
+        rt.abort_task(victim)  # claimed (RUNNING), not yet shipped
+        return shippable, inline, failed
+
+    ex._take_extras = _claim_then_abort
+    ex.run(timeout=60.0)
+    assert victim.state is TaskState.ABORTED
+    assert not marker.exists()
+    assert [t.outputs["out"] for t in tasks] == [0, 1, 2, 3]
+    assert ex.tasks_shipped == 4 and ex.tasks_inline == 0
+    assert rt.metrics.value("procs_inline_reruns") == 0
 
 
 # ---------------------------------------------------------------------------
