@@ -7,6 +7,11 @@ tree of an already-decided speculation version) are closure-captured; values
 whose *timing* matters (the previous reduce/offset in a chain) flow through
 ports.
 
+``reduce``, ``tree`` and ``offset`` tasks are *local*: each sits on a
+serial chain and costs less than a trip to a worker, so a live executor
+that supports it runs them on its coordinator the moment they are ready
+(:attr:`~repro.sre.task.Task.local`).
+
 ``count`` and ``encode`` are *region* tasks: one task over a run of
 consecutive blocks, returning one histogram / one encoded piece per block.
 A one-block region is exactly the per-block task the simulated figures
@@ -129,6 +134,7 @@ def make_reduce_task(index: int, group_hists: Sequence[np.ndarray],
         partial(_reduce_kernel, hists if refs is None else list(refs)),
         inputs=("prev",),
         kind="reduce",
+        local=True,
         depth=DEPTH_REDUCE,
         cost_hint={"entries": float(ALPHABET * (len(hists) + 1))},
         tags={"reduce_index": index, "spec_base": True},
@@ -148,6 +154,7 @@ def make_tree_task(hist: np.ndarray, name: str,
         name,
         partial(_tree_kernel, hist, max_code_length),
         kind="tree",
+        local=True,
         depth=DEPTH_TREE,
         cost_hint={"entries": float(ALPHABET)},
     )
@@ -174,6 +181,7 @@ def make_offset_task(
         partial(_offset_kernel, bound_hists, tree if tree_ref is None else tree_ref),
         inputs=("prev",),
         kind="offset",
+        local=True,
         depth=DEPTH_OFFSET,
         speculative=speculative,
         cost_hint={"units": float(len(hists))},

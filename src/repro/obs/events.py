@@ -55,6 +55,7 @@ from repro.obs.metrics import MONOTONIC_CLOCK
 __all__ = [
     "EVENTS_SCHEMA",
     "EVENTS_SCHEMA_VERSION",
+    "COORDINATOR_WORKER",
     "EventLog",
     "default_clock",
     "load_events_jsonl",
@@ -71,6 +72,12 @@ __all__ = [
 #: of drifting.
 EVENTS_SCHEMA = "repro.events"
 EVENTS_SCHEMA_VERSION = 1
+
+#: The ``worker`` a live executor stamps on the ``task_dispatch`` /
+#: ``task_done`` events of a task its coordinator ran itself (a local
+#: task; see :mod:`repro.sre.executor_base`). Worker seats are numbered
+#: from 0, so the coordinator lane never collides with one.
+COORDINATOR_WORKER = -1
 
 
 def default_clock() -> float:

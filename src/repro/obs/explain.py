@@ -25,18 +25,25 @@ that replaced the process, every ``task_retry`` re-dispatch, any
 ``task_quarantine`` give-ups with their forced ``shm_release``
 (``reason="crash"``), and follow-on ``worker_crash`` events when the
 replacement died too.
+
+On the process and distributed back-ends the report ends with the **task
+lanes**: tasks and busy time per worker seat and for the coordinator,
+which runs local tasks (control tasks and serial-chain links) itself —
+so a slow check or chain shows up as coordinator time, not as a worker's.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.obs.events import children_of, index_by_seq, read_event_log, walk_to_root
+from repro.obs.events import (COORDINATOR_WORKER, children_of, index_by_seq,
+                              read_event_log, walk_to_root)
 
 __all__ = ["RollbackCascade", "CrashCascade", "build_cascades",
            "build_crash_cascades", "format_cascades",
-           "format_crash_cascades", "explain_events",
+           "format_crash_cascades", "format_lanes", "explain_events",
            "explain_path"]
 
 
@@ -312,18 +319,47 @@ def format_cascades(cascades: list[RollbackCascade],
     return "\n".join(out)
 
 
+def format_lanes(events: list[dict[str, Any]]) -> str:
+    """Render tasks and busy time per worker lane, the coordinator's own
+    lane last; empty when no task ran on the coordinator (sim, threads).
+    """
+    kinds = {e.get("task"): e.get("task_kind", "task") for e in events
+             if e.get("kind") == "task_spawn"}
+    lanes: dict[Any, tuple[int, float, Counter]] = {}
+    for e in events:
+        if e.get("kind") != "task_done" or e.get("worker") is None:
+            continue
+        n, busy, by_kind = lanes.get(e["worker"], (0, 0.0, Counter()))
+        by_kind[kinds.get(e.get("task"), "task")] += 1
+        lanes[e["worker"]] = (n + 1, busy + (e.get("dur_us") or 0.0), by_kind)
+    if COORDINATOR_WORKER not in lanes:
+        return ""
+    out = ["task lanes"]
+    for worker in sorted(lanes, key=lambda w: (w == COORDINATOR_WORKER, w)):
+        n, busy, by_kind = lanes[worker]
+        name = "coordinator" if worker == COORDINATOR_WORKER else f"worker {worker}"
+        mix = " · ".join(f"{k} {c}" for k, c in sorted(by_kind.items()))
+        out.append(f"  {name:<12} {n:>5} task(s) {busy / 1e3:>10.1f} ms busy"
+                   f"  ({mix})")
+    return "\n".join(out)
+
+
 def explain_events(events: list[dict[str, Any]],
                    version: int | None = None) -> str:
     """Build and render the cascade report for an in-memory event list.
 
     Rollback cascades first, then — when the run saw physical failure —
-    the worker-crash recovery section.
+    the worker-crash recovery section, then — when the coordinator ran
+    tasks itself — the task lanes.
     """
     run_id = events[0].get("run_id") if events else None
     report = format_cascades(build_cascades(events, version), run_id)
     crashes = build_crash_cascades(events)
     if crashes:
         report += "\n\n" + format_crash_cascades(crashes)
+    lanes = format_lanes(events)
+    if lanes:
+        report += "\n\n" + lanes
     return report
 
 

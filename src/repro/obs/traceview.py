@@ -9,6 +9,12 @@ A run's task timeline is already in its event log
   recompute / undo);
 * an **ASCII Gantt strip** for terminal inspection of who ran when.
 
+Both draw the tasks a live coordinator ran itself (``worker`` =
+:data:`~repro.obs.events.COORDINATOR_WORKER`: local tasks on the process
+and distributed back-ends) in one ``coordinator`` lane of their own
+instead of their kinds' lanes, so the chart shows what the coordinator
+was busy with and when.
+
 Task spans join three events by task name: ``task_spawn`` (kind,
 speculative) → ``task_dispatch`` (start, worker) → ``task_done`` |
 ``task_abort`` (end). Timestamps are the executor clock — virtual µs on
@@ -34,7 +40,7 @@ import json
 from typing import Any, Iterable, Iterator, NamedTuple
 
 from repro.errors import ObservabilityError
-from repro.obs.events import EventLog
+from repro.obs.events import COORDINATOR_WORKER, EventLog
 
 __all__ = ["run_events", "to_chrome_trace", "spans_to_chrome_trace",
            "ascii_gantt"]
@@ -48,6 +54,9 @@ _INSTANTS = {"spec_predict": "speculate", "check_pass": "check_pass",
 #: envelope fields that do not become an instant's Chrome ``args``.
 _ENVELOPE = ("run_id", "kind", "t")
 
+#: the lane of the tasks a live coordinator ran itself
+COORDINATOR_LANE = "coordinator"
+
 
 class _TaskSpan(NamedTuple):
     name: str
@@ -57,6 +66,11 @@ class _TaskSpan(NamedTuple):
     end: float
     aborted: bool
     worker: Any
+
+    @property
+    def lane(self) -> str:
+        """The coordinator lane, or the task kind's."""
+        return COORDINATOR_LANE if self.worker == COORDINATOR_WORKER else self.kind
 
 
 def run_events(log: EventLog | Iterable[dict] | None) -> list[dict[str, Any]]:
@@ -89,9 +103,8 @@ def _task_spans(events: Iterable[dict[str, Any]]) -> Iterator[_TaskSpan]:
     A task that ends without a ``task_dispatch`` — reaped from a ready
     queue, or aborted after it had already completed — yields a
     zero-width span at its end time, so aborted work stays visible. The
-    worker is the one ``task_done`` names when it names one: a payload
-    stolen after dispatch finishes on the thief, not the seat it was
-    dispatched to.
+    worker is the one ``task_done`` names when it names one, else the
+    one ``task_dispatch`` named.
     """
     spawned: dict[str, dict[str, Any]] = {}
     started: dict[str, dict[str, Any]] = {}
@@ -151,7 +164,7 @@ def to_chrome_trace(log: EventLog | Iterable[dict] | None) -> str:
             "ts": span.start,
             "dur": max(span.end - span.start, 0.001),
             "pid": 1,
-            "tid": span.kind,
+            "tid": span.lane,
             "args": args,
         })
     for name, event in _instants(events):
@@ -216,7 +229,9 @@ def ascii_gantt(
 
     Lanes aggregate all tasks of a kind (the paper's pipelines run hundreds
     of tasks per kind — per-task lanes would be unreadable); a column is
-    busy if *any* task of that kind ran during it.
+    busy if *any* task of that kind ran during it. Tasks the coordinator
+    ran itself share the ``coordinator`` lane; ``kinds`` still filters
+    them by kind.
     """
     spans = list(_task_spans(run_events(log)))
     if not spans:
@@ -227,7 +242,7 @@ def ascii_gantt(
     for span in spans:
         if wanted is not None and span.kind not in wanted:
             continue
-        lane = lanes.setdefault(span.kind, [" "] * width)
+        lane = lanes.setdefault(span.lane, [" "] * width)
         c0 = min(width - 1, int(span.start / t_end * width))
         c1 = min(width - 1, int(span.end / t_end * width))
         mark = "!" if span.aborted else "#"

@@ -22,6 +22,14 @@ execution substrate through a few hooks:
   resources (worker processes, pipes) up and down around the coordinator
   threads.
 
+A back-end whose seats pay a trip to another address space sets
+:attr:`LiveExecutor.RUNS_LOCAL`: ready local tasks (``Task.local`` —
+control tasks and cheap serial-chain links such as Huffman's reduce,
+offset and tree tasks) then bypass the seats entirely. The thread whose
+completion made them ready runs them, one after another, under the
+worker id :data:`~repro.obs.events.COORDINATOR_WORKER` — so a serial
+chain never waits behind a worker's pipe window.
+
 Every runtime decision — dispatch policy, speculation, rollback — happens
 on the coordinator under one lock, whatever the substrate. Task failures
 never kill a coordinator thread: the failing task is reaped like a
@@ -36,6 +44,7 @@ import time
 from typing import Any
 
 from repro.errors import SchedulingError, TaskExecutionError
+from repro.obs.events import COORDINATOR_WORKER
 from repro.sre.policies import DispatchPolicy, get_policy
 from repro.sre.runtime import Runtime
 from repro.sre.task import Task
@@ -72,6 +81,10 @@ class LiveExecutor:
     #: shutdown is prompt even if a notify is missed.
     POLL_S = 0.02
 
+    #: True: ready local tasks run on the coordinator (see the module
+    #: docstring) instead of entering the seats' ready queues.
+    RUNS_LOCAL = False
+
     def __init__(
         self,
         runtime: Runtime,
@@ -93,6 +106,10 @@ class LiveExecutor:
         self._input_open = True
         self._started = False
         self._errors: list[TaskExecutionError] = []
+        #: a thread is running the local queue (lock-protected)
+        self._draining = False
+        if self.RUNS_LOCAL:
+            runtime.use_local_queue()
         self._t0 = time.perf_counter()
         runtime.set_clock(self._clock)
         runtime.add_ready_listener(self._on_ready)
@@ -136,6 +153,7 @@ class LiveExecutor:
             )
             self._threads.append(t)
             t.start()
+        self._drain_local()  # local tasks made ready before start
 
     def deliver(self, task: Task, port: str, value: Any) -> None:
         """Thread-safe external input injection.
@@ -150,11 +168,14 @@ class LiveExecutor:
                     f"delivery to task {task.name!r} after close_input()"
                 )
             self.runtime.deliver_external(task, port, value)
+        self._drain_local()
 
     def submit(self, fn, *args, **kwargs):
         """Run a runtime-mutating callable under the executor lock."""
         with self._cond:
-            return fn(*args, **kwargs)
+            result = fn(*args, **kwargs)
+        self._drain_local()
+        return result
 
     def close_input(self) -> None:
         """Declare that no further external inputs will arrive."""
@@ -175,6 +196,7 @@ class LiveExecutor:
                     and self._inflight == 0
                     and not self.runtime.natural_queue
                     and not self.runtime.speculative_queue
+                    and not self.runtime.local_queue
                 )
                 if idle:
                     return True
@@ -232,13 +254,19 @@ class LiveExecutor:
         Computed from per-task start/finish stamps on the executor clock:
         ``sum(task occupancy) / (elapsed µs × workers)``. For the process
         back-end "on tasks" includes the coordinator thread's wait on its
-        worker's pipe — occupancy, not CPU time.
+        worker's pipe — occupancy, not CPU time. The coordinator lane does
+        not count: on a ``RUNS_LOCAL`` back-end the local tasks it ran are
+        left out of the sum, as the coordinator is not one of the
+        ``workers``.
         """
         now = self.now
         if now <= 0:
             return 0.0
         busy = 0.0
+        coordinator_ran = self.runtime.local_queue is not None
         for t in self.runtime.graph.tasks():
+            if coordinator_ran and t.local:
+                continue
             if t.start_time is not None and t.finish_time is not None:
                 busy += t.finish_time - t.start_time
         return busy / (now * self.n_workers)
@@ -257,6 +285,10 @@ class LiveExecutor:
 
     def _note_complete(self, wid: int, task: Task) -> None:
         """Called under the lock when worker ``wid`` finishes ``task``."""
+
+    def _run_inline(self, task: Task) -> dict[str, Any]:
+        """Run a task body on the coordinator, outside the lock."""
+        return task.run()
 
     def _execute(self, wid: int, task: Task) -> dict[str, Any]:
         """Run one task's function and return its normalised outputs.
@@ -316,6 +348,55 @@ class LiveExecutor:
                     self.runtime.abort_dependents([task], include_roots=False)
                 self._errors.append(TaskExecutionError(task.name, failure))
             self._cond.notify_all()
+        self._drain_local()
+
+    def _drain_local(self) -> None:
+        """Run every ready local task on this thread, one at a time.
+
+        Called by whichever thread may just have made tasks ready: one
+        finishing a dispatch, or ``submit`` / ``deliver`` / ``start``.
+        Each body runs outside the lock and completes through
+        :meth:`_finish_dispatch` under :data:`COORDINATOR_WORKER`. A
+        completion that readies further local tasks does not recurse —
+        the call finds this thread draining and returns, and the loop
+        picks them up. One thread drains at a time; the drainer finds
+        the queue empty and stops draining in one critical section, so a
+        task another thread readies meanwhile is never stranded.
+        """
+        queue = self.runtime.local_queue
+        if not queue:  # None (not opted in) or empty: the common case
+            return
+        with self._cond:
+            if self._draining:
+                return
+            self._draining = True
+        while True:
+            with self._cond:
+                task = queue.pop()
+                if task is None:
+                    self._draining = False
+                    return
+                self._begin_dispatch(COORDINATOR_WORKER, task)
+            try:
+                self._run_here(COORDINATOR_WORKER, task)
+            except BaseException:
+                with self._cond:
+                    self._draining = False
+                raise
+
+    def _run_here(self, wid: int, task: Task) -> None:
+        """Run a claimed task's body on this thread and complete it as
+        worker ``wid``; an aborted task is reaped without running."""
+        failure: BaseException | None = None
+        outputs: dict[str, Any] = {}
+        t0 = self._clock()
+        if not task.abort_requested:
+            try:
+                outputs = self._run_inline(task)
+            except Exception as exc:
+                failure = exc
+        self._finish_dispatch(wid, task, outputs, failure,
+                              wall_us=self._clock() - t0)
 
     # ------------------------------------------------------------------
     # coordinator worker loop

@@ -40,15 +40,21 @@ Two transport refinements keep the pipe off the critical path:
   rest of the work waits in the ready queues for whichever seat frees
   first — the paper's Cell multiple buffer, one window deep.
 
-Three classes of task never leave the coordinator:
+Not every task ships. The coordinator runs two kinds itself:
 
-* **control tasks** (predict / verify / check) — tiny and latency-critical,
-  they run inline, as the Cell PPE runs control code;
-* **unpicklable payloads** (closures over coordinator state) — run inline
-  rather than failing, so pipelines mixing shippable kernels with
-  closure-based glue work unmodified;
-* tasks whose payload footprint exceeds the budget — these *fail*
-  (configuration error), matching the local-store discipline.
+* **local tasks** (``Task.local``: control tasks — predict / verify /
+  check — and cheap serial-chain links such as Huffman's reduce, offset
+  and tree tasks) never enter a seat's queue. The thread that makes one
+  ready runs it at once (:class:`~repro.sre.executor_base.LiveExecutor`),
+  as the Cell PPE runs control code, so a serial chain or a check never
+  waits behind a worker's pipe window — the paper's "highest priority,
+  no matter where they are located in the pipeline";
+* **unpicklable payloads** (closures over coordinator state) that a seat
+  claims run inline rather than failing, so pipelines mixing shippable
+  kernels with closure-based glue work unmodified.
+
+A task whose payload footprint exceeds the budget *fails* (configuration
+error), matching the local-store discipline.
 
 Abort flags cross the process boundary through a shared byte array: when a
 RUNNING task is flagged, the coordinator raises its worker's flag; a worker
@@ -81,6 +87,15 @@ instead of retrying forever. A worker slot whose respawn budget runs out
 completes. Deterministic chaos for all of this comes from
 :mod:`repro.testing.faults` (``repro run --fault kill@3``).
 
+**Closing.** A worker lost while the supervisor is *closing* — inside
+:meth:`WorkerSupervisor.stop`, or once the interpreter has begun to exit
+— is a clean stop: no ``worker_crash``, no respawn, no fork. The
+supervisor learns of interpreter exit from an ``atexit`` hook registered
+in :meth:`WorkerSupervisor.start`; ``atexit`` runs hooks last-in,
+first-out, so it runs before multiprocessing's own hook terminates the
+daemonic workers, and a replacement forked at exit can never outlive
+the program.
+
 The supervisor is the runtime's one seat state machine, and it does not
 care what a seat is: it drives seats through a **link**. The
 :class:`PipeLink` here forks worker processes on pipes; the distributed
@@ -91,6 +106,7 @@ check, the same respawn/degrade ladder and the same ``worker_*`` events.
 
 from __future__ import annotations
 
+import atexit
 import multiprocessing
 import multiprocessing.connection
 import pickle
@@ -109,7 +125,7 @@ from repro.errors import (
     TransportError,
     WorkerLost,
 )
-from repro.obs.events import EventLog
+from repro.obs.events import COORDINATOR_WORKER, EventLog
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import parse_traceparent
 from repro.sre import shm
@@ -687,6 +703,10 @@ class WorkerSupervisor:
         self.max_respawns = max_respawns
         self.harvest_timeout_s = harvest_timeout_s
         self._slots = [_Slot(wid) for wid in range(workers)]
+        #: True once stop() or interpreter exit began; guarded by
+        #: _open_lock so no seat opens (forks) after it turns True.
+        self.closing = False
+        self._open_lock = threading.Lock()
         link.bind(self)
         self.abort_flags = link.abort_flags
         self._bind_runtime(runtime)
@@ -727,6 +747,14 @@ class WorkerSupervisor:
             refused = self._open(seat)
             if refused:
                 self._degrade(seat, refused)
+        # Registered after multiprocessing's exit hook, so it runs first.
+        atexit.register(self.close)
+
+    def close(self) -> None:
+        """Enter the closing state: from now on a lost worker is a clean
+        stop, and no seat is ever reopened."""
+        with self._open_lock:
+            self.closing = True
 
     def alive(self, wid: int) -> bool:
         """True while seat ``wid`` has (or may get) a worker."""
@@ -788,6 +816,11 @@ class WorkerSupervisor:
         return status, payload
 
     # -- failure handling ----------------------------------------------
+    def stop_seat(self, wid: int) -> None:
+        """Close seat ``wid`` after a loss seen while :attr:`closing`: a
+        clean stop, so nothing is counted or recorded as a crash."""
+        self.link.close(self._slots[wid])
+
     def note_lost(self, wid: int, lost: WorkerLost,
                   inflight: list[str]) -> int:
         """Account a worker failure and close its seat.
@@ -815,7 +848,8 @@ class WorkerSupervisor:
 
         Returns False — and degrades the seat to coordinator-inline
         execution — when the respawn budget is exhausted, the link is
-        lost, or the link refuses or fails to open the seat. Emits
+        lost, or the link refuses or fails to open the seat; returns
+        False and leaves the seat closed while :attr:`closing`. Emits
         ``worker_respawn`` / ``worker_degraded`` under whatever cause
         scope the caller holds (the crash event).
         """
@@ -828,11 +862,14 @@ class WorkerSupervisor:
         if self.link.lost:
             self._degrade(seat, self.link.lost)
             return False
-        seat.respawns += 1
-        try:
-            refused = self._open(seat)
-        except (OSError, TransportError) as exc:
-            refused = f"respawn failed: {exc}"
+        with self._open_lock:
+            if self.closing:
+                return False
+            seat.respawns += 1
+            try:
+                refused = self._open(seat)
+            except (OSError, TransportError) as exc:
+                refused = f"respawn failed: {exc}"
         if refused:
             self._degrade(seat, refused)
             return False
@@ -877,6 +914,8 @@ class WorkerSupervisor:
         ``runtime.events`` with fresh coordinator seqs (cross-process
         aggregation), then every seat is closed.
         """
+        atexit.unregister(self.close)
+        self.close()
         self.link.harvest(self._slots, final=True)
         for seat in self._slots:
             self.link.close(seat, grace_s=5.0)
@@ -923,6 +962,8 @@ class ProcessExecutor(LiveExecutor):
             ``harvest_timeout_s`` are the supervisor's own (per-lane)
             settings, not per-job ones.
     """
+
+    RUNS_LOCAL = True
 
     def __init__(
         self,
@@ -995,7 +1036,8 @@ class ProcessExecutor(LiveExecutor):
             "procs_tasks_shipped", "task payloads shipped to worker processes")
         self._m_inline = m.counter(
             "procs_tasks_inline",
-            "tasks run inline on the coordinator (control/unpicklable)")
+            "tasks run on the coordinator instead of a worker (local tasks, "
+            "unpicklable payloads, and work of a degraded seat)")
         self._m_payload_bytes = m.counter(
             "procs_payload_bytes", "serialized payload bytes sent to workers")
         self._m_bytes_avoided = m.counter(
@@ -1073,6 +1115,8 @@ class ProcessExecutor(LiveExecutor):
                 self._abort_flags[wid] = 1
 
     def _note_dispatch(self, wid: int, task: Task) -> None:
+        if wid == COORDINATOR_WORKER:
+            return  # no worker address space to relay a flag to
         current = self._current[wid]
         current.append(task)
         if not any(t.abort_requested for t in current):
@@ -1082,6 +1126,8 @@ class ProcessExecutor(LiveExecutor):
             self._abort_flags[wid] = 0
 
     def _note_complete(self, wid: int, task: Task) -> None:
+        if wid == COORDINATOR_WORKER:
+            return
         current = self._current[wid]
         try:
             current.remove(task)
@@ -1094,8 +1140,6 @@ class ProcessExecutor(LiveExecutor):
     # execution
     # ------------------------------------------------------------------
     def _serialize_or_none(self, task: Task) -> bytes | None:
-        if task.control:
-            return None
         try:
             return task.serialize_payload()
         except TaskStateError:
@@ -1143,8 +1187,8 @@ class ProcessExecutor(LiveExecutor):
         ever serialising work an idle seat could overlap. Every shippable
         claim ships in this same cycle (a payload over ``batch_bytes``
         in a message of its own), so nothing claimed ever waits outside
-        a worker's pipe. Control/unpicklable extras are returned for
-        inline execution; budget violators are returned as failures.
+        a worker's pipe. Aborted and unpicklable extras are returned for
+        inline resolution; budget violators are returned as failures.
         """
         shippable: list[tuple[Task, bytes]] = []
         inline: list[Task] = []
@@ -1162,7 +1206,7 @@ class ProcessExecutor(LiveExecutor):
             if not extra.abort_requested:
                 blob = self._serialize_or_none(extra)
             if blob is None:
-                inline.append(extra)  # aborted, control or unpicklable
+                inline.append(extra)  # aborted or unpicklable
                 continue
             try:
                 self._check_budget(extra, blob)
@@ -1171,18 +1215,6 @@ class ProcessExecutor(LiveExecutor):
                 continue
             shippable.append((extra, blob))
         return shippable, inline, failed
-
-    def _finish_inline_extra(self, wid: int, extra: Task) -> None:
-        failure: BaseException | None = None
-        outputs: dict[str, Any] = {}
-        t0 = self._clock()
-        if not extra.abort_requested:
-            try:
-                outputs = self._run_inline(extra)
-            except Exception as exc:
-                failure = exc
-        self._finish_dispatch(wid, extra, outputs, failure,
-                              wall_us=self._clock() - t0)
 
     def _rerun_or_reap(self, task: Task) -> tuple[dict[str, Any], BaseException | None]:
         """Resolve a ``_SKIPPED``/``_GONE`` reply for one batch member.
@@ -1338,6 +1370,14 @@ class ProcessExecutor(LiveExecutor):
         """
         pending = list(fifo)
         fifo.clear()
+        if self.supervisor.closing:
+            # Shutdown ended the worker: a clean stop. Nothing pending is
+            # re-run, and no seat claims more work.
+            self.supervisor.stop_seat(wid)
+            with self._cond:
+                self._stop = True
+                self._cond.notify_all()
+            return
         crash_seq = self._handle_worker_lost(
             wid, lost, [t for t, _b, _ts in pending])
         with self.runtime.events.cause(crash_seq):
@@ -1371,16 +1411,14 @@ class ProcessExecutor(LiveExecutor):
     def _run_primary(self, wid: int, task: Task) -> None:
         """Resolve a task popped straight off the ready queues.
 
-        Control tasks and closure-captured payloads run inline on the
-        coordinator (see the module docstring); budget violators fail;
-        everything else enters the streaming dispatch path.
+        Closure-captured payloads run inline on the coordinator (see the
+        module docstring); budget violators fail; everything else enters
+        the streaming dispatch path.
         """
         t0 = self._clock()
-        if task.abort_requested:
-            self._finish_dispatch(wid, task, {}, None,
-                                  wall_us=self._clock() - t0)
-            return
-        blob = self._serialize_or_none(task)
+        blob = None
+        if not task.abort_requested:
+            blob = self._serialize_or_none(task)
         if blob is not None:
             try:
                 self._check_budget(task, blob)
@@ -1389,14 +1427,7 @@ class ProcessExecutor(LiveExecutor):
                                       wall_us=self._clock() - t0)
                 return
         if blob is None or not self.supervisor.alive(wid):
-            outputs: dict[str, Any] = {}
-            failure: BaseException | None = None
-            try:
-                outputs = self._run_inline(task)
-            except Exception as exc:
-                failure = exc
-            self._finish_dispatch(wid, task, outputs, failure,
-                                  wall_us=self._clock() - t0)
+            self._run_here(wid, task)  # aborted, unpicklable or degraded
             return
         self._run_stream(wid, (task, blob))
 
@@ -1421,13 +1452,11 @@ class ProcessExecutor(LiveExecutor):
                 shippable, inline_extras, failed_extras = \
                     self._take_extras(wid)
             window.extend(shippable)
-        # Claims that cannot ship resolve on the coordinator first: a
-        # check among them may roll back window-mates, which are then
-        # reaped here instead of computed by the worker.
+        # Claims that cannot ship resolve on the coordinator first.
         for extra, exc in failed_extras:
             self._finish_dispatch(wid, extra, {}, exc)
         for extra in inline_extras:
-            self._finish_inline_extra(wid, extra)
+            self._run_here(wid, extra)
         fifo: deque[tuple[Task, bytes, float]] = deque()  # in-pipe window
         chunk: list[tuple[Task, bytes]] = []
         for task, blob in window:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Iterator
+from typing import Callable, Iterator
 
 from repro.sre.task import Task, TaskState
 
@@ -65,6 +65,22 @@ class ReadyQueue:
         if task.in_ready_queue:
             task.in_ready_queue = False
             self._live -= 1
+
+    def extract(self, pred: Callable[[Task], bool]) -> list[Task]:
+        """Remove and return the queued tasks matching ``pred``, in
+        dispatch order."""
+        taken: list[Task] = []
+        kept = []
+        for entry in sorted(self._heap, key=lambda e: e[0]):
+            task = entry[1]
+            if task.state is TaskState.READY and pred(task):
+                task.in_ready_queue = False
+                self._live -= 1
+                taken.append(task)
+            else:
+                kept.append(entry)
+        self._heap = kept  # a sorted list is a heap
+        return taken
 
     def _skim(self) -> None:
         while self._heap and self._heap[0][1].state is not TaskState.READY:

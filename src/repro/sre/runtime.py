@@ -12,6 +12,12 @@ Key behaviours:
   completion hooks; connecting a consumer to an already-finished producer
   delivers the buffered value immediately (the DFG is a snapshot of dynamic
   execution, §II-A).
+* **Local tasks** — an executor that runs cheap serial-chain tasks on its
+  coordinator (:attr:`Task.local <repro.sre.task.Task.local>`) opts in
+  with :meth:`Runtime.use_local_queue`; ready local tasks then wait in a
+  third queue it drains itself, never in the queues its workers claim
+  from. Executors that do not opt in see one natural and one speculative
+  queue, exactly as before.
 * **Abort flags** — aborting a READY task removes it from its queue;
   aborting a RUNNING task only flags it, and the executor discards its
   results on completion (§III-B).
@@ -66,6 +72,8 @@ class Runtime:
         self.memory = MemoryLedger() if track_memory else None
         self.natural_queue = ReadyQueue(depth_first=depth_first, control_first=control_first)
         self.speculative_queue = ReadyQueue(depth_first=depth_first, control_first=control_first)
+        #: ready local tasks, once an executor opted in (use_local_queue)
+        self.local_queue: ReadyQueue | None = None
         self.root = SuperTask("root")
         self._clock: Callable[[], float] = lambda: 0.0
         self._ready_listeners: list[Callable[[Task], None]] = []
@@ -127,6 +135,24 @@ class Runtime:
     @property
     def now(self) -> float:
         return self._clock()
+
+    def use_local_queue(self) -> ReadyQueue:
+        """Route ready local tasks to a queue of their own (idempotent).
+
+        Called by an executor that runs local tasks on its coordinator.
+        Local tasks already waiting in the natural or speculative queue
+        move over, so from here on every ready local task is in
+        :attr:`local_queue` — which is where an abort looks for it.
+        """
+        if self.local_queue is None:
+            nat = self.natural_queue
+            self.local_queue = ReadyQueue(depth_first=nat.depth_first,
+                                          control_first=nat.control_first)
+            for queue in (nat, self.speculative_queue):
+                for task in queue.extract(lambda t: t.local):
+                    self.local_queue.push(task)
+            self._note_queue_depth()
+        return self.local_queue
 
     def add_ready_listener(self, fn: Callable[[Task], None]) -> None:
         """Executor hook: called whenever a task enters a ready queue."""
@@ -200,10 +226,14 @@ class Runtime:
         if task.deliver(port, value):
             self._make_ready(task)
 
+    def _queue_for(self, task: Task) -> ReadyQueue:
+        if self.local_queue is not None and task.local:
+            return self.local_queue
+        return self.speculative_queue if task.speculative else self.natural_queue
+
     def _make_ready(self, task: Task) -> None:
         task.mark_ready(self.now)
-        queue = self.speculative_queue if task.speculative else self.natural_queue
-        queue.push(task)
+        self._queue_for(task).push(task)
         self._m_ready.inc()
         self._note_queue_depth()
         self.events.emit("task_ready", task=task.name,
@@ -365,8 +395,7 @@ class Runtime:
         reaped = task.request_abort()
         if reaped:
             if was_ready:
-                queue = self.speculative_queue if task.speculative else self.natural_queue
-                queue.discard_aborted(task)
+                self._queue_for(task).discard_aborted(task)
                 self._note_queue_depth()
             self.tasks_aborted += 1
             if task.speculative:

@@ -72,6 +72,12 @@ class Task:
         speculative: True for tasks operating on speculated data.
         control: True for predict/verify/check tasks, which the scheduler
             always dispatches first regardless of depth (paper §III-A).
+        local: True for a task on a serial chain whose body costs less
+            than a trip to a worker (reduce, offset and tree links). A live
+            executor that supports it runs the body on its coordinator the
+            moment the task is ready, instead of queueing it for a worker;
+            the simulated and threaded executors ignore the flag. Control
+            tasks are local by definition (see :attr:`local`).
         side_effect_free: tasks with side effects must never be speculative —
             *unless* they provide an ``undo`` routine (the paper's §II
             extension: "our framework can be extended to support
@@ -92,6 +98,7 @@ class Task:
         "depth",
         "speculative",
         "control",
+        "_local",
         "side_effect_free",
         "cost_hint",
         "tags",
@@ -122,6 +129,7 @@ class Task:
         depth: int = 0,
         speculative: bool = False,
         control: bool = False,
+        local: bool = False,
         side_effect_free: bool = True,
         undo: Callable[["Task"], None] | None = None,
         cost_hint: Mapping[str, float] | None = None,
@@ -139,6 +147,7 @@ class Task:
         self.depth = depth
         self.speculative = speculative
         self.control = control
+        self._local = local
         self.side_effect_free = side_effect_free
         self.cost_hint = dict(cost_hint or {})
         self.tags = dict(tags or {})
@@ -165,6 +174,12 @@ class Task:
         #: was RUNNING; the reap path stamps it as the abort event's cause.
         self.abort_cause: int | None = None
         self._payload_blob: bytes | None = None
+
+    @property
+    def local(self) -> bool:
+        """True when a live executor should run this task on its
+        coordinator: it was built ``local``, or it is a control task."""
+        return self._local or self.control
 
     # ------------------------------------------------------------------
     # input delivery

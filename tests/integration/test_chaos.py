@@ -33,13 +33,14 @@ pytestmark = pytest.mark.slow
 _N_BLOCKS = 16
 _BLOCK = 4096
 
-#: A one-worker speculative 24-block run: count → reduce → reduce →
-#: offset → encode is a dependency chain, so slot 0 receives at least five
-#: pipe messages in sequence and ``kill@3`` fires on every run, however
-#: few region tasks the live pipeline spawns.
+#: A one-worker speculative 24-block run. Only count and encode regions
+#: ship (reduce, tree and offset run on the coordinator), and every encode
+#: depends on the first count region through that chain, so slot 0
+#: receives at least two pipe messages in sequence — the counts, then the
+#: encodes — and ``kill@2`` fires on every run, however the counts batch.
 _KILLED_RUN = dict(workload="txt", n_blocks=24, seed=3, executor="procs",
                    transport="shm", workers=1, feed_gap_s=0.0005,
-                   fault_plan="kill@3")
+                   fault_plan="kill@2")
 
 
 def _my_shm_names():

@@ -95,11 +95,13 @@ def test_replay_procs_shm(tmp_path):
 @pytest.mark.procs
 @pytest.mark.slow
 def test_replay_chaos_kill_reproduces_crash_cascade(tmp_path):
-    # One worker: the count → reduce → offset → encode chain sends slot 0
-    # at least five messages in sequence, so kill@3 fires on every run.
+    # One worker: every encode depends on the first count region through
+    # the reduce → tree → offset chain (run on the coordinator), so slot 0
+    # gets the counts and then the encodes in at least two messages in
+    # sequence, and kill@2 fires on every run.
     path, report = _record(tmp_path, name="chaos.events.jsonl",
                            executor="procs", transport="shm", workers=1,
-                           fault_plan="kill@3")
+                           fault_plan="kill@2")
     kinds = [e["kind"] for e in report.events.events()]
     assert "worker_crash" in kinds
     assert "worker_respawn" in kinds

@@ -9,7 +9,7 @@ from repro.errors import ObservabilityError
 from repro.experiments.config import RunConfig
 from repro.experiments.fig4 import first_spec_dispatch
 from repro.experiments.runner import run_huffman
-from repro.obs.events import EventLog, load_events_jsonl
+from repro.obs.events import COORDINATOR_WORKER, EventLog, load_events_jsonl
 from repro.obs.traceview import ascii_gantt, to_chrome_trace
 
 
@@ -67,6 +67,32 @@ def test_ascii_gantt_lanes_and_marks():
     assert any(l.strip().startswith("encode") for l in lines)
     encode_line = next(l for l in lines if "encode" in l)
     assert "!" in encode_line  # aborted work marked
+
+
+def _trace_with_coordinator() -> EventLog:
+    return _log(
+        (0.0, "task_spawn", dict(task="count:0", task_kind="count")),
+        (0.0, "task_spawn", dict(task="reduce:0", task_kind="reduce")),
+        (0.0, "task_dispatch", dict(task="count:0", worker=0)),
+        (10.0, "task_done", dict(task="count:0", worker=0)),
+        (10.0, "task_dispatch", dict(task="reduce:0", worker=COORDINATOR_WORKER)),
+        (12.0, "task_done", dict(task="reduce:0", worker=COORDINATOR_WORKER)),
+    )
+
+
+def test_coordinator_tasks_get_their_own_lane():
+    spans, _ = _x_and_instants(_trace_with_coordinator())
+    lanes = {e["name"]: e["tid"] for e in spans}
+    assert lanes == {"count:0": "count", "reduce:0": "coordinator"}
+    reduce = next(e for e in spans if e["name"] == "reduce:0")
+    assert reduce["cat"] == "reduce"
+    assert reduce["args"]["worker"] == COORDINATOR_WORKER
+    text = ascii_gantt(_trace_with_coordinator(), width=24)
+    rows = [line.split("|")[0].strip() for line in text.splitlines()[1:]]
+    assert rows == ["coordinator", "count"]
+    # the kind filter still selects by kind
+    only = ascii_gantt(_trace_with_coordinator(), width=24, kinds=["count"])
+    assert "coordinator" not in only
 
 
 def test_ascii_gantt_kind_filter():

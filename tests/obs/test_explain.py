@@ -1,6 +1,8 @@
 """Unit tests for rollback-cascade reconstruction (`repro explain`)."""
 
-from repro.obs.explain import build_cascades, explain_events, explain_path
+from repro.obs.events import COORDINATOR_WORKER
+from repro.obs.explain import (build_cascades, explain_events, explain_path,
+                               format_lanes)
 
 
 def _cascade_events(version=1, run_id="r1"):
@@ -167,3 +169,31 @@ def test_explain_renders_crash_section_after_rollbacks():
 def test_explain_without_crashes_has_no_crash_section():
     text = explain_events(_cascade_events())
     assert "worker-crash" not in text
+
+
+def _lane_events():
+    return [
+        {"seq": 1, "kind": "task_spawn", "task": "count:0", "task_kind": "count"},
+        {"seq": 2, "kind": "task_spawn", "task": "reduce:0", "task_kind": "reduce"},
+        {"seq": 3, "kind": "task_spawn", "task": "h:check:u1:v1", "task_kind": "check"},
+        {"seq": 4, "kind": "task_done", "task": "count:0", "worker": 0, "dur_us": 4000.0},
+        {"seq": 5, "kind": "task_done", "task": "reduce:0",
+         "worker": COORDINATOR_WORKER, "dur_us": 150.0},
+        {"seq": 6, "kind": "task_done", "task": "h:check:u1:v1",
+         "worker": COORDINATOR_WORKER, "dur_us": 50.0},
+    ]
+
+
+def test_explain_ends_with_the_coordinator_lane():
+    text = explain_events(_lane_events())
+    lanes = text.split("task lanes\n", 1)[1].splitlines()
+    assert lanes[0].split() == ["worker", "0", "1", "task(s)", "4.0", "ms",
+                                "busy", "(count", "1)"]
+    assert lanes[1].split()[:5] == ["coordinator", "2", "task(s)", "0.2", "ms"]
+    assert lanes[1].endswith("(check 1 · reduce 1)")
+
+
+def test_explain_without_coordinator_tasks_has_no_lane_section():
+    events = [e for e in _lane_events() if e.get("worker") != COORDINATOR_WORKER]
+    assert format_lanes(events) == ""
+    assert "task lanes" not in explain_events(_cascade_events())
