@@ -32,7 +32,7 @@ from typing import Any
 from repro.core.decisions import DecisionSource, LiveDecisionSource
 from repro.core.rollback import RollbackEngine
 from repro.core.spec import SpecVersion, SpeculationSpec
-from repro.core.stats import SpeculationStats
+from repro.core.stats import fold_speculation
 from repro.errors import SpeculationError
 from repro.sre.runtime import Runtime
 from repro.sre.task import Task
@@ -56,13 +56,14 @@ class SpeculationManager:
     default reproduces the spec's policies verbatim; the replay director
     substitutes a recorded schedule.
 
-    Accounting is double-entry by design: the per-run
-    :class:`~repro.core.stats.SpeculationStats` dataclass (returned in
-    every ``PipelineResult.spec_stats``) and the always-on registry
-    counters (``spec_speculations`` / ``spec_checks{verdict}`` /
-    ``spec_rollbacks`` / ``spec_commits`` / ``spec_recomputes``) are
-    incremented at the same sites; the integration suite asserts they
-    agree, so exporter output can be trusted to match the figures.
+    Accounting has one write per fact: the event. Each speculation
+    event carries ``domain`` (the spec's name), and the per-run
+    :class:`~repro.core.stats.SpeculationStats` (returned in every
+    ``PipelineResult.spec_stats``), the always-on registry series
+    (``spec_speculations`` / ``spec_checks{verdict}`` / ``spec_rollbacks``
+    / ``spec_commits`` / ``spec_recomputes`` / ...) and the rollback
+    engine's tallies are folds over this domain's events — derived, so
+    exporter output matches the figures by construction.
     """
 
     def __init__(
@@ -85,33 +86,8 @@ class SpeculationManager:
             else getattr(runtime, "decisions", None) or LiveDecisionSource(spec)
         )
         self.decisions.bind(self)
-        self.engine = RollbackEngine(runtime, spec.barrier)
-        self.stats = SpeculationStats()
-        m = runtime.metrics
-        self._m_speculations = m.counter(
-            "spec_speculations", "speculation versions launched")
-        checks = m.counter(
-            "spec_checks", "verification checks completed",
-            labelnames=("verdict",))
-        self._m_check_pass = checks.labels(verdict="pass")
-        self._m_check_fail = checks.labels(verdict="fail")
-        self._m_stale = m.counter(
-            "spec_stale_verdicts", "check verdicts that arrived after "
-            "their version was already dead or the run finalized")
-        self._m_rollbacks = m.counter(
-            "spec_rollbacks", "speculation versions rolled back")
-        self._m_commits = m.counter(
-            "spec_commits", "speculation versions committed")
-        self._m_recomputes = m.counter(
-            "spec_recomputes", "failed final checks → non-speculative redo")
-        self._m_check_error = m.histogram(
-            "spec_check_error", "relative error measured by each check",
-            buckets=(1e-4, 5e-4, 1e-3, 5e-3, 0.01, 0.02, 0.05, 0.1,
-                     0.25, 0.5, 1.0))
-        self._m_version_us = m.histogram(
-            "spec_version_us",
-            "speculation version lifetime µs, birth → commit/rollback",
-            labelnames=("outcome",))
+        self.engine = RollbackEngine(runtime, spec.barrier, domain=spec.name)
+        self.stats = fold_speculation(runtime.events, runtime.metrics, spec.name)
         self.versions: list[SpecVersion] = []
         self.active_version: SpecVersion | None = None
         self.final_value: Any = None
@@ -185,20 +161,18 @@ class SpeculationManager:
         version = SpecVersion(self._next_vid(), index, self.runtime.now)
         self.versions.append(version)
         self.active_version = version
-        self.stats.speculations += 1
-        self._m_speculations.inc()
         if predicted is not None:
             # Re-speculation after a failed check: the candidate value was
             # already computed by the check's candidate task — reuse it. The
             # ambient cause scope (the failed check) makes this the
             # "rebuild" edge of the lineage graph.
             version.value = predicted
-            version.launch_seq = events.emit(
+            version.launch_seq = self._emit(
                 "spec_launch", version=version.vid, index=index, reused=True)
             with events.cause(version.launch_seq):
                 self.spec.launch(version)
             return
-        version.predict_seq = events.emit(
+        version.predict_seq = self._emit(
             "spec_predict", version=version.vid, index=index)
         ptask = self.spec.predictor(update_value, f"{self.spec.name}:predict:v{version.vid}")
         ptask.control = True
@@ -220,11 +194,10 @@ class SpeculationManager:
                 f"predictor task for v{version.vid} produced no 'out' port"
             )
         version.value = outputs["out"]
-        events = self.runtime.events
-        version.launch_seq = events.emit(
+        version.launch_seq = self._emit(
             "spec_launch", version=version.vid, cause=version.predict_seq,
             index=version.created_index)
-        with events.cause(version.launch_seq):
+        with self.runtime.events.cause(version.launch_seq):
             self.spec.launch(version)
 
     # ------------------------------------------------------------------
@@ -261,38 +234,32 @@ class SpeculationManager:
         self, version: SpecVersion, index: int, ref_value: Any, outs: dict[str, Any]
     ) -> None:
         error = outs["error"]
-        self.stats.checks += 1
-        self.stats.check_errors.append(error)
-        self._m_check_error.observe(error)
         if version is not self.active_version or not version.active or self.finalized:
-            self.stats.stale_verdicts += 1
-            self._m_stale.inc()
+            self._verdict("check_stale", version, error, index=index)
             return
-        events = self.runtime.events
-        margin = getattr(self.spec.tolerance, "margin", None)
         if self.decisions.accept(self, version, index, error):
-            self.stats.checks_passed += 1
-            self._m_check_pass.inc()
-            events.emit("check_pass", version=version.vid,
-                        cause=version.launch_seq, index=index, error=error,
-                        tolerance=margin)
+            self._verdict("check_pass", version, error, index=index)
             return
-        self.stats.checks_failed += 1
-        self._m_check_fail.inc()
-        fail_seq = events.emit(
-            "check_fail", version=version.vid, cause=version.launch_seq,
-            index=index, error=error, tolerance=margin)
-        with events.cause(fail_seq):
+        fail_seq = self._verdict("check_fail", version, error, index=index)
+        with self.runtime.events.cause(fail_seq):
             self._rollback(version)
             if self.decisions.respeculate_after_failure(self, version, index):
                 self._speculate(index, ref_value, predicted=outs["candidate"])
 
+    def _emit(self, kind: str, **data: Any) -> int:
+        """Emit one of this domain's speculation events (its ``domain`` is
+        what this manager's folds and its engine's select on)."""
+        return self.runtime.events.emit(kind, domain=self.spec.name, **data)
+
+    def _verdict(self, kind: str, version: SpecVersion, error: float,
+                 **data: Any) -> int:
+        """Emit one check verdict (``check_pass`` / ``_fail`` / ``_stale``)."""
+        margin = getattr(self.spec.tolerance, "margin", None)
+        return self._emit(kind, version=version.vid, cause=version.launch_seq,
+                          error=error, tolerance=margin, **data)
+
     def _rollback(self, version: SpecVersion) -> None:
         self.engine.rollback(version)
-        self.stats.rollbacks += 1
-        self._m_rollbacks.inc()
-        self._m_version_us.labels(outcome="rollback").observe(
-            self.runtime.now - version.created_at)
         self._had_rollback = True
         if self.active_version is version:
             self.active_version = None
@@ -339,31 +306,17 @@ class SpeculationManager:
 
     def _process_final_verdict(self, version: SpecVersion, outs: dict[str, Any]) -> None:
         error = outs["error"]
-        self.stats.checks += 1
-        self.stats.check_errors.append(error)
-        self._m_check_error.observe(error)
         if self.finalized:
-            self.stats.stale_verdicts += 1
-            self._m_stale.inc()
+            self._verdict("check_stale", version, error, final=True)
             return
-        events = self.runtime.events
-        margin = getattr(self.spec.tolerance, "margin", None)
         if version.active and self.decisions.accept(
                 self, version, None, error, final=True):
-            self.stats.checks_passed += 1
-            self._m_check_pass.inc()
-            pass_seq = events.emit(
-                "check_pass", version=version.vid, cause=version.launch_seq,
-                error=error, tolerance=margin, final=True)
-            with events.cause(pass_seq):
+            pass_seq = self._verdict("check_pass", version, error, final=True)
+            with self.runtime.events.cause(pass_seq):
                 self._commit(version)
             return
-        self.stats.checks_failed += 1
-        self._m_check_fail.inc()
-        fail_seq = events.emit(
-            "check_fail", version=version.vid, cause=version.launch_seq,
-            error=error, tolerance=margin, final=True)
-        with events.cause(fail_seq):
+        fail_seq = self._verdict("check_fail", version, error, final=True)
+        with self.runtime.events.cause(fail_seq):
             if version.active:
                 self._rollback(version)
             self._recompute()
@@ -372,26 +325,17 @@ class SpeculationManager:
         version.committed = True
         self.finalized = True
         self.outcome = "commit"
-        events = self.runtime.events
-        commit_seq = events.emit("spec_commit", version=version.vid,
-                                 lifetime_us=self.runtime.now - version.created_at)
-        with events.cause(commit_seq):
+        commit_seq = self._emit("spec_commit", version=version.vid,
+                                lifetime_us=self.runtime.now - version.created_at)
+        with self.runtime.events.cause(commit_seq):
             # The version's fate is decided: drop whatever it pinned (e.g.
             # shared-memory block refs acquired for its second-pass tasks).
             version.release_resources("commit")
-            self.stats.commits += 1
-            self._m_commits.inc()
-            self._m_version_us.labels(outcome="commit").observe(
-                self.runtime.now - version.created_at)
             if self.spec.barrier is not None:
                 self.spec.barrier.commit(version.vid, self.runtime.now)
 
     def _recompute(self) -> None:
         self.finalized = True
         self.outcome = "recompute"
-        self.stats.recomputes += 1
-        self._m_recomputes.inc()
-        events = self.runtime.events
-        rec_seq = events.emit("spec_recompute")
-        with events.cause(rec_seq):
+        with self.runtime.events.cause(self._emit("spec_recompute")):
             self.spec.recompute(self.final_value)

@@ -14,9 +14,10 @@ to register them.
 
 Every rollback emits one ``destroy_signal`` event and runs its fan-out
 (aborts, resource releases, buffer discards) inside that event's cause
-scope, so ``repro explain`` can reconstruct the cascade; its cost — tasks
-destroyed and wasted occupancy — is double-entered into the
-``spec_rollback_cost`` histogram so metrics and the event log agree.
+scope, so ``repro explain`` can reconstruct the cascade. Its cost (tasks
+destroyed, entries discarded, wasted occupancy) is written once, as the
+``rollback_done`` event; the engine's tallies and the
+``spec_rollback_cost`` histogram are folds over it.
 """
 
 from __future__ import annotations
@@ -31,11 +32,17 @@ __all__ = ["RollbackEngine"]
 
 
 class RollbackEngine:
-    """Destroys the footprint of a failed speculation version."""
+    """Destroys the footprint of a failed speculation version.
 
-    def __init__(self, runtime: Runtime, barrier: WaitBuffer | None = None) -> None:
+    Its tallies fold only the ``rollback_done`` events stamped with its
+    ``domain`` (the spec's name), so domains can share one runtime.
+    """
+
+    def __init__(self, runtime: Runtime, barrier: WaitBuffer | None = None,
+                 domain: str | None = None) -> None:
         self.runtime = runtime
         self.barrier = barrier
+        self.domain = domain
         self.rollbacks = 0
         self.tasks_destroyed = 0
         self.buffer_entries_discarded = 0
@@ -48,8 +55,20 @@ class RollbackEngine:
             "measure=wasted_us (occupancy sunk into started tasks)",
             labelnames=("measure",),
             buckets=(1, 2, 5, 10, 20, 50, 100, 1e3, 1e4, 1e5, 1e6, 1e7))
-        self._m_cost_tasks = cost.labels(measure="tasks")
-        self._m_cost_wasted = cost.labels(measure="wasted_us")
+        cost_tasks = cost.labels(measure="tasks")
+        cost_wasted = cost.labels(measure="wasted_us")
+
+        def done(event: dict) -> None:
+            if event.get("domain") != domain:
+                return
+            self.rollbacks += 1
+            self.tasks_destroyed += event["tasks_destroyed"]
+            self.buffer_entries_discarded += event["buffer_discarded"]
+            self.wasted_task_us += event["wasted_us"]
+            cost_tasks.observe(event["tasks_destroyed"])
+            cost_wasted.observe(event["wasted_us"])
+
+        runtime.events.fold("rollback_done", done)
 
     def rollback(self, version: SpecVersion) -> list[Task]:
         """Deactivate ``version`` and destroy its tasks and buffered data.
@@ -80,14 +99,9 @@ class RollbackEngine:
             if task.start_time is not None:
                 end = task.finish_time if task.finish_time is not None else now
                 wasted += max(0.0, end - task.start_time)
-        self.rollbacks += 1
-        self.tasks_destroyed += len(footprint)
-        self.buffer_entries_discarded += discarded
-        self.wasted_task_us += wasted
-        self._m_cost_tasks.observe(len(footprint))
-        self._m_cost_wasted.observe(wasted)
         events.emit(
             "rollback_done", version=version.vid, cause=destroy_seq,
-            tasks_destroyed=len(footprint), buffer_discarded=discarded,
-            wasted_us=wasted)
+            domain=self.domain, tasks_destroyed=len(footprint),
+            buffer_discarded=discarded, wasted_us=wasted,
+            lifetime_us=now - version.created_at)
         return footprint

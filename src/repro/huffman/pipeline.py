@@ -173,8 +173,8 @@ class HuffmanPipeline:
             raise ExperimentError("need at least one block")
         self.runtime = runtime
         self.config = config
-        #: optional shared-memory transport: blocks, histograms and trees go
-        #: into the store once and tasks carry refs (see repro/sre/shm.py).
+        #: optional shared-memory transport: blocks and trees go into the
+        #: store once and shipped tasks carry refs (see repro/sre/shm.py).
         self.store = store
         self.n_blocks = n_blocks
         self.n_groups = math.ceil(n_blocks / config.reduce_ratio)
@@ -187,12 +187,11 @@ class HuffmanPipeline:
         self.collector = LatencyCollector()
         self.blocks: dict[int, np.ndarray] = {}
         self.block_hists: dict[int, np.ndarray] = {}
-        #: base references: one per input block (released when the block's
-        #: encoding commits) and one per block histogram (released when the
-        #: store closes — histograms are tiny and shared by every pass).
+        #: base references, one per input block (released when the block's
+        #: encoding commits). Histograms never enter the store: the reduce
+        #: and offset tasks that read them run on the coordinator.
         self.block_refs: dict[int, BlockRef] = {}
-        self.hist_refs: dict[int, BlockRef] = {}
-        #: every ref this run ever put (blocks, hists, trees) — the
+        #: every ref this run ever put (blocks, trees) — the
         #: population :meth:`release_store_refs` drains on a caller-owned
         #: store, where ``BlockStore.close``'s leftover sweep never runs.
         self._all_refs: list[BlockRef] = []
@@ -292,11 +291,6 @@ class HuffmanPipeline:
 
     def _block_counted(self, index: int, hist: np.ndarray) -> None:
         self.block_hists[index] = hist
-        if self.store is not None:
-            href = self.store.put(hist)
-            if href is not None:
-                self.hist_refs[index] = href
-                self._all_refs.append(href)
         # Step size 0: speculate on the very first partial value available —
         # the first block's count histogram, before any reduce completes.
         if (
@@ -322,10 +316,7 @@ class HuffmanPipeline:
         start = group * self.config.reduce_ratio
         end = start + self._reduce_group_len(group)
         task = make_reduce_task(
-            group,
-            [self.block_hists[i] for i in range(start, end)],
-            refs=self._hist_bindings(start, end),
-        )
+            group, [self.block_hists[i] for i in range(start, end)])
         self._reduce_tasks[group] = task
         self.runtime.add_task(task, self.st_first)
         if group == 0:
@@ -387,12 +378,6 @@ class HuffmanPipeline:
         if self.store is None:
             return None
         return [self.block_refs.get(i, self.blocks[i]) for i in range(start, end)]
-
-    def _hist_bindings(self, start: int, end: int) -> list | None:
-        """Per-histogram payload bindings (ref where stored, array where not)."""
-        if self.store is None:
-            return None
-        return [self.hist_refs.get(i, self.block_hists[i]) for i in range(start, end)]
 
     def _commit_sink(self, block: int, entry: tuple[int, np.ndarray, int], now: float) -> None:
         """A block's encoding became authoritative (the Store node)."""
@@ -501,7 +486,6 @@ class HuffmanPipeline:
                 self.store.release(ref, reason="drain", n=count)
         self._all_refs.clear()
         self.block_refs.clear()
-        self.hist_refs.clear()
 
 
 class _SecondPassBuilder:
@@ -545,23 +529,6 @@ class _SecondPassBuilder:
     def dead(self) -> bool:
         return self.version is not None and not self.version.active
 
-    def _pin(self, indices, refs: dict) -> None:
-        """Acquire an extra reference per referenced block for this version.
-
-        Released through ``SpecVersion.release_resources`` on commit or
-        rollback — the refcount trace is how the run proves mis-speculated
-        versions never pin shared memory.
-        """
-        store = self.pipeline.store
-        if store is None:
-            return
-        assert self.version is not None
-        for i in indices:
-            ref = refs.get(i)
-            if ref is not None:
-                store.acquire(ref)
-                self.version.add_resource(store.release_callback(ref))
-
     def _group_span(self, group: int) -> tuple[int, int]:
         start = group * self.fanout
         return start, min(start + self.fanout, self.pipeline.n_blocks)
@@ -593,12 +560,9 @@ class _SecondPassBuilder:
             hists,
             self.tree,
             speculative=self.version is not None,
-            hist_refs=pipeline._hist_bindings(start, end),
-            tree_ref=self.tree_ref,
         )
         if self.version is not None:
             self.version.register(task)
-            self._pin(range(start, end), pipeline.hist_refs)
         task.on_complete.append(lambda _t, outs, g=group: self._offset_done(g, outs))
         self._offset_tasks[group] = task
         st = pipeline.st_spec if self.version is not None else pipeline.st_second
@@ -617,8 +581,16 @@ class _SecondPassBuilder:
         start, end = self._group_span(group)
         pipeline = self.pipeline
         st = pipeline.st_spec if self.version is not None else pipeline.st_second
-        if self.version is not None:
-            self._pin(range(start, end), pipeline.block_refs)
+        store = pipeline.store
+        if self.version is not None and store is not None:
+            # One extra ref per stored block for this version, released
+            # through SpecVersion.release_resources on commit or rollback:
+            # the refcount trace proves a mis-speculation pins nothing.
+            for i in range(start, end):
+                ref = pipeline.block_refs.get(i)
+                if ref is not None:
+                    store.acquire(ref)
+                    self.version.add_resource(store.release_callback(ref))
         k = pipeline.config.region_blocks
         for first in range(start, end, k):
             last = min(first + k, end)

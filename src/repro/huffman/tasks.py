@@ -119,19 +119,17 @@ def make_count_region(first_block: int, blocks: Sequence[np.ndarray],
     )
 
 
-def make_reduce_task(index: int, group_hists: Sequence[np.ndarray],
-                     refs: Sequence[BlockRef] | None = None) -> Task:
+def make_reduce_task(index: int, group_hists: Sequence[np.ndarray]) -> Task:
     """Running reduction: previous prefix histogram + this group's counts.
 
     Input port ``prev`` carries the cumulative histogram of all earlier
     groups; the group's own histograms are closure-captured (they exist when
-    the task is created — group completion is its creation trigger), or
-    passed as shared-memory ``refs`` under the shm transport.
+    the task is created — group completion is its creation trigger).
     """
     hists = list(group_hists)
     return Task(
         f"reduce:{index}",
-        partial(_reduce_kernel, hists if refs is None else list(refs)),
+        partial(_reduce_kernel, hists),
         inputs=("prev",),
         kind="reduce",
         local=True,
@@ -166,8 +164,6 @@ def make_offset_task(
     tree: HuffmanTree,
     *,
     speculative: bool,
-    hist_refs: Sequence[BlockRef] | None = None,
-    tree_ref: BlockRef | None = None,
 ) -> Task:
     """Offset-chain link: bit positions for one encode group.
 
@@ -175,10 +171,9 @@ def make_offset_task(
     per-block ``offsets`` array and the chain continuation ``cum``.
     """
     hists = list(group_hists)
-    bound_hists = hists if hist_refs is None else list(hist_refs)
     return Task(
         name,
-        partial(_offset_kernel, bound_hists, tree if tree_ref is None else tree_ref),
+        partial(_offset_kernel, hists, tree),
         inputs=("prev",),
         kind="offset",
         local=True,

@@ -30,11 +30,17 @@ not need to know *why* a task is being aborted to record who signed the
 destruction order.
 
 Worker processes keep their own :class:`EventLog` (seqs and clock are
-process-local); the coordinator folds them in with
+process-local); the coordinator merges them in with
 :meth:`EventLog.merge_worker`, which re-assigns coordinator seqs while
 preserving order and remapping intra-batch ``cause`` references, and tags
 each event with ``worker`` / ``worker_seq`` so per-worker ordering stays
 reconstructible.
+
+Counters are *derived* from the stream, not kept beside it: the event is
+the one write of a fact, and a counter is a **fold** registered per event
+kind with :meth:`EventLog.fold` — the stream's running sum (table in
+docs/flight-recorder.md). Folds run with the ring disabled or wrapped,
+never on merged worker/remote events (those were folded where emitted).
 
 The hot path (``emit`` into the ring, no sink) is a dict build plus a
 deque append under a lock — cheap enough to leave on for every run.
@@ -109,8 +115,9 @@ class EventLog:
         :func:`default_clock`; the Runtime rebinds it to the executor
         clock so event and histogram timings share a time base.
     enabled:
-        When False, :meth:`emit` is a near-no-op returning ``0`` and no
-        state is kept — for overhead measurements and opt-outs.
+        When False no event is kept (no ring, sink or seqs; :meth:`emit`
+        returns ``0``) — for overhead measurements and opt-outs. Events
+        of a kind with folds are still built and folded.
     meta:
         JSON-safe dict embedded in the sink's ``log_header`` record
         (e.g. the run's ``RunConfig.to_dict()``) — what makes a recorded
@@ -138,6 +145,7 @@ class EventLog:
         self._clock = clock if clock is not None else default_clock
         self._lock = threading.Lock()
         self._ring: deque[dict[str, Any]] = deque(maxlen=max(1, capacity))
+        self._folds: dict[str, list[Callable[[dict[str, Any]], None]]] = {}
         self._seq = 0
         self._trace: Any = None
         self._local = threading.local()
@@ -207,6 +215,15 @@ class EventLog:
             stack.pop()
 
     # ------------------------------------------------------------------
+    # folds
+
+    def fold(self, kind: str, fn: Callable[[dict[str, Any]], None]) -> None:
+        """Run ``fn(event)`` on every ``kind`` event :meth:`emit` records,
+        in emission order under the log's lock (so a fold must not emit);
+        ``seq`` is ``0`` while the log is disabled."""
+        self._folds.setdefault(kind, []).append(fn)
+
+    # ------------------------------------------------------------------
     # emission
 
     def emit(
@@ -218,13 +235,14 @@ class EventLog:
         cause: int | None = None,
         **data: Any,
     ) -> int:
-        """Record one event; returns its seq (0 when disabled).
+        """Record one event and fold it; returns its seq (0 when disabled).
 
         ``cause`` falls back to the innermost :meth:`cause` scope active
         on the calling thread. ``None``-valued payload fields are dropped
         so the JSONL stays compact.
         """
-        if not self.enabled:
+        folds = self._folds.get(kind)
+        if not self.enabled and folds is None:
             return 0
         if cause is None:
             cause = self.current_cause()
@@ -241,16 +259,21 @@ class EventLog:
         if self._trace is not None:
             event.setdefault("trace_id", self._trace.trace_id)
         with self._lock:
-            self._seq += 1
-            event["seq"] = self._seq
-            event["t"] = self._clock()
-            self._ring.append(event)
-            if self._file is not None:
-                self._file.write(json.dumps(event, default=str) + "\n")
+            if self.enabled:
+                self._seq += 1
+                event["seq"] = self._seq
+                event["t"] = self._clock()
+                self._ring.append(event)
+                if self._file is not None:
+                    self._file.write(json.dumps(event, default=str) + "\n")
+            else:
+                event["seq"], event["t"] = 0, self._clock()
+            for fn in folds or ():
+                fn(event)
         return event["seq"]
 
     def merge_worker(self, worker: int, worker_events: list[dict]) -> None:
-        """Fold a worker process's event batch into this log.
+        """Merge a worker process's event batch into this log, unfolded.
 
         Worker seqs are process-local, so each event gets a fresh
         coordinator seq (order preserved); ``cause`` references that
@@ -264,7 +287,7 @@ class EventLog:
                             seq_key="worker_seq")
 
     def merge_remote(self, origin: str, remote_events: list[dict]) -> None:
-        """Fold a remote pool's event batch into this log.
+        """Merge a remote pool's event batch into this log, unfolded.
 
         Like :meth:`merge_worker`, but for a whole remote worker pool
         (see :mod:`repro.sre.executor_dist`): events arrive already

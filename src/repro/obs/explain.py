@@ -13,10 +13,10 @@ edges backwards and forwards around each ``destroy_signal``:
 * **sideways** to the rebuild — the re-speculation ``spec_launch`` that
   shares the failed check as its cause.
 
-The totals printed here are double-entered elsewhere (``rollback_done``
-events carry the :class:`~repro.core.rollback.RollbackEngine` counters;
-``shm_release`` byte sums match ``shm_bytes_released{reason=rollback}``),
-so the cascade tree can be trusted against the metrics surface.
+The totals printed here are what the metrics surface is folded from (the
+:class:`~repro.core.rollback.RollbackEngine` tallies fold ``rollback_done``
+events), and ``shm_release`` byte sums match
+``shm_bytes_released{reason=rollback}``.
 
 The same machinery explains **physical** failure: each ``worker_crash``
 event (process back-end; see docs/fault-tolerance.md) roots a

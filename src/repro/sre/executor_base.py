@@ -114,10 +114,19 @@ class LiveExecutor:
         runtime.set_clock(self._clock)
         runtime.add_ready_listener(self._on_ready)
         m = runtime.metrics
-        self._m_dispatched = m.counter(
+        # Folds (docs/flight-recorder.md): a dispatch is its task_dispatch,
+        # a failure on a seat the task_failed that names the worker.
+        dispatched = m.counter(
             "exec_tasks_dispatched", "tasks taken off a ready queue by a worker")
-        self._m_failures = m.counter(
+        failures = m.counter(
             "exec_task_failures", "task bodies that raised on a worker")
+
+        def failed(event: dict[str, Any]) -> None:
+            if "worker" in event:
+                failures.inc()
+
+        runtime.events.fold("task_dispatch", lambda _event: dispatched.inc())
+        runtime.events.fold("task_failed", failed)
         self._m_inflight = m.gauge(
             "exec_inflight", "tasks currently executing on workers")
         self._m_workers = m.gauge("exec_workers", "configured worker count")
@@ -249,26 +258,30 @@ class LiveExecutor:
     # metrics
     # ------------------------------------------------------------------
     def utilisation(self) -> float:
-        """Mean fraction of elapsed wall time workers spent on tasks.
+        """Mean fraction of elapsed wall time the worker seats were busy.
 
-        Computed from per-task start/finish stamps on the executor clock:
-        ``sum(task occupancy) / (elapsed µs × workers)``. For the process
-        back-end "on tasks" includes the coordinator thread's wait on its
-        worker's pipe — occupancy, not CPU time. The coordinator lane does
-        not count: on a ``RUNS_LOCAL`` back-end the local tasks it ran are
-        left out of the sum, as the coordinator is not one of the
-        ``workers``.
+        A seat is busy from the moment it claims a task until that task
+        is done, so its busy time is the *union* of its tasks' claim→done
+        spans on the executor clock: the tasks of one procs/dist pipe
+        window overlap and count once. ``utilisation = Σ seat busy µs /
+        (elapsed µs × workers)``. For the process back-end "busy"
+        includes the seat's wait on its worker's pipe — occupancy, not
+        CPU time. The coordinator lane does not count: it is not one of
+        the ``workers``.
         """
         now = self.now
         if now <= 0:
             return 0.0
-        busy = 0.0
-        coordinator_ran = self.runtime.local_queue is not None
-        for t in self.runtime.graph.tasks():
-            if coordinator_ran and t.local:
-                continue
-            if t.start_time is not None and t.finish_time is not None:
-                busy += t.finish_time - t.start_time
+        busy, seat, covered = 0.0, None, 0.0
+        for wid, start, finish in sorted(
+                (t.worker, t.start_time, t.finish_time)
+                for t in self.runtime.graph.tasks()
+                if t.worker not in (None, COORDINATOR_WORKER)
+                and t.finish_time is not None):
+            if wid != seat:  # the next seat: none of its time covered yet
+                seat, covered = wid, start
+            busy += max(0.0, finish - max(start, covered))
+            covered = max(covered, finish)
         return busy / (now * self.n_workers)
 
     # ------------------------------------------------------------------
@@ -306,7 +319,6 @@ class LiveExecutor:
         self.runtime.begin_task(task, worker=wid)
         self.policy.notify_started(task)
         self._inflight += 1
-        self._m_dispatched.inc()
         self._m_inflight.set(self._inflight)
         self._note_dispatch(wid, task)
 
@@ -331,11 +343,10 @@ class LiveExecutor:
         with self._cond:
             failed_seq = None
             if failure is not None:
-                self._m_failures.inc()
                 task.request_abort()
                 failed_seq = events.emit(
                     "task_failed", task=task.name,
-                    version=task.tags.get("spec_version"),
+                    version=task.tags.get("spec_version"), worker=wid,
                     error=repr(failure))
             self._note_complete(wid, task)
             self.runtime.finish_task(task, outputs, precomputed=True,

@@ -1023,14 +1023,6 @@ class ProcessExecutor(LiveExecutor):
         #: batching guard computes idleness from this, not from the
         #: in-flight *task* count.
         self._busy: list[bool] = [False] * workers
-        #: Introspection counters (coordinator-lock protected). Mirrored as
-        #: registry metrics (procs_tasks_shipped / _inline / payload_bytes)
-        #: so exporters see them without touching executor internals.
-        self.tasks_shipped = 0
-        self.tasks_inline = 0
-        self.payload_bytes = 0
-        self.payload_bytes_avoided = 0
-        self.batches = 0
         m = runtime.metrics
         self._m_shipped = m.counter(
             "procs_tasks_shipped", "task payloads shipped to worker processes")
@@ -1160,10 +1152,19 @@ class ProcessExecutor(LiveExecutor):
             )
 
     def _run_inline(self, task: Task) -> dict[str, Any]:
-        with self._cond:
-            self.tasks_inline += 1
         self._m_inline.inc()
         return task.run()
+
+    # The ship tallies, read back from their one write (no event records
+    # them): payloads sent (a re-dispatch counts again), tasks run on the
+    # coordinator, bytes sent, bytes left in shared memory, and pipe
+    # messages that carried more than one payload.
+    tasks_shipped = property(lambda self: int(self._m_shipped.value()))
+    tasks_inline = property(lambda self: int(self._m_inline.value()))
+    payload_bytes = property(lambda self: int(self._m_payload_bytes.value()))
+    payload_bytes_avoided = property(
+        lambda self: int(self._m_bytes_avoided.value()))
+    batches = property(lambda self: int(self._m_batches.value()))
 
     def _idle_seats(self) -> int:
         """Seats not currently inside a dispatch cycle. Lock held.
@@ -1244,12 +1245,6 @@ class ProcessExecutor(LiveExecutor):
         """
         wire = sum(len(b) for _t, b in pairs)
         avoided = sum(t.referenced_bytes() for t, _b in pairs)
-        with self._cond:
-            self.tasks_shipped += len(pairs)
-            self.payload_bytes += wire
-            self.payload_bytes_avoided += avoided
-            if len(pairs) > 1:
-                self.batches += 1
         self._m_shipped.inc(len(pairs))
         self._m_payload_bytes.inc(wire)
         if avoided:

@@ -27,6 +27,7 @@ Key behaviours:
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Any, Callable, Iterable
 
 from repro.errors import TaskExecutionError, TaskStateError
@@ -77,22 +78,15 @@ class Runtime:
         self.root = SuperTask("root")
         self._clock: Callable[[], float] = lambda: 0.0
         self._ready_listeners: list[Callable[[Task], None]] = []
-        self._complete_listeners: list[Callable[[Task, dict[str, Any]], None]] = []
-        self._abort_listeners: list[Callable[[Task], None]] = []
         self._abort_flag_listeners: list[Callable[[Task], None]] = []
-        self.tasks_completed = 0
-        self.tasks_aborted = 0
-        self.speculative_completed = 0
-        self.speculative_aborted = 0
 
     def _init_metrics(self) -> None:
-        """Create (or re-attach to) this runtime's instruments.
-
-        Children for the speculative/non-speculative split are pre-bound so
-        the per-task hot path costs two dict operations, no label lookup.
-        """
+        """Create this runtime's instruments and the folds that feed them:
+        each task fact is written once, as its event, and the
+        ``sre_tasks_*`` series and :meth:`stats` are folds over those
+        events (docs/flight-recorder.md has the table)."""
         m = self.metrics
-        self._m_ready = m.counter(
+        ready = m.counter(
             "sre_tasks_ready", "tasks that entered a ready queue")
         completed = m.counter(
             "sre_tasks_completed", "tasks finished with usable outputs",
@@ -100,21 +94,41 @@ class Runtime:
         aborted = m.counter(
             "sre_tasks_aborted", "tasks destroyed by abort/rollback",
             labelnames=("speculative",))
-        self._m_completed = {True: completed.labels(speculative="yes"),
-                             False: completed.labels(speculative="no")}
-        self._m_aborted = {True: aborted.labels(speculative="yes"),
-                           False: aborted.labels(speculative="no")}
-        self._m_failures = m.counter(
+        completed = {True: completed.labels(speculative="yes"),
+                     False: completed.labels(speculative="no")}
+        aborted = {True: aborted.labels(speculative="yes"),
+                   False: aborted.labels(speculative="no")}
+        failures = m.counter(
             "sre_task_failures", "task bodies that raised an exception")
         depth = m.gauge("sre_ready_depth", "ready-queue length",
                         labelnames=("queue",))
         self._m_depth_nat = depth.labels(queue="natural")
         self._m_depth_spec = depth.labels(queue="speculative")
-        self._m_task_us = m.histogram(
+        task_us = m.histogram(
             "sre_task_us",
             "task occupancy start→done in µs on the executor clock "
             "(virtual for sim, wall for threads/procs)",
             labelnames=("kind",))
+        #: (event kind, speculative?) -> task ends folded; what stats() reads
+        self._ends: Counter[tuple[str, bool]] = Counter()
+
+        def ended(event: dict[str, Any]) -> None:
+            kind, spec = event["kind"], "speculative" in event
+            if kind == "task_failed":
+                if "worker" in event:
+                    return  # a live executor's: finish_task reaps it as a task_abort
+                failures.inc()
+            self._ends[kind, spec] += 1
+            if kind != "task_done":
+                aborted[spec].inc()
+                return
+            completed[spec].inc()
+            if "dur_us" in event:
+                task_us.labels(kind=event["task_kind"]).observe(event["dur_us"])
+
+        self.events.fold("task_ready", lambda _event: ready.inc())
+        for kind in ("task_done", "task_abort", "task_failed"):
+            self.events.fold(kind, ended)
 
     def _note_queue_depth(self) -> None:
         self._m_depth_nat.set(len(self.natural_queue))
@@ -157,14 +171,6 @@ class Runtime:
     def add_ready_listener(self, fn: Callable[[Task], None]) -> None:
         """Executor hook: called whenever a task enters a ready queue."""
         self._ready_listeners.append(fn)
-
-    def add_complete_listener(self, fn: Callable[[Task, dict[str, Any]], None]) -> None:
-        """Observer hook: called after a task's outputs have been routed."""
-        self._complete_listeners.append(fn)
-
-    def add_abort_listener(self, fn: Callable[[Task], None]) -> None:
-        """Observer hook: called when a task is aborted (any state)."""
-        self._abort_listeners.append(fn)
 
     def add_abort_flag_listener(self, fn: Callable[[Task], None]) -> None:
         """Executor hook: called when a RUNNING task is *flagged* for abort.
@@ -234,7 +240,6 @@ class Runtime:
     def _make_ready(self, task: Task) -> None:
         task.mark_ready(self.now)
         self._queue_for(task).push(task)
-        self._m_ready.inc()
         self._note_queue_depth()
         self.events.emit("task_ready", task=task.name,
                          version=task.tags.get("spec_version"))
@@ -253,7 +258,7 @@ class Runtime:
                 executor knows (recorded on ``task_dispatch`` so per-worker
                 Gantt views work identically for sim and live runs).
         """
-        task.mark_running(self.now)
+        task.mark_running(self.now, worker)
         self._note_queue_depth()
         self.events.emit("task_dispatch", task=task.name,
                          version=task.tags.get("spec_version"), worker=worker)
@@ -288,19 +293,8 @@ class Runtime:
                                  version=task.tags.get("spec_version"))
             task.mark_done(self.now)  # normal end of occupancy...
             task.state = TaskState.ABORTED  # ...but reaped with its content
-            self.tasks_aborted += 1
-            if task.speculative:
-                self.speculative_aborted += 1
-            self._m_aborted[task.speculative].inc()
-            ran_us = (task.finish_time - task.start_time
-                      if task.start_time is not None and task.finish_time is not None
-                      else None)
-            self.events.emit("task_abort", task=task.name,
-                             version=task.tags.get("spec_version"),
-                             cause=task.abort_cause, while_running=True,
-                             ran_us=ran_us)
-            for fn in list(self._abort_listeners):
-                fn(task)
+            self._emit_end("task_abort", task, cause=task.abort_cause,
+                           while_running=True)
             return None
         if not precomputed:
             try:
@@ -313,12 +307,8 @@ class Runtime:
                 # inspection.
                 task.mark_done(self.now)
                 task.state = TaskState.ABORTED
-                self.tasks_aborted += 1
-                self._m_aborted[task.speculative].inc()
-                self._m_failures.inc()
-                failed_seq = self.events.emit(
-                    "task_failed", task=task.name,
-                    version=task.tags.get("spec_version"), error=repr(exc))
+                failed_seq = self._emit_end("task_failed", task,
+                                            error=repr(exc))
                 with self.events.cause(failed_seq):
                     self.abort_dependents([task], include_roots=False)
                 raise TaskExecutionError(task.name, exc) from exc
@@ -326,27 +316,29 @@ class Runtime:
             outputs = {}
         task.outputs = outputs
         task.mark_done(self.now)
-        self.tasks_completed += 1
-        if task.speculative:
-            self.speculative_completed += 1
-        self._m_completed[task.speculative].inc()
-        if task.start_time is not None and task.finish_time is not None:
-            self._m_task_us.labels(kind=task.kind).observe(
-                task.finish_time - task.start_time)
         if self.memory is not None:
             self.memory.allocate(task.name, sizeof_value(outputs), task.speculative)
-        self.events.emit("task_done", task=task.name,
-                         version=task.tags.get("spec_version"), worker=worker,
-                         dur_us=(task.finish_time - task.start_time
-                                 if task.start_time is not None else None))
+        self._emit_end("task_done", task, worker=worker)
         self._route_outputs(task, outputs)
         if task.supertask is not None:
             task.supertask.notify_child_complete(task, outputs)
         for hook in list(task.on_complete):
             hook(task, outputs)
-        for fn in list(self._complete_listeners):
-            fn(task, outputs)
         return outputs
+
+    def _emit_end(self, kind: str, task: Task, **data: Any) -> int:
+        """Emit the event that ends ``task`` (``task_done`` / ``_abort`` /
+        ``_failed``) with the fields the folds read: its kind, whether it
+        was speculative and, once it ran, its occupancy (``dur_us`` when
+        done, ``ran_us`` when aborted)."""
+        if (kind != "task_failed" and task.start_time is not None
+                and task.finish_time is not None):
+            occupancy = "dur_us" if kind == "task_done" else "ran_us"
+            data[occupancy] = task.finish_time - task.start_time
+        return self.events.emit(kind, task=task.name,
+                                version=task.tags.get("spec_version"),
+                                task_kind=task.kind,
+                                speculative=task.speculative or None, **data)
 
     def _route_outputs(self, task: Task, outputs: dict[str, Any]) -> None:
         for edge in self.graph.out_edges(task):
@@ -377,19 +369,7 @@ class Runtime:
             if self.memory is not None:
                 self.memory.discard(task.name)
             task.state = TaskState.ABORTED
-            self.tasks_aborted += 1
-            if task.speculative:
-                self.speculative_aborted += 1
-            self._m_aborted[task.speculative].inc()
-            self.events.emit("task_abort", task=task.name,
-                             version=task.tags.get("spec_version"),
-                             after_done=True,
-                             ran_us=(task.finish_time - task.start_time
-                                     if task.start_time is not None
-                                     and task.finish_time is not None
-                                     else None))
-            for fn in list(self._abort_listeners):
-                fn(task)
+            self._emit_end("task_abort", task, after_done=True)
             return
         was_ready = task.state is TaskState.READY
         reaped = task.request_abort()
@@ -397,15 +377,7 @@ class Runtime:
             if was_ready:
                 self._queue_for(task).discard_aborted(task)
                 self._note_queue_depth()
-            self.tasks_aborted += 1
-            if task.speculative:
-                self.speculative_aborted += 1
-            self._m_aborted[task.speculative].inc()
-            self.events.emit("task_abort", task=task.name,
-                             version=task.tags.get("spec_version"),
-                             was_ready=was_ready or None)
-            for fn in list(self._abort_listeners):
-                fn(task)
+            self._emit_end("task_abort", task, was_ready=was_ready or None)
             return
         # RUNNING: flagged only; finish_task finalises the abort — remember
         # who ordered the destruction so the eventual task_abort event still
@@ -442,12 +414,15 @@ class Runtime:
         ]
 
     def stats(self) -> dict[str, int]:
-        """Execution counters for reports."""
+        """Execution counters for reports, folded from the task events
+        (a failed body counts as aborted, but never as speculative)."""
+        ends = self._ends
         out = {
-            "tasks_completed": self.tasks_completed,
-            "tasks_aborted": self.tasks_aborted,
-            "speculative_completed": self.speculative_completed,
-            "speculative_aborted": self.speculative_aborted,
+            "tasks_completed": ends["task_done", False] + ends["task_done", True],
+            "tasks_aborted": sum(n for (kind, _), n in ends.items()
+                                 if kind != "task_done"),
+            "speculative_completed": ends["task_done", True],
+            "speculative_aborted": ends["task_abort", True],
             "graph_size": len(self.graph),
         }
         if self.memory is not None:

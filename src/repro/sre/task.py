@@ -115,6 +115,7 @@ class Task:
         "ready_time",
         "start_time",
         "finish_time",
+        "worker",
         "abort_cause",
         "_payload_blob",
     )
@@ -170,6 +171,8 @@ class Task:
         self.ready_time: float | None = None
         self.start_time: float | None = None
         self.finish_time: float | None = None
+        #: the worker seat that ran it, when known (-1: the coordinator)
+        self.worker: int | None = None
         #: event seq of the destroy signal that flagged this task while it
         #: was RUNNING; the reap path stamps it as the abort event's cause.
         self.abort_cause: int | None = None
@@ -230,9 +233,10 @@ class Task:
         self._transition(TaskState.READY, (TaskState.CREATED, TaskState.BLOCKED))
         self.ready_time = now
 
-    def mark_running(self, now: float) -> None:
+    def mark_running(self, now: float, worker: int | None = None) -> None:
         self._transition(TaskState.RUNNING, (TaskState.READY,))
         self.start_time = now
+        self.worker = worker
 
     def mark_done(self, now: float) -> None:
         self._transition(TaskState.DONE, (TaskState.RUNNING,))

@@ -104,6 +104,23 @@ def test_speculative_shm_run_commits_without_leaks():
     assert released.labels(reason="commit").value() >= _N_BLOCKS
 
 
+def test_shm_stores_blocks_and_trees_only():
+    """Histograms never enter the store: the reduce and offset tasks that
+    read them run on the coordinator. A 64-block run stores each block
+    once plus one tree per second pass built — 65 on the usual
+    one-version commit (it stored 129 while every histogram was put)."""
+    report = _leak_checked_run(RunConfig(
+        workload="txt", n_blocks=64, seed=3, executor="procs",
+        transport="shm", workers=2, feed_gap_s=0.0005,
+    ))
+    assert report.roundtrip_ok
+    events = report.events.events()
+    passes = (sum(e["kind"] == "spec_launch" for e in events)
+              + (report.result.outcome == "recompute"))
+    assert passes >= 1
+    assert report.metrics.value("shm_blocks_stored") == 64 + passes
+
+
 def test_forced_rollback_releases_refs_and_segments():
     """tolerance=0.0 fails every check: all speculated versions roll back
     or the run degrades to recompute — either way no segment survives."""

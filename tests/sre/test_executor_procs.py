@@ -60,6 +60,11 @@ def _touch(path):
     return {"out": "ran"}
 
 
+def _nap(seconds):
+    time.sleep(seconds)
+    return {"out": seconds}
+
+
 def _boom():
     raise ValueError("kernel exploded")
 
@@ -138,7 +143,7 @@ def test_policy_selection_by_name_and_instance():
             rt.add_task(Task(f"n{i}", partial(_identity, i)))
             rt.add_task(Task(f"s{i}", partial(_identity, i), speculative=True))
         ex.run(timeout=60.0)
-        assert rt.tasks_completed == 8
+        assert rt.stats()["tasks_completed"] == 8
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +169,7 @@ def test_abort_flagged_running_task_is_reaped_on_completion(tmp_path):
     ex.shutdown()
     assert t.state is TaskState.ABORTED
     assert sink_seen == []
-    assert rt.tasks_aborted == 1
+    assert rt.stats()["tasks_aborted"] == 1
 
 
 def _send_batch(conn, blobs):
@@ -294,6 +299,38 @@ def test_worker_exception_becomes_task_failure_and_aborts_dependents():
     assert bad.state is TaskState.ABORTED
     assert dep.state is TaskState.ABORTED
     assert ok.state is TaskState.DONE
+
+
+# ---------------------------------------------------------------------------
+# utilisation: one seat, one pipe window
+# ---------------------------------------------------------------------------
+
+def test_utilisation_counts_a_pipe_window_once():
+    """A seat is busy from its first claim to its last reply. The eight
+    naps of one pipe window overlap on that seat — their claim→done
+    spans add up to more than the whole run — yet the seat counts once."""
+    rt = Runtime()
+    ex = ProcessExecutor(rt, workers=1, batch_max=8)
+    for i in range(8):
+        rt.add_task(Task(f"nap{i}", partial(_nap, 0.05)))
+    ex.run(timeout=60.0)
+    spans = sum(t.finish_time - t.start_time for t in rt.graph.tasks())
+    assert spans > ex.now
+    assert 0.0 < ex.utilisation() <= 1.0
+
+
+@pytest.mark.slow
+def test_pipeline_utilisation_is_a_fraction():
+    """1024 pdf blocks on two seats with full pipe windows: summing the
+    windows' overlapping spans read 2.5-8.4 on a 2-core host; the union
+    reads <= 1."""
+    from repro.experiments.runner import RunConfig, run_huffman
+
+    report = run_huffman(config=RunConfig(
+        workload="pdf", n_blocks=1024, seed=7, executor="procs", workers=2,
+        reduce_ratio=16, offset_fanout=64, feed_gap_s=0.0))
+    assert report.roundtrip_ok
+    assert 0.0 < report.utilisation <= 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -105,7 +105,7 @@ def test_abort_ready_task_leaves_queue():
     rt.abort_task(t)
     assert t.state is TaskState.ABORTED
     assert len(rt.natural_queue) == 0
-    assert rt.tasks_aborted == 1
+    assert rt.stats()["tasks_aborted"] == 1
 
 
 def test_abort_running_task_discards_results():
@@ -139,7 +139,7 @@ def test_abort_is_idempotent():
     t = rt.add_task(Task("t", lambda: 1))
     rt.abort_task(t)
     rt.abort_task(t)
-    assert rt.tasks_aborted == 1
+    assert rt.stats()["tasks_aborted"] == 1
 
 
 def test_abort_dependents_propagates():
