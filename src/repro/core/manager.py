@@ -281,9 +281,13 @@ class SpeculationManager:
         version = self.active_version
         if version is None or not version.active or version.value is None:
             # Nothing validatable in flight: destroy any half-born attempt
-            # and take the normal path.
+            # (the final update overtook its prediction) and take the
+            # normal path. Its spec_abandon roots the rollback cascade, as
+            # a failing check roots every other one.
             if version is not None and version.active:
-                self._rollback(version)
+                abandon_seq = self._emit("spec_abandon", version=version.vid)
+                with self.runtime.events.cause(abandon_seq):
+                    self._rollback(version)
             self._recompute()
             return
 

@@ -61,9 +61,6 @@ class WaitBuffer:
         self._events = events if events is not None else EventLog(enabled=False)
         self._entries: dict[int, dict[Any, tuple[Any, float]]] = {}
         self._committed_version: int | None = None
-        self.deposits = 0
-        self.flushed = 0
-        self.discarded = 0
 
     # ------------------------------------------------------------------
     @property
@@ -76,7 +73,6 @@ class WaitBuffer:
 
     def deposit(self, version: int, key: Any, value: Any, now: float) -> None:
         """Hold a speculative result (or flush it if its version committed)."""
-        self.deposits += 1
         if version == self._committed_version:
             self._events.emit("buffer_flush", version=version, key=str(key),
                               passthrough=True)
@@ -106,13 +102,10 @@ class WaitBuffer:
     def discard(self, version: int) -> int:
         """Drop a rolled-back version's entries; returns how many."""
         held = self._entries.pop(version, None)
-        n = len(held) if held else 0
-        self.discarded += n
         for key in (held or ()):
             self._events.emit("buffer_discard", version=version, key=str(key))
-        return n
+        return len(held) if held else 0
 
     def _emit(self, key: Any, value: Any, now: float) -> None:
-        self.flushed += 1
         if self._sink is not None:
             self._sink(key, value, now)

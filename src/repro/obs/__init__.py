@@ -32,8 +32,9 @@ The pieces:
   ``RunReport.warnings``.
 * :mod:`repro.obs.spans` — distributed tracing for the serve path:
   W3C-style ``traceparent`` propagation, a :class:`Tracer` whose spans
-  double-enter into the flight recorder and stage-latency histograms,
-  and span-tree assembly/rendering (docs/tracing.md).
+  are written once, into the flight recorder (stage-latency histograms
+  fold their ``span_end`` events), and span-tree assembly/rendering
+  (docs/tracing.md).
 
 Quickstart::
 

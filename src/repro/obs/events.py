@@ -146,6 +146,7 @@ class EventLog:
         self._lock = threading.Lock()
         self._ring: deque[dict[str, Any]] = deque(maxlen=max(1, capacity))
         self._folds: dict[str, list[Callable[[dict[str, Any]], None]]] = {}
+        self._fold_keys: set[tuple[str, str | None]] = set()
         self._seq = 0
         self._trace: Any = None
         self._local = threading.local()
@@ -217,11 +218,21 @@ class EventLog:
     # ------------------------------------------------------------------
     # folds
 
-    def fold(self, kind: str, fn: Callable[[dict[str, Any]], None]) -> None:
+    def fold(self, kind: str, fn: Callable[[dict[str, Any]], None], *,
+             key: str | None = None) -> None:
         """Run ``fn(event)`` on every ``kind`` event :meth:`emit` records,
         in emission order under the log's lock (so a fold must not emit);
-        ``seq`` is ``0`` while the log is disabled."""
-        self._folds.setdefault(kind, []).append(fn)
+        ``seq`` is ``0`` while the log is disabled.
+
+        A keyed fold registers once per log (a later one with the same
+        kind and key is ignored): an owner that binds one log many times
+        still counts each event once."""
+        with self._lock:
+            if (kind, key) in self._fold_keys:
+                return
+            if key is not None:
+                self._fold_keys.add((kind, key))
+            self._folds.setdefault(kind, []).append(fn)
 
     # ------------------------------------------------------------------
     # emission

@@ -20,15 +20,12 @@ the W3C Trace Context one, cut down to what the serve path needs:
   carried to worker processes in the dispatch batch header, so
   worker-side ``worker_exec`` events join the same trace.
 
-Every finished span **double-enters**:
-
-* into the flight recorder as ``span_start`` / ``span_end`` events
-  whose ``cause`` edges hang child spans off their parent's start —
-  span trees are walkable with the same lineage helpers as rollback
-  cascades (:func:`~repro.obs.events.walk_to_root`);
-* into whatever latency :class:`~repro.obs.metrics.Histogram` the call
-  site observes with :attr:`Span.dur_us` — percentile SLOs per stage
-  and tenant fall out of the existing snapshot algebra.
+Every finished span is written once, into the flight recorder, as
+``span_start`` / ``span_end`` events whose ``cause`` edges hang child
+spans off their parent's start — span trees walk with the same lineage
+helpers as rollback cascades (:func:`~repro.obs.events.walk_to_root`),
+and latency histograms fold the ``span_end`` events
+(:meth:`~repro.obs.events.EventLog.fold`).
 
 The tracer is deliberately tiny: span *storage* is the caller's
 problem (the serve daemon appends finished spans to each job's
@@ -152,8 +149,8 @@ class Span:
 
 
 class Tracer:
-    """Opens and closes spans, double-entering each into the flight
-    recorder (``span_start`` / ``span_end`` with causal edges).
+    """Opens and closes spans, recording each in the flight recorder
+    (``span_start`` / ``span_end`` with causal edges).
 
     One tracer serves a whole daemon: it is thread-safe and keeps only
     the start-event seq of each *open* span (so a child's
@@ -202,9 +199,8 @@ class Tracer:
         """Close a span; idempotent-unfriendly by design (end once).
 
         ``sink`` receives the finished span's :meth:`Span.to_dict` —
-        the serve daemon passes each job's ``spans.append``. Metric
-        observation stays at the call site (the caller knows which
-        histogram and labels a stage maps to).
+        the serve daemon passes each job's ``spans.append``. A latency
+        histogram folds the ``span_end`` event (``dur_us`` plus attrs).
         """
         span.t1_us = self._clock()
         for key, value in attrs.items():

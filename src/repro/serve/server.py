@@ -34,9 +34,9 @@ op             meaning
 Tracing: a submit may carry a ``traceparent`` header
 (:data:`repro.serve.wire.TRACEPARENT_KEY`); the daemon adopts it (or
 mints a fresh context) and opens one child span per lifecycle stage —
-admission, queue, lane lease, execute, live-block stream, result — each
-double-entering into the flight recorder and the ``serve_job_stage_us``
-histograms. The execute span's context rides into the runner via
+admission, queue, lane lease, execute, live-block stream, result —
+whose ``span_end`` events the ``serve_job_stage_us`` histograms fold.
+The execute span's context rides into the runner via
 ``JobResources.trace`` and onward to worker processes in dispatch batch
 headers, so worker-side ``worker_exec`` events join the same trace and
 come back as worker-clock leaf spans. See docs/tracing.md.
@@ -129,7 +129,6 @@ class Job:
     started_mono: float = 0.0
     finished_mono: float = 0.0
     error: str | None = None
-    reject_reason: str | None = None
     summary: dict | None = None
     metrics: MetricsRegistry | None = None
     done: threading.Event = field(default_factory=threading.Event)
@@ -238,29 +237,52 @@ class SpeculationServer:
         #: runner leaves it open.
         self.store = BlockStore(metrics=self.metrics, events=self.events)
         m = self.metrics
-        self._m_submitted = m.counter(
+        submitted = m.counter(
             "serve_jobs_submitted", "jobs accepted into the table",
             labelnames=("tenant", "app"))
-        self._m_rejected = m.counter(
+        rejected = m.counter(
             "serve_jobs_rejected", "submissions refused at admission",
             labelnames=("tenant", "reason"))
-        self._m_finished = m.counter(
+        finished = m.counter(
             "serve_jobs_finished", "jobs that reached a terminal state",
             labelnames=("tenant", "app", "state"))
-        self._m_breaker_opens = m.counter(
+        breaker_opens = m.counter(
             "serve_breaker_opens", "tenant circuit-breaker open transitions",
             labelnames=("tenant",))
-        self._m_stage_us = m.histogram(
+        stage_us = m.histogram(
             "serve_job_stage_us",
             "per-stage job latency (admission/queue/lane_lease/execute/"
             "stream/result)",
             labelnames=("stage", "tenant"), buckets=_STAGE_BUCKETS_US)
-        self._m_queue_wait_us = m.histogram(
-            "serve_queue_wait_us", "accepted-submit to run-start wait",
-            buckets=_STAGE_BUCKETS_US)
-        self._m_lane_lease_us = m.histogram(
+        lane_lease_us = m.histogram(
             "serve_lane_lease_us", "warm-lane lease latency by outcome",
             labelnames=("outcome",), buckets=_STAGE_BUCKETS_US)
+
+        def span_ended(e: dict[str, Any]) -> None:
+            if e["span"] == "job":
+                return  # every other daemon span is one lifecycle stage
+            stage_us.labels(stage=e["span"], tenant=e["tenant"]).observe(
+                e["dur_us"])
+            if e["span"] == "lane_lease":
+                lane_lease_us.labels(outcome=e["outcome"]).observe(
+                    e["dur_us"])
+
+        # Folds (docs/flight-recorder.md): each job fact is written once,
+        # as its event, and each stage latency once, as its span_end.
+        for kind, fn in {
+            "job_submit": lambda e: submitted.labels(
+                tenant=e["tenant"], app=e["app"]).inc(),
+            "job_reject": lambda e: rejected.labels(
+                tenant=e["tenant"], reason=e["reason"]).inc(),
+            "job_done": lambda e: finished.labels(
+                tenant=e["tenant"], app=e["app"], state="done").inc(),
+            "job_failed": lambda e: finished.labels(
+                tenant=e["tenant"], app=e["app"], state="failed").inc(),
+            "breaker_open": lambda e: breaker_opens.labels(
+                tenant=e["tenant"]).inc(),
+            "span_end": span_ended,
+        }.items():
+            self.events.fold(kind, fn)
         #: the daemon-wide tracer: span_start/span_end into self.events.
         self.tracer = Tracer(events=self.events)
         #: recent breaker_open monotonic stamps per tenant (flap detection).
@@ -445,7 +467,7 @@ class SpeculationServer:
                                      tenant=tenant)
         raw = req.get("config")
         if not isinstance(raw, dict):
-            self._reject_spans(adm_span, job_span, tenant, "bad_config")
+            self._reject_spans(adm_span, job_span, "bad_config")
             return {"ok": False, "reason": "bad_config",
                     "error": "submit requires a 'config' object",
                     "trace_id": job_span.trace_id}
@@ -461,21 +483,19 @@ class SpeculationServer:
                 raw["workload"] = blobs[0]
             cfg = RunConfig.for_app(app, **raw)
         except (ExperimentError, TypeError) as exc:
-            self._m_rejected.labels(tenant=tenant, reason="bad_config").inc()
             self.events.emit("job_reject", tenant=tenant,
                              reason="bad_config", detail=str(exc),
                              trace_id=job_span.trace_id)
-            self._reject_spans(adm_span, job_span, tenant, "bad_config")
+            self._reject_spans(adm_span, job_span, "bad_config")
             return {"ok": False, "reason": "bad_config", "error": str(exc),
                     "trace_id": job_span.trace_id}
         est_bytes = self._estimate_bytes(cfg)
         reason = self.admission.admit(tenant, est_bytes)
         if reason is not None:
-            self._m_rejected.labels(tenant=tenant, reason=reason).inc()
             self.events.emit("job_reject", tenant=tenant, reason=reason,
                              app=cfg.app, est_bytes=est_bytes,
                              trace_id=job_span.trace_id)
-            self._reject_spans(adm_span, job_span, tenant, reason)
+            self._reject_spans(adm_span, job_span, reason)
             return {"ok": False, "reason": reason,
                     "error": f"admission refused: {reason}",
                     "trace_id": job_span.trace_id}
@@ -488,13 +508,11 @@ class SpeculationServer:
             if isinstance(cfg.io, str) and cfg.io == "live":
                 job.stream_q = queue.Queue()
             self._jobs[job.id] = job
-        self._end_stage(adm_span, stage="admission", tenant=tenant,
-                        sink=job.spans.append, outcome="accepted",
+        self.tracer.end(adm_span, sink=job.spans.append, outcome="accepted",
                         job=job.id)
         # Queue wait starts at acceptance; _run_one closes it.
         job.queue_span = self.tracer.start("queue", parent=job_span,
                                            tenant=tenant, job=job.id)
-        self._m_submitted.labels(tenant=tenant, app=cfg.app).inc()
         self.events.emit("job_submit", tenant=tenant, app=cfg.app,
                          job=job.id, est_bytes=est_bytes,
                          trace_id=job_span.trace_id)
@@ -502,24 +520,15 @@ class SpeculationServer:
         return {"ok": True, "job_id": job.id,
                 "trace_id": job_span.trace_id}
 
-    def _reject_spans(self, adm_span: Span, job_span: Span, tenant: str,
+    def _reject_spans(self, adm_span: Span, job_span: Span,
                       reason: str) -> None:
         """Close submit-path spans for a rejected submission.
 
         No Job row exists, so there is no sink — the spans live on in
         the flight recorder and the admission-stage histogram only.
         """
-        self._end_stage(adm_span, stage="admission", tenant=tenant,
-                        outcome=reason)
+        self.tracer.end(adm_span, outcome=reason)
         self.tracer.end(job_span, state="rejected", outcome=reason)
-
-    def _end_stage(self, span: Span, *, stage: str, tenant: str,
-                   sink: Any = None, **attrs: Any) -> Span:
-        """Close a stage span, double-entering into the SLO histogram."""
-        span = self.tracer.end(span, sink=sink, **attrs)
-        self._m_stage_us.labels(stage=stage, tenant=tenant).observe(
-            span.dur_us)
-        return span
 
     @staticmethod
     def _estimate_bytes(cfg: RunConfig) -> int:
@@ -568,8 +577,7 @@ class SpeculationServer:
         if not job.stream_closed:
             job.stream_closed = True
             if job.stream_span is not None and job.stream_span.t1_us is None:
-                self._end_stage(job.stream_span, stage="stream",
-                                tenant=job.tenant, sink=job.spans.append)
+                self.tracer.end(job.stream_span, sink=job.spans.append)
             job.stream_q.put(_EOF)
         return {"ok": True, "job_id": job.id}
 
@@ -673,9 +681,7 @@ class SpeculationServer:
         job.state = "running"
         job.started_mono = time.monotonic()
         if job.queue_span is not None:
-            span = self._end_stage(job.queue_span, stage="queue",
-                                   tenant=tenant, sink=job.spans.append)
-            self._m_queue_wait_us.observe(span.dur_us)
+            self.tracer.end(job.queue_span, sink=job.spans.append)
         self.events.emit("job_start", tenant=tenant, app=cfg.app,
                          job=job.id, trace_id=job.trace_id,
                          queued_s=round(job.started_mono
@@ -702,11 +708,8 @@ class SpeculationServer:
                     and lane.jobs_served > 1 else "cold"
                 if lane is not None:
                     resources.executor_factory = self._factory(cfg, lane)
-                span = self._end_stage(lease_span, stage="lane_lease",
-                                       tenant=tenant, sink=job.spans.append,
-                                       outcome=outcome)
-                self._m_lane_lease_us.labels(outcome=outcome).observe(
-                    span.dur_us)
+                self.tracer.end(lease_span, sink=job.spans.append,
+                                outcome=outcome)
             exec_span = self.tracer.start("execute", parent=job.job_span,
                                           tenant=tenant, job=job.id,
                                           app=cfg.app)
@@ -716,8 +719,7 @@ class SpeculationServer:
             try:
                 report = run_job(cfg, metrics=registry, resources=resources)
             finally:
-                self._end_stage(exec_span, stage="execute", tenant=tenant,
-                                sink=job.spans.append)
+                self.tracer.end(exec_span, sink=job.spans.append)
             result_span = self.tracer.start("result", parent=job.job_span,
                                             tenant=tenant, job=job.id)
             try:
@@ -725,8 +727,7 @@ class SpeculationServer:
                 job.summary = _summarize(report)
                 job.state = "done"
             finally:
-                self._end_stage(result_span, stage="result", tenant=tenant,
-                                sink=job.spans.append)
+                self.tracer.end(result_span, sink=job.spans.append)
         except Exception as exc:  # noqa: BLE001 - job fails, daemon lives
             job.error = f"{type(exc).__name__}: {exc}"
             job.state = "failed"
@@ -735,8 +736,7 @@ class SpeculationServer:
             job.finished_mono = time.monotonic()
             if job.stream_span is not None and job.stream_span.t1_us is None:
                 # Failed live job: the client never sent close_stream.
-                self._end_stage(job.stream_span, stage="stream",
-                                tenant=tenant, sink=job.spans.append)
+                self.tracer.end(job.stream_span, sink=job.spans.append)
             if lane is not None:
                 self.lanes.release(lane, poisoned=crash)
             before = self.admission.breaker_state(job.tenant)
@@ -744,12 +744,9 @@ class SpeculationServer:
                                    crash=crash, success=job.state == "done")
             after = self.admission.breaker_state(job.tenant)
             if crash and after == "open" and before != "open":
-                self._m_breaker_opens.labels(tenant=job.tenant).inc()
                 self.events.emit("breaker_open", tenant=job.tenant,
                                  job=job.id, trace_id=job.trace_id)
                 self._note_breaker_open(job.tenant)
-            self._m_finished.labels(tenant=job.tenant, app=cfg.app,
-                                    state=job.state).inc()
             self.events.emit("job_done" if job.state == "done"
                              else "job_failed",
                              tenant=job.tenant, app=cfg.app, job=job.id,

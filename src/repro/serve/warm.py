@@ -82,16 +82,25 @@ class LanePool:
         except ValueError:  # pragma: no cover - non-POSIX
             self._ctx = multiprocessing.get_context()
         m = home_runtime.metrics
-        self._m_spawns = m.counter(
+        spawns = m.counter(
             "serve_lane_spawns", "warm worker-pool lanes spawned")
-        self._m_reuses = m.counter(
+        reuses = m.counter(
             "serve_lane_reuses",
             "jobs that ran on an already-warm lane (pool start-up skipped)")
-        self._m_drops = m.counter(
+        drops = m.counter(
             "serve_lane_drops",
             "lanes discarded after crash-type job failures")
-        self._g_lanes = m.gauge(
+        live = m.gauge(
             "serve_lanes_live", "warm lanes currently alive")
+
+        # Folds (docs/flight-recorder.md): the lane events are the one
+        # write of each lane fact; live lanes are spawns less drops/stops.
+        for kind, step in (
+                ("lane_spawn", spawns.inc), ("lane_spawn", live.inc),
+                ("lane_reuse", reuses.inc),
+                ("lane_drop", drops.inc), ("lane_drop", live.dec),
+                ("lane_stop", live.dec)):
+            home_runtime.events.fold(kind, lambda _e, step=step: step())
 
     @staticmethod
     def signature(tenant: str, workers: int,
@@ -109,7 +118,6 @@ class LanePool:
                 if lane.key == key and not lane.in_use:
                     lane.in_use = True
                     lane.jobs_served += 1
-                    self._m_reuses.inc()
                     self._home.events.emit(
                         "lane_reuse", tenant=tenant, workers=workers,
                         jobs_served=lane.jobs_served)
@@ -131,8 +139,6 @@ class LanePool:
             PipeLink(self._ctx), workers, runtime=self._home,
             fault_plan=FaultPlan.parse(fault_plan), **opts)
         supervisor.start()
-        self._m_spawns.inc()
-        self._g_lanes.inc()
         self._home.events.emit("lane_spawn", tenant=tenant, workers=workers,
                                fault_plan=fault_plan or None)
         return WarmLane(key=key, workers=workers, supervisor=supervisor,
@@ -155,8 +161,6 @@ class LanePool:
                 return
             if lane in self._lanes:
                 self._lanes.remove(lane)
-            self._m_drops.inc()
-            self._g_lanes.dec()
             self._home.events.emit("lane_drop", tenant=lane.key[0],
                                    workers=lane.workers)
         lane.stop()
@@ -179,4 +183,5 @@ class LanePool:
             lanes, self._lanes = self._lanes, []
         for lane in lanes:
             lane.stop()
-            self._g_lanes.dec()
+            self._home.events.emit("lane_stop", tenant=lane.key[0],
+                                   workers=lane.workers)

@@ -56,7 +56,6 @@ from collections.abc import Sequence
 from typing import Any
 
 from repro.errors import SchedulingError, SegmentGone, TransportError, WorkerLost
-from repro.obs.metrics import MetricsRegistry
 from repro.serve.wire import (BLOBS_KEY, TRACEPARENT_KEY, close_socket,
                               recv_frame, send_frame, set_nodelay)
 from repro.sre import shm
@@ -167,7 +166,8 @@ class RemotePool:
         self.sup = sup
         self.abort_flags = _RemoteAbortFlags(self, sup.n_workers)
 
-    def bind_metrics(self, m: MetricsRegistry) -> None:
+    def bind_runtime(self, runtime: Runtime) -> None:
+        m = runtime.metrics
         self._m_abort_rtt = m.histogram(
             "dist_abort_rtt_us",
             "round-trip of one cross-host abort-flag raise, microseconds",

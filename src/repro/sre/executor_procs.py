@@ -231,37 +231,40 @@ def _process_main(conn, abort_flags, wid: int, fault_plan=None,
     w = str(wid)
 
     def _fresh_state():
-        """Registry + event log + bound instruments for one harvest
-        interval (worker start -> first flush, flush -> flush, ... ->
-        stop)."""
+        """Registry + event log for one harvest interval (start or flush
+        to the next flush or stop); the payload counters and body
+        histogram fold the log's ``worker_exec`` events."""
         metrics = MetricsRegistry()
         events = EventLog(run_id=f"w{wid}")
-        m_tasks = metrics.counter(
-            "procs_worker_tasks", "payloads executed in worker processes",
-            labelnames=("worker",)).labels(worker=w)
-        m_errors = metrics.counter(
-            "procs_worker_errors", "payloads that raised in worker processes",
-            labelnames=("worker",)).labels(worker=w)
-        m_skips = metrics.counter(
-            "procs_worker_abort_skips",
-            "payloads skipped because the destroy signal landed first",
-            labelnames=("worker",)).labels(worker=w)
-        m_gone = metrics.counter(
-            "procs_worker_segment_gone",
-            "payloads bounced because a shared segment was already reclaimed",
-            labelnames=("worker",)).labels(worker=w)
-        m_body_us = metrics.histogram(
+        by_status = {status: metrics.counter(
+            name, help_, labelnames=("worker",)).labels(worker=w)
+            for status, name, help_ in (
+                (_OK, "procs_worker_tasks",
+                 "payloads executed in worker processes"),
+                (_ERR, "procs_worker_errors",
+                 "payloads that raised in worker processes"),
+                (_SKIPPED, "procs_worker_abort_skips",
+                 "payloads skipped because the destroy signal landed first"),
+                (_GONE, "procs_worker_segment_gone",
+                 "payloads bounced because a shared segment was already "
+                 "reclaimed"))}
+        body_us = metrics.histogram(
             "procs_worker_body_us", "payload body wall time in worker (µs)",
             labelnames=("worker",)).labels(worker=w)
-        m_attached = metrics.gauge(
+        attached = metrics.gauge(
             "procs_worker_shm_attached",
             "shared-memory segments a worker had attached at shutdown",
             labelnames=("worker",)).labels(worker=w)
-        return (metrics, events, m_tasks, m_errors, m_skips, m_gone,
-                m_body_us, m_attached)
 
-    (metrics, events, m_tasks, m_errors, m_skips, m_gone,
-     m_body_us, m_attached) = _fresh_state()
+        def executed(event: dict[str, Any]) -> None:
+            by_status[event["status"]].inc()
+            if "dur_us" in event:
+                body_us.observe(event["dur_us"])
+
+        events.fold("worker_exec", executed)
+        return metrics, events, attached
+
+    metrics, events, m_attached = _fresh_state()
     seq = 0  # payloads *received* this incarnation; replies are tagged with it
     while True:
         try:
@@ -284,8 +287,7 @@ def _process_main(conn, abort_flags, wid: int, fault_plan=None,
             # counter is NOT reset — it tracks the pipe stream, which
             # outlives harvest intervals.
             trace_ctx = events.trace_context
-            (metrics, events, m_tasks, m_errors, m_skips, m_gone,
-             m_body_us, m_attached) = _fresh_state()
+            metrics, events, m_attached = _fresh_state()
             events.set_trace_context(trace_ctx)
             continue
         try:
@@ -312,31 +314,20 @@ def _process_main(conn, abort_flags, wid: int, fault_plan=None,
                 # Destroy signal observed before launch: skip the body.
                 # The coordinator re-runs any batch member that was not
                 # actually aborted, so over-skipping is always safe.
-                m_skips.inc()
-                events.emit("worker_exec", status="abort-skipped",
-                            wire_bytes=len(blob))
-                status, payload = _SKIPPED, None
+                status, payload, dur_us = _SKIPPED, None, None
             else:
                 t0 = time.perf_counter()
                 try:
                     outputs = Task.run_payload(blob)
                 except SegmentGone as exc:
-                    m_gone.inc()
-                    events.emit("worker_exec", status="segment-gone",
-                                wire_bytes=len(blob))
-                    status, payload = _GONE, str(exc)
+                    status, payload, dur_us = _GONE, str(exc), None
                 except BaseException:
-                    m_errors.inc()
-                    events.emit("worker_exec", status="error",
-                                wire_bytes=len(blob))
-                    status, payload = _ERR, traceback.format_exc()
+                    status, payload, dur_us = _ERR, traceback.format_exc(), None
                 else:
-                    dur_us = (time.perf_counter() - t0) * 1e6
-                    m_tasks.inc()
-                    m_body_us.observe(dur_us)
-                    events.emit("worker_exec", status="ok", dur_us=dur_us,
-                                wire_bytes=len(blob))
                     status, payload = _OK, outputs
+                    dur_us = (time.perf_counter() - t0) * 1e6
+            events.emit("worker_exec", status=status, dur_us=dur_us,
+                        wire_bytes=len(blob))
             # Stream this payload's reply immediately — never hold a fast
             # result hostage to a slow batch-mate still waiting its turn.
             try:
@@ -491,12 +482,16 @@ class PipeLink:
         self.sup = sup
         self.abort_flags = self._ctx.Array("b", sup.n_workers, lock=False)
 
-    def bind_metrics(self, m: MetricsRegistry) -> None:
-        self._m_harvest_lost = m.counter(
+    def bind_runtime(self, runtime: Runtime) -> None:
+        lost = runtime.metrics.counter(
             "procs_worker_harvest_lost",
             "workers whose final metrics/events snapshot could not be "
             "harvested at shutdown",
             labelnames=("reason",))
+        runtime.events.fold(
+            "worker_harvest_lost",
+            lambda event: lost.labels(reason=event["reason"]).inc(),
+            key="procs_worker_harvest_lost")
 
     def start(self) -> None:
         # The shared-memory resource tracker must exist *before* workers
@@ -634,7 +629,6 @@ class PipeLink:
         self.sup.runtime.events.merge_worker(wid, snapshot["events"])
 
     def _harvest_lost(self, wid: int, reason: str) -> None:
-        self._m_harvest_lost.labels(reason=reason).inc()
         self.sup.runtime.events.emit("worker_harvest_lost", worker=wid,
                                      reason=reason,
                                      timeout_s=self.sup.harvest_timeout_s)
@@ -712,13 +706,22 @@ class WorkerSupervisor:
         self._bind_runtime(runtime)
 
     def _bind_runtime(self, runtime: Runtime) -> None:
+        """Fold the ``worker_crash`` / ``_respawn`` / ``_degraded`` events
+        into the link's ``METRICS``, keyed so that lanes sharing and
+        re-binding one home log count each event once (one link kind per
+        log)."""
         self.runtime = runtime
-        m = runtime.metrics
-        names = self.link.METRICS
-        self._m_lost = m.counter(*names["lost"], labelnames=("cause",))
-        self._m_respawns = m.counter(*names["respawned"])
-        self._m_degraded = m.gauge(*names["degraded"])
-        self.link.bind_metrics(m)
+        m, names = runtime.metrics, self.link.METRICS
+        lost = m.counter(*names["lost"], labelnames=("cause",))
+        respawned = m.counter(*names["respawned"])
+        degraded = m.gauge(*names["degraded"])
+        for kind, fn in {
+            "worker_crash": lambda e: lost.labels(cause=e["reason"]).inc(),
+            "worker_respawn": lambda _e: respawned.inc(),
+            "worker_degraded": lambda _e: degraded.inc(),
+        }.items():
+            runtime.events.fold(kind, fn, key=names["lost"][0])
+        self.link.bind_runtime(runtime)
 
     def rebind(self, runtime: Runtime) -> None:
         """Re-point a warm supervisor at a fresh per-job runtime.
@@ -833,7 +836,6 @@ class WorkerSupervisor:
         exitcode = self.link.close(seat)
         if lost.exitcode is not None:
             exitcode = lost.exitcode
-        self._m_lost.labels(cause=lost.cause).inc()
         # NB: the loss cause travels as ``reason`` — ``cause=`` is the
         # event log's causal-edge parameter, and a follow-on crash must
         # inherit the ambient scope (the prior crash) there.
@@ -873,7 +875,6 @@ class WorkerSupervisor:
         if refused:
             self._degrade(seat, refused)
             return False
-        self._m_respawns.inc()
         self.runtime.events.emit("worker_respawn", worker=wid,
                                  incarnation=seat.incarnation,
                                  respawns=seat.respawns,
@@ -885,7 +886,6 @@ class WorkerSupervisor:
             return
         seat.degraded = True
         self.link.close(seat)
-        self._m_degraded.inc()
         self.runtime.events.emit("worker_degraded", worker=seat.wid,
                                  reason=reason, respawns=seat.respawns,
                                  **self.link.event_fields)
@@ -1042,12 +1042,15 @@ class ProcessExecutor(LiveExecutor):
         self._m_reruns = m.counter(
             "procs_inline_reruns",
             "worker-skipped payloads re-run inline on the coordinator")
-        self._m_retries = m.counter(
+        retries = m.counter(
             "procs_task_retries",
             "payload re-dispatches after a worker died mid-batch")
-        self._m_quarantined = m.counter(
+        quarantined = m.counter(
             "procs_tasks_quarantined",
             "tasks failed permanently after repeatedly losing their worker")
+        runtime.events.fold("task_retry", lambda _event: retries.inc())
+        runtime.events.fold("task_quarantine",
+                            lambda _event: quarantined.inc())
         self._m_stream_depth = m.histogram(
             "procs_reply_stream_depth",
             "payloads still unanswered in a seat's pipe when one streamed "
@@ -1269,7 +1272,6 @@ class ProcessExecutor(LiveExecutor):
         payload cannot leak segments — later releases of the same blocks
         by the version machinery are tolerated no-ops.
         """
-        self._m_quarantined.inc()
         self.runtime.events.emit(
             "task_quarantine", task=task.name,
             version=task.tags.get("spec_version"),
@@ -1326,7 +1328,6 @@ class ProcessExecutor(LiveExecutor):
             delay = self.retry_policy.backoff(attempt)
             if delay:
                 time.sleep(delay)
-            self._m_retries.inc()
             self.runtime.events.emit(
                 "task_retry", task=task.name,
                 version=task.tags.get("spec_version"),

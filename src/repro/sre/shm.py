@@ -49,6 +49,8 @@ from typing import Any, Callable, Iterable, Iterator
 import numpy as np
 
 from repro.errors import SegmentGone, TransportError
+from repro.obs.events import EventLog
+from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
     "BlockRef",
@@ -438,33 +440,38 @@ class BlockStore:
         #: calls become tolerated no-ops instead of double-release errors.
         self._forfeited: set[tuple[str, int]] = set()
         self._closed = False
-        #: optional flight recorder (see repro.obs.events): ref releases
-        #: emit ``shm_release`` events whose ambient cause scope ties them
-        #: into rollback / commit cascades.
-        self._events = events
-        self.bytes_stored = 0
-        self.segments_created = 0
+        #: flight recorder (see repro.obs.events): ref releases emit
+        #: ``shm_release`` events whose ambient cause scope ties them into
+        #: rollback / commit cascades; a disabled log when none is given,
+        #: so the release counters below still fold.
+        self._events = events if events is not None else EventLog(enabled=False)
         self.segments_reclaimed = 0
-        if metrics is not None:
-            self._g_segments = metrics.gauge(
-                "shm_segments", "shared-memory segments currently existing")
-            self._g_resident = metrics.gauge(
-                "shm_bytes_resident", "bytes held in live shared-memory segments")
-            self._c_blocks = metrics.counter(
-                "shm_blocks_stored", "blocks placed into shared memory")
-            self._c_released = metrics.counter(
-                "shm_refs_released",
-                "shared-memory block references released",
-                labelnames=("reason",))
-            self._c_bytes_released = metrics.counter(
-                "shm_bytes_released",
-                "bytes of pinned shared-memory blocks whose references "
-                "were released (block length × refs dropped)",
-                labelnames=("reason",))
-        else:
-            self._g_segments = self._g_resident = self._c_blocks = None
-            self._c_released = None
-            self._c_bytes_released = None
+        # A store without a registry counts into a private one.
+        metrics = metrics if metrics is not None else MetricsRegistry()
+        self._g_segments = metrics.gauge(
+            "shm_segments", "shared-memory segments currently existing")
+        self._g_resident = metrics.gauge(
+            "shm_bytes_resident", "bytes held in live shared-memory segments")
+        self._c_blocks = metrics.counter(
+            "shm_blocks_stored", "blocks placed into shared memory")
+        released = metrics.counter(
+            "shm_refs_released",
+            "shared-memory block references released",
+            labelnames=("reason",))
+        bytes_released = metrics.counter(
+            "shm_bytes_released",
+            "bytes of pinned shared-memory blocks whose references "
+            "were released (block length × refs dropped)",
+            labelnames=("reason",))
+        own = self._prefix + "-"  # this store's segment names
+
+        def folded(event: dict[str, Any]) -> None:
+            if event["segment"].startswith(own):
+                released.labels(reason=event["reason"]).inc(event["refs"])
+                bytes_released.labels(reason=event["reason"]).inc(
+                    event["nbytes"])
+
+        self._events.fold("shm_release", folded)
 
     # -- allocation ----------------------------------------------------
     def _new_segment(self, capacity: int) -> _Segment:
@@ -475,10 +482,8 @@ class BlockStore:
         # Register in the process-local cache so local resolve is free.
         with _cache_lock:
             _segments[shm.name] = shm
-        self.segments_created += 1
-        if self._g_segments is not None:
-            self._g_segments.inc()
-            self._g_resident.inc(capacity)
+        self._g_segments.inc()
+        self._g_resident.inc(capacity)
         return seg
 
     def _alloc(self, nbytes: int) -> tuple[_Segment, int]:
@@ -527,12 +532,10 @@ class BlockStore:
             ref = BlockRef(seg.shm.name, offset, nbytes, kind, dtype, shape)
             self._refcounts[ref.key] = refs
             self._ref_meta[ref.key] = ref
-            self.bytes_stored += nbytes
         if kind == "pickle":
             with _cache_lock:
                 _objects[ref.key] = value  # prime the local resolve cache
-        if self._c_blocks is not None:
-            self._c_blocks.inc()
+        self._c_blocks.inc()
         return ref
 
     def acquire(self, ref: BlockRef, n: int = 1) -> BlockRef:
@@ -573,13 +576,9 @@ class BlockStore:
                 seg.live_blocks -= 1
                 self._maybe_reclaim(seg)
                 freed = True
-        if self._c_released is not None:
-            self._c_released.labels(reason=reason).inc(n)
-            self._c_bytes_released.labels(reason=reason).inc(ref.length * n)
-        if self._events is not None:
-            self._events.emit("shm_release", reason=reason, refs=n,
-                              nbytes=ref.length * n, segment=ref.segment,
-                              freed=freed or None)
+        self._events.emit("shm_release", reason=reason, refs=n,
+                          nbytes=ref.length * n, segment=ref.segment,
+                          freed=freed or None)
 
     def release_crashed(self, refs: "Iterable[BlockRef]") -> int:
         """Force-release every outstanding reference on ``refs``.
@@ -610,18 +609,11 @@ class BlockStore:
                 seg.live_blocks -= 1
                 self._maybe_reclaim(seg)
                 dropped.append((ref, count))
-        total = 0
         for ref, count in dropped:
-            total += count
-            if self._c_released is not None:
-                self._c_released.labels(reason="crash").inc(count)
-                self._c_bytes_released.labels(reason="crash").inc(
-                    ref.length * count)
-            if self._events is not None:
-                self._events.emit("shm_release", reason="crash", refs=count,
-                                  nbytes=ref.length * count,
-                                  segment=ref.segment, freed=True)
-        return total
+            self._events.emit("shm_release", reason="crash", refs=count,
+                              nbytes=ref.length * count,
+                              segment=ref.segment, freed=True)
+        return sum(count for _ref, count in dropped)
 
     def refcount(self, ref: BlockRef) -> int:
         """Current reference count (0 once fully released)."""
@@ -652,9 +644,8 @@ class BlockStore:
             pass
         seg.unlinked = True
         self.segments_reclaimed += 1
-        if self._g_segments is not None:
-            self._g_segments.dec()
-            self._g_resident.dec(seg.capacity)
+        self._g_segments.dec()
+        self._g_resident.dec(seg.capacity)
 
     def close(self, *, reason: str = "close") -> None:
         """Release every outstanding ref, unlink and unmap everything.
@@ -685,9 +676,8 @@ class BlockStore:
                         pass
                     seg.unlinked = True
                     self.segments_reclaimed += 1
-                    if self._g_segments is not None:
-                        self._g_segments.dec()
-                        self._g_resident.dec(seg.capacity)
+                    self._g_segments.dec()
+                    self._g_resident.dec(seg.capacity)
                 with _cache_lock:
                     _segments.pop(seg.shm.name, None)
                     _objects_keys = [k for k in _objects

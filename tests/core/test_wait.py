@@ -1,9 +1,12 @@
 """Unit tests for the wait buffer (side-effect barrier)."""
 
+from collections import Counter
+
 import pytest
 
 from repro.core.wait import WaitBuffer
 from repro.errors import SpeculationError
+from repro.obs.events import EventLog
 
 
 def _buffer():
@@ -92,19 +95,29 @@ def test_duplicate_key_overwrites():
     assert flushed == [("k", "new", 2.0)]
 
 
+def _kinds(log):
+    return Counter(e["kind"] for e in log.events())
+
+
 def test_counters():
-    buf, _ = _buffer()
+    """Deposits, flushes and discards are counted off the buffer_* events."""
+    log = EventLog("r")
+    buf = WaitBuffer(events=log)
     buf.deposit(1, "a", 1, 0.0)
     buf.deposit(2, "b", 2, 0.0)
     buf.discard(2)
     buf.commit(1, 0.0)
-    assert buf.deposits == 2
-    assert buf.discarded == 1
-    assert buf.flushed == 1
+    buf.deposit(1, "c", 3, 0.0)  # post-commit: flushes straight through
+    kinds = _kinds(log)
+    passthrough = sum(e.get("passthrough", False) for e in log.events())
+    assert kinds["buffer_deposit"] + passthrough == 3
+    assert kinds["buffer_discard"] == 1
+    assert kinds["buffer_flush"] == 2
 
 
 def test_sinkless_buffer_counts_flushes():
-    buf = WaitBuffer()
+    log = EventLog("r")
+    buf = WaitBuffer(events=log)
     buf.deposit(1, "a", 1, 0.0)
     buf.commit(1, 0.0)
-    assert buf.flushed == 1
+    assert _kinds(log)["buffer_flush"] == 1

@@ -12,6 +12,7 @@ metrics (double-entry: event log vs metrics surface).
 
 import pytest
 
+from repro.core.decisions import LiveDecisionSource
 from repro.experiments.runner import RunConfig, run_huffman
 from repro.obs.events import index_by_seq, load_events_jsonl, walk_to_root
 from repro.obs.explain import build_cascades, explain_events
@@ -31,8 +32,11 @@ def _run(executor, **kw):
 
 
 def _assert_causal_closure(events):
-    """Every task_abort walks back to a destroy_signal root."""
+    """Every task_abort walks back to a destroy_signal root, and above it
+    to the failing check — or, for a version that never launched (the
+    final update overtook its prediction), to its spec_abandon."""
     by_seq = index_by_seq(events)
+    launched = {e["version"] for e in events if e["kind"] == "spec_launch"}
     aborts = [e for e in events if e["kind"] == "task_abort"]
     assert aborts, "forced mis-speculation produced no aborts"
     for abort in aborts:
@@ -41,7 +45,10 @@ def _assert_causal_closure(events):
         assert "destroy_signal" in kinds, (
             f"orphaned abort {abort.get('task')!r}: chain {kinds}")
         # and above the signal sits the check that pulled the trigger
-        assert "check_fail" in kinds, (
+        signal = next(e for e in chain if e["kind"] == "destroy_signal")
+        roots = {"check_fail"} if signal["version"] in launched \
+            else {"check_fail", "spec_abandon"}
+        assert roots & set(kinds), (
             f"abort {abort.get('task')!r} has no failing check in {kinds}")
 
 
@@ -66,6 +73,52 @@ def test_spec_lineage_reaches_the_prediction(executor):
         kinds = {e["kind"] for e in walk_to_root(fail, by_seq)}
         assert "spec_launch" in kinds
         assert "spec_predict" in kinds
+
+
+class _HoldFirstPrediction(LiveDecisionSource):
+    """The live decisions, but the first prediction is delivered only
+    after the final tree: the final update overtakes it, every time."""
+
+    def __init__(self) -> None:
+        self.held = None
+
+    def bind(self, manager) -> None:
+        self.spec = manager.spec
+
+    def on_prediction_ready(self, manager, version, outputs) -> None:
+        if self.held is None:
+            self.held = (version, outputs)
+            return
+        super().on_prediction_ready(manager, version, outputs)
+
+    def on_final_ready(self, manager, ref_value, outs) -> None:
+        super().on_final_ready(manager, ref_value, outs)
+        if self.held is not None:
+            manager._process_prediction_ready(*self.held)
+
+
+@pytest.mark.parametrize("executor", ["sim", "threads"])
+def test_half_born_version_rollback_is_causally_closed(executor):
+    """The final update overtakes the first prediction: the half-born
+    version is rolled back under its spec_abandon root, and the run
+    recomputes the exact encoding, byte for byte the non-speculative
+    sim run's."""
+    cfg = dict(_FORCED)
+    if executor != "sim":
+        cfg.update(_LIVE, executor=executor)
+    report = run_huffman(config=RunConfig(**cfg),
+                         decisions=_HoldFirstPrediction())
+    assert report.roundtrip_ok
+    events = report.events.events()
+    kinds = [e["kind"] for e in events]
+    assert "spec_launch" not in kinds and "check_fail" not in kinds
+    assert kinds.count("spec_abandon") == 1
+    assert report.result.spec_stats["recomputes"] == 1
+    _assert_causal_closure(events)
+    (signal,) = [e for e in events if e["kind"] == "destroy_signal"]
+    assert index_by_seq(events)[signal["cause"]]["kind"] == "spec_abandon"
+    exact = run_huffman(config=RunConfig(**_FORCED, speculative=False))
+    assert report.output_sha256 == exact.output_sha256
 
 
 def test_procs_worker_events_come_home_in_order():

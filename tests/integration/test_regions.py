@@ -24,11 +24,12 @@ import time
 
 import pytest
 
+from repro.core.decisions import LiveDecisionSource
 from repro.core.manager import SpeculationManager
 from repro.experiments.config import RunConfig
 from repro.experiments.runner import run_huffman
 from repro.huffman import tasks as huffman_tasks
-from repro.huffman.pipeline import region_blocks
+from repro.huffman.pipeline import HuffmanPipeline, region_blocks
 from repro.sre.worker_pool import PoolSettings, WorkerPoolServer
 
 pytestmark = [pytest.mark.slow, pytest.mark.procs, pytest.mark.threaded]
@@ -63,14 +64,15 @@ def _sim_digest(case: str, n_blocks: int) -> str:
         n_blocks=n_blocks, executor="sim", **_CASES[case])).output_sha256
 
 
-def _run_live(executor: str, case: str, n_blocks: int, pool) -> object:
+def _run_live(executor: str, case: str, n_blocks: int, pool,
+              **kw) -> object:
     opts = dict(_EXECUTORS[executor])
     if opts["executor"] == "dist":
         opts["pool"] = f"127.0.0.1:{pool.port}"
     # The default 2 ms feed gap leaves the first prediction ample time to
     # land before the final update, as it always does in sim.
     return run_huffman(config=RunConfig(
-        n_blocks=n_blocks, workers=2, **_CASES[case], **opts))
+        n_blocks=n_blocks, workers=2, **_CASES[case], **opts), **kw)
 
 
 def _span(name: str) -> int:
@@ -140,16 +142,54 @@ def _gated_encode_block(data, tree):
     return _encode_block(data, tree)
 
 
+class _FirstVersionVerdictsAfterAnEncode(LiveDecisionSource):
+    """Delivers v1's verdicts only once one of v1's encode regions has
+    finished. The gated region cannot finish before the rollback, so at
+    tolerance 0 the destroy always finds a finished region of the doomed
+    version to waste besides the one it reaps, however loaded the host."""
+
+    def __init__(self) -> None:
+        self.parked: list | None = []  # None once v1 has encoded
+
+    def bind(self, manager) -> None:
+        self.spec = manager.spec
+        self.manager = manager
+
+    def on_verdict(self, manager, version, index, ref_value, outs) -> None:
+        if version.vid == 1 and self.parked is not None:
+            self.parked.append((version, index, ref_value, outs))
+            return
+        super().on_verdict(manager, version, index, ref_value, outs)
+
+    def encoded(self, version) -> None:
+        if version is None or version.vid != 1 or self.parked is None:
+            return
+        parked, self.parked = self.parked, None
+        for args in parked:
+            self.manager._process_verdict(*args)
+
+
 @pytest.mark.parametrize("executor", sorted(_EXECUTORS))
 def test_destroy_lands_while_encode_region_in_flight(executor, pool, tmp_path,
                                                      monkeypatch):
     """pdf at tolerance 0: the first speculative version's first encode
     region is held in its worker until the version is rolled back, so
-    the destroy always finds it running. The region is reaped whole —
-    none of its blocks count as encoded or wasted — and the run still
-    commits the sim reference's bytes."""
+    the destroy always finds it running, and the version's verdicts are
+    held until another of its regions has finished. The running region
+    is reaped whole — none of its blocks count as encoded or wasted —
+    the finished one is wasted, and the run still commits the sim
+    reference's bytes."""
     monkeypatch.setattr(__name__ + "._GATE_DIR", str(tmp_path))
     monkeypatch.setattr(huffman_tasks, "encode_block", _gated_encode_block)
+    decisions = _FirstVersionVerdictsAfterAnEncode()
+    encode_done = HuffmanPipeline._encode_done
+
+    def _encode_done_then_release(self, version, outs):
+        encode_done(self, version, outs)
+        decisions.encoded(version)
+
+    monkeypatch.setattr(HuffmanPipeline, "_encode_done",
+                        _encode_done_then_release)
     rollback = SpeculationManager._rollback
 
     def _rollback_then_open_gate(self, version):
@@ -159,7 +199,8 @@ def test_destroy_lands_while_encode_region_in_flight(executor, pool, tmp_path,
     monkeypatch.setattr(SpeculationManager, "_rollback",
                         _rollback_then_open_gate)
     before = _shm_names()
-    report = _run_live(executor, "rollback", 130, pool)
+    report = _run_live(executor, "rollback", 130, pool, decisions=decisions)
+    assert decisions.parked is None
     assert (tmp_path / "rolled_back").exists()
     _assert_region_invariants(report, "rollback", 130, before)
     in_flight = [e for e in _encode_ends(report, "task_abort")

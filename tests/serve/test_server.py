@@ -11,7 +11,10 @@ The acceptance bar for `repro serve`:
   *its* lane while a concurrent healthy tenant completes normally.
 """
 
+import os
+import signal
 import threading
+from collections import Counter
 
 import pytest
 
@@ -288,3 +291,61 @@ def test_metrics_out_publishes_serve_snapshots(tmp_path):
     assert serve is not None
     assert serve["tenants"]["alice"]["done"] == 1.0
     assert serve["stages"][("alice", "execute")]["count"] == 1.0
+
+
+def _total(registry, name) -> float:
+    return sum(s["value"] for s in registry.get(name).snapshot_series())
+
+
+def test_shared_home_log_counts_each_fact_once(monkeypatch):
+    """Two lanes park on the daemon's home runtime and re-bind it after
+    every job; one lane serves three jobs, the first of which loses its
+    worker. On the home registry and on every job registry, each crash,
+    respawn and lost harvest counts once, and the serve_jobs_* and
+    serve_lane_* counters equal their events."""
+    reports = []
+
+    def run_job_kept(*args, **kwargs):
+        reports.append(run_job(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr("repro.serve.server.run_job", run_job_kept)
+    crashy = {"app": "huffman", "workload": "txt", "n_blocks": 24,
+              "executor": "procs", "workers": 1, "transport": "shm",
+              "seed": 3, "feed_gap_s": 0.0005, "fault_plan": "kill@2"}
+    calm = dict(crashy, fault_plan=None)
+    server = SpeculationServer(ServeSettings(job_workers=1)).start()
+    try:
+        with ServeClient(port=server.port) as client:
+            for tenant, cfg in [("crashy", crashy)] * 3 + [("calm", calm)]:
+                client.result(client.submit(cfg, tenant=tenant),
+                              timeout_s=180.0)
+        # a parked worker dies: the shutdown harvest loses its snapshot
+        (calm_lane,) = [lane for lane in server.lanes._lanes
+                        if lane.key[0] == "calm"]
+        os.kill(calm_lane.supervisor.pids()[0], signal.SIGKILL)
+        calm_lane.supervisor.process(0).join(timeout=10.0)
+    finally:
+        server.stop()
+    assert [r.roundtrip_ok for r in reports] == [True] * 4
+    crashes = [_total(r.metrics, "procs_worker_crashes") for r in reports]
+    assert crashes == [1, 0, 0, 0]
+    home = Counter(e["kind"] for e in server.events.events())
+    logs = [(server.metrics, home)] + [
+        (r.metrics, Counter(e["kind"] for e in r.events.events()
+                            if e.get("clock") != "worker"))
+        for r in reports]
+    for registry, kinds in logs:
+        assert _total(registry, "procs_worker_crashes") == kinds["worker_crash"]
+        assert registry.value("procs_worker_respawns") == \
+            kinds["worker_respawn"]
+        assert _total(registry, "procs_worker_harvest_lost") == \
+            kinds["worker_harvest_lost"]
+    assert home["worker_harvest_lost"] == 1
+    m = server.metrics
+    assert _total(m, "serve_jobs_submitted") == home["job_submit"] == 4
+    assert _total(m, "serve_jobs_finished") == \
+        home["job_done"] + home["job_failed"] == 4
+    assert m.value("serve_lane_spawns") == home["lane_spawn"] == 2
+    assert m.value("serve_lane_reuses") == home["lane_reuse"] == 2
+    assert m.gauge("serve_lanes_live").value() == 0

@@ -12,6 +12,7 @@ tests use a file rendezvous (worker payloads cannot see coordinator
 threading primitives).
 """
 
+import multiprocessing
 import os
 import signal
 import time
@@ -20,9 +21,10 @@ from functools import partial
 import pytest
 
 from repro.errors import TaskExecutionError
-from repro.sre.executor_procs import ProcessExecutor
+from repro.sre.executor_procs import PipeLink, ProcessExecutor, WorkerSupervisor
 from repro.sre.runtime import Runtime
 from repro.sre.task import Task
+from repro.testing.faults import FaultPlan
 
 pytestmark = [pytest.mark.procs, pytest.mark.threaded]
 
@@ -226,3 +228,40 @@ def test_clean_run_has_no_crash_or_harvest_noise():
                  "worker_harvest_lost", "task_retry", "task_quarantine"):
         assert kind not in kinds
     assert rt.metrics.value("procs_worker_respawns") == 0
+
+
+# ---------------------------------------------------------------------------
+# folds register once per log, however often supervisors bind it
+# ---------------------------------------------------------------------------
+
+def test_shared_log_counts_each_crash_once():
+    """Two warm supervisors park on one home runtime and re-bind it again
+    and again, as serve lanes do; a crash, its respawn and a lost harvest
+    on that log each count once."""
+    ctx = multiprocessing.get_context("fork")
+    home = Runtime()
+    sups = [WorkerSupervisor(PipeLink(ctx), 1, runtime=home,
+                             fault_plan=FaultPlan.parse(plan))
+            for plan in ("kill@1", None)]
+    for sup in sups:
+        sup.start()
+    try:
+        for _ in range(3):
+            for sup in sups:
+                sup.rebind(home)
+        ex = ProcessExecutor(home, workers=1, supervisor=sups[0])
+        home.add_task(Task("t0", partial(_identity, 0)))
+        ex.run(timeout=60.0)
+        os.kill(sups[1].pids()[0], signal.SIGKILL)
+        sups[1].process(0).join(timeout=10.0)
+    finally:
+        for sup in sups:
+            sup.stop()
+    kinds = _kinds(home)
+    m = home.metrics
+    assert m.value("procs_worker_crashes", cause="crash") == \
+        kinds.count("worker_crash") == 1
+    assert m.value("procs_worker_respawns") == \
+        kinds.count("worker_respawn") == 1
+    assert m.value("procs_worker_harvest_lost", reason="dead") == \
+        kinds.count("worker_harvest_lost") == 1
