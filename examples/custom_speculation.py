@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Building a custom speculation domain on the raw framework API.
+"""Building a custom speculation domain on the framework API.
 
 Shows the paper's four-point programmer interface (§II-A) end to end on a
 deliberately tiny problem — estimating a dataset's mean from a prefix and
@@ -8,12 +8,15 @@ speculatively normalising data blocks with it:
 1. *what* to speculate — the dataset mean;
 2. *how* — a predictor task carrying the running mean of the blocks seen
    so far;
-3. *where (not)* — normalised blocks pause in a WaitBuffer until validated;
+3. *where (not)* — normalised blocks pause in the stream's wait buffer
+   until validated;
 4. *how to validate* — relative distance between predicted and refined
    means, under a 2 % tolerance.
 
-Everything here is plain library API: Task, Runtime, SimulatedExecutor,
-SpeculationSpec, SpeculationManager. No Huffman, no filter app.
+The app supplies only its own parts — the update chain (one ``sum`` task
+per block), the predictor, the validator and the per-block pass; the
+:class:`~repro.core.stream.SpeculativeStream` does the versions, the
+barrier, commit and rollback. No Huffman, no filter app.
 
 Usage::
 
@@ -22,8 +25,7 @@ Usage::
 
 import numpy as np
 
-from repro.core import RelativeTolerance, SpeculationManager, SpeculationSpec, WaitBuffer
-from repro.core.frequency import EveryK, SpeculationInterval
+from repro.core.stream import SpeculationConfig, SpeculativeStream, pass_label
 from repro.platforms import X86Platform
 from repro.sre import Runtime, SimulatedExecutor, Task
 
@@ -42,83 +44,64 @@ def main() -> None:
     runtime = Runtime()
     executor = SimulatedExecutor(runtime, X86Platform(workers=8),
                                  policy="balanced", workers=8)
-    normalised: dict[int, np.ndarray] = {}
-    barrier = WaitBuffer(sink=lambda key, value, now: normalised.__setitem__(key, value))
-    seen: list[int] = []  # block ids whose sums have completed
 
-    def normalise_block(version, i: int) -> None:
-        """Spawn one speculative normalisation task under a version."""
-        task = Task(
-            f"normalise:v{version.vid}:{i}",
-            lambda b=blocks[i], m=version.value: {"out": b - m},
-            kind="filter",
-            speculative=True,
-            cost_hint={"units": float(BLOCK_LEN)},
-        )
-        version.register(task)
-        runtime.add_task(task)
-        runtime.connect_sink(
-            task, "out",
-            lambda v, i=i, ver=version: barrier.deposit(ver.vid, i, v, runtime.now),
-        )
+    def normalise_pass(mean, version):
+        """(1) what runs under a mean: one normalisation task per block."""
+        def on_block(i: int) -> None:
+            task = Task(
+                f"normalise:{pass_label(version)}:{i}",
+                lambda b=blocks[i], m=mean: {"out": b - m},
+                kind="filter",
+                speculative=version is not None,
+                cost_hint={"units": float(BLOCK_LEN)},
+            )
+            if version is not None:
+                version.register(task)
+            task.on_complete.append(
+                lambda _t, outs, i=i: stream.deliver(version, i, outs["out"]))
+            runtime.add_task(task)
+        return on_block
 
-    def launch(version) -> None:
-        """(3) build the speculative subgraph over every block seen so far;
-        later arrivals are attached as they complete (see on_done)."""
-        for i in list(seen):
-            normalise_block(version, i)
-
-    def recompute(final_mean) -> None:
-        for i, block in enumerate(blocks):
-            normalised[i] = block - final_mean
-
-    # The fluent builder mirrors the paper's four interface points:
-    # what to run under a prediction, how to predict, where results
-    # wait, and how to validate.
-    spec = (
-        SpeculationSpec.builder("mean")
-        .what(launch=launch, recompute=recompute)
+    stream = SpeculativeStream(
+        runtime, "mean",
+        # (2) speculate every 4th update, verify every 8th, (4) 2 % tolerance.
+        SpeculationConfig(step=4, verify_k=8, tolerance=0.02), N_BLOCKS,
         # (2) how to speculate: the running mean of the prefix.
-        .how(lambda prefix_mean, name: Task(
-                 name, lambda m=prefix_mean: {"out": m}, kind="predict"),
-             interval=SpeculationInterval(4))
-        .barrier(barrier)
-        # (4) how to validate: relative mean distance under 2 % tolerance.
-        .validate(lambda pred, cand, _ref: abs(pred - cand) / max(abs(cand), 1e-12),
-                  tolerance=RelativeTolerance(0.02),
-                  verification=EveryK(8))
-        .build()
+        predictor=lambda prefix_mean, name: Task(
+            name, lambda m=prefix_mean: {"out": m}, kind="predict"),
+        # (4) how to validate: relative mean distance.
+        validator=lambda pred, cand, _ref: abs(pred - cand) / max(abs(cand), 1e-12),
+        make_pass=normalise_pass,
     )
-    manager = SpeculationManager(runtime, spec)
 
     running = {"sum": 0.0, "count": 0}
 
-    # Feed blocks; every sum completion refines the running mean and is
-    # offered to the manager as an update ((1) what: the mean value).
+    # Feed blocks; every sum completion makes the block ready for the
+    # passes and refines the running mean, offered as the next update.
     for i, block in enumerate(blocks):
         def on_done(_task, outs, i=i):
             running["sum"] += outs["out"]
             running["count"] += BLOCK_LEN
-            seen.append(i)
-            version = manager.active_version
-            if version is not None and version.active and version.value is not None:
-                normalise_block(version, i)
-            manager.offer_update(
-                i + 1, running["sum"] / running["count"],
-                is_final=(i == N_BLOCKS - 1),
-            )
-        t = Task(f"sum:{i}", lambda b=block: {"out": float(b.sum())},
-                 kind="count", cost_hint={"bytes": float(BLOCK_LEN)})
-        t.on_complete.append(on_done)
-        executor.sim.schedule_at(i * 10.0, lambda t=t: runtime.add_task(t))
+            stream.block_ready(i)
+            stream.offer(i + 1, running["sum"] / running["count"],
+                         is_final=(i == N_BLOCKS - 1))
+
+        def arrive(i=i, block=block, on_done=on_done):
+            stream.arrive(i, block)
+            t = Task(f"sum:{i}", lambda b=block: {"out": float(b.sum())},
+                     kind="count", cost_hint={"bytes": float(BLOCK_LEN)})
+            t.on_complete.append(on_done)
+            runtime.add_task(t)
+        executor.sim.schedule_at(i * 10.0, arrive)
 
     executor.run()
 
-    print(f"outcome      : {manager.outcome}")
-    print(f"speculations : {manager.stats.speculations}")
-    print(f"checks       : {manager.stats.checks} "
-          f"(failed {manager.stats.checks_failed})")
-    print(f"rollbacks    : {manager.stats.rollbacks}")
+    stats = stream.manager.stats
+    print(f"outcome      : {stream.outcome()}")
+    print(f"speculations : {stats.speculations}")
+    print(f"checks       : {stats.checks} (failed {stats.checks_failed})")
+    print(f"rollbacks    : {stats.rollbacks}")
+    normalised = stream.committed
     assert len(normalised) == N_BLOCKS, "every block must be normalised"
     residual = np.concatenate([normalised[i] for i in range(N_BLOCKS)]).mean()
     print(f"residual mean after normalisation: {residual:+.4f} "

@@ -19,7 +19,7 @@ Usage::
 from repro.experiments.config import RunConfig
 from repro.filterapp import FilterDesignProblem
 from repro.filterapp.runner import run_filter_experiment
-from repro.metrics.report import ascii_chart, render_table
+from repro.experiments.report import ascii_chart, render_table
 
 
 def main() -> None:

@@ -17,7 +17,7 @@ import sys
 
 from repro.experiments.config import RunConfig
 from repro.kmeansapp import run_kmeans_experiment
-from repro.metrics.report import ascii_chart, render_table
+from repro.experiments.report import ascii_chart, render_table
 
 
 def main() -> None:

@@ -13,8 +13,8 @@ Usage::
 import sys
 
 from repro import RunConfig, run_huffman
-from repro.metrics.report import ascii_chart, render_table
-from repro.metrics.summary import RunSummary
+from repro.experiments.report import ascii_chart, render_table
+from repro.experiments.summary import RunSummary
 
 
 def main() -> None:

@@ -17,7 +17,7 @@ import sys
 
 from repro import RunConfig, run_huffman
 from repro.iomodels import SocketModel
-from repro.metrics.report import ascii_chart
+from repro.experiments.report import ascii_chart
 
 
 def main() -> None:

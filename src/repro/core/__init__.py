@@ -18,6 +18,14 @@ a stream of *updates* (successive refinements of the true value): it decides
 when to speculate (speculation frequency / step size), when to verify
 (verification policy), and performs commit or rollback through the
 :class:`~repro.core.rollback.RollbackEngine`.
+
+Apps do not wire these pieces by hand: a
+:class:`~repro.core.stream.SpeculativeStream` builds the wait buffer and
+the manager from a :class:`~repro.core.stream.SpeculationConfig` and the
+app's predictor and validator, opens one pass per version, routes each
+block's result to the barrier or the commit sink, and answers which
+versions are authoritative. The app supplies its update chain and a
+factory for its per-version pass.
 """
 
 from repro.core.decisions import DecisionSource, LiveDecisionSource
@@ -32,6 +40,7 @@ from repro.core.manager import SpeculationManager
 from repro.core.rollback import RollbackEngine
 from repro.core.spec import SpeculationSpec, SpecVersion
 from repro.core.stats import SpeculationStats
+from repro.core.stream import LatencyCollector, SpeculationConfig, SpeculativeStream
 from repro.core.tolerance import (
     AbsoluteTolerance,
     AdaptiveTolerance,
@@ -54,6 +63,9 @@ __all__ = [
     "SpeculationSpec",
     "SpecVersion",
     "SpeculationStats",
+    "LatencyCollector",
+    "SpeculationConfig",
+    "SpeculativeStream",
     "ToleranceRule",
     "RelativeTolerance",
     "AdaptiveTolerance",

@@ -18,7 +18,7 @@ from repro.core.wait import WaitBuffer
 from repro.errors import SpeculationError
 from repro.sre.task import Task
 
-__all__ = ["SpeculationSpec", "SpecBuilder", "SpecVersion"]
+__all__ = ["SpeculationSpec", "SpecVersion"]
 
 #: predictor(update_value, task_name) -> Task producing the prediction on port "out"
 Predictor = Callable[[Any, str], Task]
@@ -117,96 +117,3 @@ class SpeculationSpec:
             self.tolerance = RelativeTolerance(self.tolerance)
         if not callable(self.predictor) or not callable(self.validator):
             raise SpeculationError("predictor and validator must be callable")
-
-    @classmethod
-    def builder(cls, name: str) -> "SpecBuilder":
-        """Start a fluent :class:`SpecBuilder` for this domain.
-
-        The builder groups the constructor's nine parameters by the
-        paper's four interface points::
-
-            spec = (SpeculationSpec.builder("tree")
-                    .what(launch=start_second_pass, recompute=recompute)
-                    .how(build_tree_task, interval=8)
-                    .barrier(wait_buffer)
-                    .validate(tree_cost_error, tolerance=0.01,
-                              verification=EveryK(8))
-                    .build())
-        """
-        return SpecBuilder(name)
-
-
-class SpecBuilder:
-    """Fluent constructor for :class:`SpeculationSpec`.
-
-    Each method covers one point of the paper's §II-A interface: *what* to
-    do with a speculated value (:meth:`what`), *how* to predict it
-    (:meth:`how`), *where* results must wait (:meth:`barrier`), and *how to
-    validate* the prediction (:meth:`validate`). :meth:`build` checks that
-    the mandatory points were supplied and returns the spec — every
-    omission is reported in one error, not one at a time.
-    """
-
-    def __init__(self, name: str) -> None:
-        if not name:
-            raise SpeculationError("speculation domain needs a name")
-        self._name = name
-        self._kwargs: dict[str, Any] = {}
-
-    def what(self, *, launch: Callable[[SpecVersion], None],
-             recompute: Callable[[Any], None]) -> "SpecBuilder":
-        """Point 1 — what runs under a prediction, and the recovery route.
-
-        ``launch(version)`` builds the speculative subgraph consuming the
-        predicted value; ``recompute(value)`` rebuilds it non-speculatively
-        after a failed final check.
-        """
-        self._kwargs["launch"] = launch
-        self._kwargs["recompute"] = recompute
-        return self
-
-    def how(self, predictor: Predictor, *,
-            interval: SpeculationInterval | int | None = None) -> "SpecBuilder":
-        """Point 2 — how to predict: the predictor task factory, and
-        optionally the speculation interval (§II-B frequency knob)."""
-        self._kwargs["predictor"] = predictor
-        if interval is not None:
-            self._kwargs["interval"] = interval
-        return self
-
-    def barrier(self, wait_buffer: WaitBuffer | None) -> "SpecBuilder":
-        """Point 3 — where speculative results pause before side effects."""
-        self._kwargs["barrier"] = wait_buffer
-        return self
-
-    def validate(self, validator: Validator, *,
-                 tolerance: ToleranceRule | float | None = None,
-                 verification: VerificationPolicy | None = None,
-                 check_cost_hint: dict[str, float] | None = None) -> "SpecBuilder":
-        """Point 4 — how to validate: the error measure, the margin that
-        makes it acceptable, and how often to check (§II-B)."""
-        self._kwargs["validator"] = validator
-        if tolerance is not None:
-            self._kwargs["tolerance"] = tolerance
-        if verification is not None:
-            self._kwargs["verification"] = verification
-        if check_cost_hint is not None:
-            self._kwargs["check_cost_hint"] = check_cost_hint
-        return self
-
-    def build(self) -> SpeculationSpec:
-        """Validate completeness and construct the spec."""
-        missing = [
-            point for point, keys in (
-                (".what(launch=..., recompute=...)", ("launch", "recompute")),
-                (".how(predictor)", ("predictor",)),
-                (".validate(validator)", ("validator",)),
-            )
-            if any(k not in self._kwargs for k in keys)
-        ]
-        if missing:
-            raise SpeculationError(
-                f"speculation domain {self._name!r} is incomplete; "
-                f"missing builder calls: {', '.join(missing)}"
-            )
-        return SpeculationSpec(name=self._name, **self._kwargs)

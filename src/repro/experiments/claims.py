@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from repro.experiments.config import ExperimentScale, active_scale
 from repro.experiments.runner import RunConfig, run_huffman
-from repro.metrics.report import render_table
+from repro.experiments.report import render_table
 
 __all__ = ["run", "ClaimResult"]
 

@@ -8,7 +8,7 @@ import numpy as np
 
 from repro.experiments.config import ExperimentScale, active_scale
 from repro.experiments.runner import RunConfig, RunReport, run_huffman
-from repro.metrics.report import ascii_chart, render_table
+from repro.experiments.report import ascii_chart, render_table
 
 __all__ = ["FigureResult", "policy_sweep", "WORKLOAD_ORDER", "POLICY_ORDER"]
 

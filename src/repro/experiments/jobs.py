@@ -39,7 +39,7 @@ import numpy as np
 
 from repro.errors import ExperimentError
 from repro.experiments.config import RunConfig
-from repro.metrics.summary import RunSummary
+from repro.experiments.summary import RunSummary
 from repro.obs.events import EventLog
 from repro.obs.metrics import MetricsRegistry
 

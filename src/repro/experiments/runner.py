@@ -28,7 +28,7 @@ from repro.experiments.jobs import RunReport
 from repro.experiments.scaffold import App, register_app
 from repro.huffman.pipeline import HuffmanConfig, HuffmanPipeline, region_blocks
 from repro.iomodels.socket import LiveArrivals
-from repro.metrics.summary import summarize_run
+from repro.experiments.summary import summarize_run
 from repro.sre.shm import BlockStore
 from repro.workloads import get_workload
 

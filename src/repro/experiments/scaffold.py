@@ -84,10 +84,10 @@ class App:
         raise NotImplementedError
 
     def result(self, pipeline: Any, end: float) -> Any:
-        """The report's ``result``; the default suits manager-driven apps."""
-        manager = pipeline.manager
+        """The report's ``result``; the default suits any
+        :class:`~repro.core.stream.SpeculativeStream` app."""
         return AppResult(
-            outcome="non_speculative" if manager is None else manager.outcome,
+            outcome=pipeline.outcome(),
             latencies=pipeline.collector.latencies(pipeline.valid_versions()),
             arrivals=pipeline.collector.arrivals(),
             completion_time=float(end),

@@ -10,17 +10,17 @@ buffered speculative output or rolling back and re-filtering.
 
 This is the second full application built on :mod:`repro.core` (after the
 Huffman benchmark), demonstrating that the speculation framework is
-app-agnostic: the same manager, wait buffer and rollback engine drive both.
+app-agnostic: the same speculative stream (manager, wait buffer, rollback
+engine) drives both.
 """
 
 from repro.filterapp.iterative import FilterDesignProblem, frequency_response
-from repro.filterapp.pipeline import FilterConfig, FilterPipeline
+from repro.filterapp.pipeline import FilterPipeline
 from repro.filterapp.runner import run_filter_experiment
 
 __all__ = [
     "FilterDesignProblem",
     "frequency_response",
-    "FilterConfig",
     "FilterPipeline",
     "run_filter_experiment",
 ]

@@ -12,45 +12,25 @@ Graph shape, mirroring the paper's figure:
   a computed dependency);
 * speculative filter outputs pause at the wait buffer; the final iteration
   triggers the tolerance check → commit or re-filter.
+
+The version / barrier / commit plumbing is the shared
+:class:`~repro.core.stream.SpeculativeStream`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
-from repro.core.frequency import SpeculationInterval, VerificationPolicy, get_verification
-from repro.core.manager import SpeculationManager
-from repro.core.spec import SpecVersion, SpeculationSpec
-from repro.core.tolerance import RelativeTolerance
-from repro.core.wait import WaitBuffer
+from repro.core.spec import SpecVersion
+from repro.core.stream import SpeculationConfig, SpeculativeStream, pass_label
 from repro.errors import ExperimentError
 from repro.filterapp.iterative import FilterDesignProblem
-from repro.metrics.latency import LatencyCollector
 from repro.sre.runtime import Runtime
 from repro.sre.task import Task
 
-__all__ = ["FilterConfig", "FilterPipeline"]
-
-
-@dataclass
-class FilterConfig:
-    """Speculation knobs for the filter application."""
-
-    speculative: bool = True
-    #: speculate from this iteration onward (the paper's "early stage of the
-    #: filter calculation phase triggers early speculative execution").
-    step: int = 2
-    verification: VerificationPolicy | str = "every_k"
-    verify_k: int = 4
-    tolerance: float = 0.02
-
-    def resolve_verification(self) -> VerificationPolicy:
-        if isinstance(self.verification, VerificationPolicy):
-            return self.verification
-        return get_verification(self.verification, k=self.verify_k)
+__all__ = ["FilterPipeline"]
 
 
 def _filter_block(block: np.ndarray, tail: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -68,51 +48,26 @@ def _filter_block(block: np.ndarray, tail: np.ndarray, coeffs: np.ndarray) -> np
     return full[len(tail) : len(tail) + len(block)]
 
 
-class FilterPipeline:
+class FilterPipeline(SpeculativeStream):
     """Drives one speculative filtering run over a runtime."""
 
     def __init__(
         self,
         runtime: Runtime,
         problem: FilterDesignProblem,
-        config: FilterConfig,
+        config: SpeculationConfig,
         n_blocks: int,
     ) -> None:
-        if n_blocks < 1:
-            raise ExperimentError("need at least one block")
-        self.runtime = runtime
         self.problem = problem
-        self.config = config
-        self.n_blocks = n_blocks
         root = runtime.root.subgroup("filter")
         self.st_iter = root.subgroup("iteration")
         self.st_filter = root.subgroup("filtering")
-        self.collector = LatencyCollector()
-        self.blocks: dict[int, np.ndarray] = {}
-        self._outputs: dict[int, np.ndarray] = {}
-        self._fed = 0
-        self._natural_launched = False
-        self._valid_coeffs: np.ndarray | None = None
-        self._builders: list[_FilterBuilder] = []
-
-        self.barrier: WaitBuffer | None = None
-        self.manager: SpeculationManager | None = None
-        if config.speculative:
-            self.barrier = WaitBuffer(sink=self._commit_sink, events=runtime.events)
-            spec = (
-                SpeculationSpec.builder("filter")
-                .what(launch=self._launch_speculative,
-                      recompute=self._launch_recompute)
-                .how(self._make_predict_task,
-                     interval=SpeculationInterval(config.step))
-                .barrier(self.barrier)
-                .validate(FilterDesignProblem.coefficient_error,
-                          tolerance=RelativeTolerance(config.tolerance),
-                          verification=config.resolve_verification(),
-                          check_cost_hint={"entries": float(problem.n_freq)})
-                .build()
-            )
-            self.manager = SpeculationManager(runtime, spec)
+        super().__init__(
+            runtime, "filter", config, n_blocks,
+            predictor=self._make_predict_task,
+            validator=FilterDesignProblem.coefficient_error,
+            make_pass=self._filter_pass,
+            check_cost_hint={"entries": float(problem.n_freq)})
         self.st_iter.on_speculation_base(self._on_iteration)
         self._start_iteration_chain()
 
@@ -144,12 +99,7 @@ class FilterPipeline:
         k = task.tags.get("iteration")
         if k is None:
             return
-        coeffs = outs["out"]
-        is_final = k == self.problem.iterations
-        if self.manager is not None:
-            self.manager.offer_update(k, coeffs, is_final=is_final)
-        elif is_final:
-            self._launch_recompute(coeffs)
+        self.offer(k, outs["out"], is_final=k == self.problem.iterations)
 
     def _make_predict_task(self, coeffs: np.ndarray, name: str) -> Task:
         return Task(
@@ -165,146 +115,71 @@ class FilterPipeline:
     # ------------------------------------------------------------------
     def feed_block(self, index: int, samples: np.ndarray) -> None:
         """A block of samples arrived (blocks must arrive in order)."""
-        if not (0 <= index < self.n_blocks):
-            raise ExperimentError(f"block index {index} out of range")
-        if index in self.blocks:
-            raise ExperimentError(f"block {index} fed twice")
-        if index > 0 and index - 1 not in self.blocks:
-            raise ExperimentError("filter blocks must arrive in order")
         samples = np.asarray(samples, dtype=np.float64)
-        if index > 0 and len(self.blocks[index - 1]) < self.problem.n_taps - 1:
-            raise ExperimentError(
-                "blocks must hold at least n_taps - 1 samples for overlap-save"
-            )
-        self.blocks[index] = samples
-        self._fed += 1
-        self.collector.record_arrival(index, self.runtime.now)
-        for builder in list(self._builders):
-            builder.on_block(index)
+        if 0 < index < self.n_blocks and index not in self.blocks:
+            prev = self.blocks.get(index - 1)
+            if prev is None:
+                raise ExperimentError("filter blocks must arrive in order")
+            if len(prev) < self.problem.n_taps - 1:
+                raise ExperimentError(
+                    "blocks must hold at least n_taps - 1 samples for overlap-save")
+        self.arrive(index, samples)
+        self.block_ready(index)
 
     # ------------------------------------------------------------------
     # filtering passes
     # ------------------------------------------------------------------
-    def _launch_speculative(self, version: SpecVersion) -> None:
-        builder = _FilterBuilder(self, version.value, version=version)
-        self._builders.append(builder)
-        builder.bootstrap()
+    def _filter_pass(self, coeffs: np.ndarray, version: SpecVersion | None):
+        """One coefficient vector's filter tasks, one per block."""
+        label = pass_label(version)
+        n_tail = len(coeffs) - 1
 
-    def _launch_recompute(self, coeffs: np.ndarray) -> None:
-        if self._natural_launched:
-            raise ExperimentError("natural filtering launched twice")
-        self._natural_launched = True
-        self._valid_coeffs = coeffs
-        builder = _FilterBuilder(self, coeffs, version=None)
-        self._builders.append(builder)
-        builder.bootstrap()
+        def on_block(index: int) -> None:
+            block = self.blocks[index]
+            if index == 0:
+                tail = np.zeros(0, dtype=np.float64)
+            else:
+                prev = self.blocks[index - 1]
+                tail = prev[-n_tail:] if n_tail else prev[:0]
+            task = Task(
+                f"filter:{label}:{index}",
+                lambda b=block, t=tail, c=coeffs, i=index: {
+                    "samples": _filter_block(b, t, c),
+                    "block": i,
+                },
+                kind="filter",
+                depth=3,
+                speculative=version is not None,
+                cost_hint={"units": float(block.size)},
+                tags={"block": index},
+            )
+            if version is not None:
+                version.register(task)
+            task.on_complete.append(
+                lambda _t, outs: self.deliver(version, outs["block"], outs["samples"]))
+            self.runtime.add_task(task, self.st_filter)
 
-    def _filter_done(self, version: SpecVersion | None, outs: dict[str, Any]) -> None:
-        block = outs["block"]
-        now = self.runtime.now
-        if version is None:
-            self.collector.record_encode(block, now, None)
-            self._commit_sink(block, outs["samples"], now)
-        else:
-            self.collector.record_encode(block, now, version.vid)
-            assert self.barrier is not None
-            self.barrier.deposit(version.vid, block, outs["samples"], now)
-
-    def _commit_sink(self, block: int, samples: np.ndarray, now: float) -> None:
-        self.collector.record_commit(block, now)
-        self._outputs[block] = samples
+        return on_block
 
     # ------------------------------------------------------------------
     # results
     # ------------------------------------------------------------------
-    def valid_versions(self) -> set[int | None]:
-        if self.manager is None:
-            return {None}
-        if self.manager.outcome == "commit":
-            return {next(v.vid for v in self.manager.versions if v.committed)}
-        if self.manager.outcome == "recompute":
-            return {None}
-        raise ExperimentError("run not finished")
-
-    @property
-    def committed_coeffs(self) -> np.ndarray:
-        if self.manager is not None and self.manager.outcome == "commit":
-            return next(v for v in self.manager.versions if v.committed).value
-        if self._valid_coeffs is None:
-            raise ExperimentError("run not finished")
-        return self._valid_coeffs
-
     def output(self) -> np.ndarray:
         """The committed filtered stream."""
-        if len(self._outputs) != self.n_blocks:
+        if len(self.committed) != self.n_blocks:
             raise ExperimentError(
-                f"only {len(self._outputs)}/{self.n_blocks} blocks committed"
+                f"only {len(self.committed)}/{self.n_blocks} blocks committed"
             )
-        return np.concatenate([self._outputs[i] for i in range(self.n_blocks)])
+        return np.concatenate([self.committed[i] for i in range(self.n_blocks)])
 
     def verify_output(self) -> bool:
         """Committed output equals sequentially filtering with the committed
         coefficients."""
-        coeffs = self.committed_coeffs
+        coeffs = self.committed_value
         signal = np.concatenate([self.blocks[i] for i in range(self.n_blocks)])
         full = np.convolve(signal, coeffs, mode="full")[: len(signal)]
         return bool(np.allclose(self.output(), full))
 
     def result_quality(self) -> float:
         """Response error of the coefficients actually used."""
-        return self.problem.response_error(self.committed_coeffs)
-
-
-class _FilterBuilder:
-    """Creates filter tasks for one coefficient vector (one version)."""
-
-    def __init__(self, pipeline: FilterPipeline, coeffs: np.ndarray,
-                 version: SpecVersion | None) -> None:
-        self.pipeline = pipeline
-        self.coeffs = coeffs
-        self.version = version
-        self.label = f"v{version.vid}" if version is not None else "nat"
-        self._made: set[int] = set()
-        self._bootstrapped = False
-
-    @property
-    def dead(self) -> bool:
-        return self.version is not None and not self.version.active
-
-    def bootstrap(self) -> None:
-        if self._bootstrapped:
-            raise ExperimentError("builder bootstrapped twice")
-        self._bootstrapped = True
-        for index in sorted(self.pipeline.blocks):
-            self.on_block(index)
-
-    def on_block(self, index: int) -> None:
-        if self.dead or index in self._made:
-            return
-        self._made.add(index)
-        pipeline = self.pipeline
-        block = pipeline.blocks[index]
-        n_tail = len(self.coeffs) - 1
-        if index == 0:
-            tail = np.zeros(0, dtype=np.float64)
-        else:
-            prev = pipeline.blocks[index - 1]
-            tail = prev[-n_tail:] if n_tail else prev[:0]
-        task = Task(
-            f"filter:{self.label}:{index}",
-            lambda b=block, t=tail, c=self.coeffs, i=index: {
-                "samples": _filter_block(b, t, c),
-                "block": i,
-            },
-            kind="filter",
-            depth=3,
-            speculative=self.version is not None,
-            cost_hint={"units": float(block.size)},
-            tags={"block": index},
-        )
-        if self.version is not None:
-            self.version.register(task)
-        task.on_complete.append(
-            lambda _t, outs, v=self.version: pipeline._filter_done(v, outs)
-        )
-        pipeline.runtime.add_task(task, pipeline.st_filter)
+        return self.problem.response_error(self.committed_value)

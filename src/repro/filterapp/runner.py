@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.stream import SpeculationConfig
 from repro.experiments.scaffold import App, register_app
 from repro.filterapp.iterative import FilterDesignProblem
-from repro.filterapp.pipeline import FilterConfig, FilterPipeline
+from repro.filterapp.pipeline import FilterPipeline
 
 __all__ = ["FilterApp", "run_filter_experiment"]
 
@@ -45,7 +46,7 @@ class FilterApp(App):
 
     def build(self, runtime, n_blocks):
         problem = FilterDesignProblem(iterations=self.cfg.iterations)
-        return FilterPipeline(runtime, problem, FilterConfig(**self.speculation()),
+        return FilterPipeline(runtime, problem, SpeculationConfig(**self.speculation()),
                               n_blocks)
 
     def verify(self, pipeline):

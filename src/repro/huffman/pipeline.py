@@ -14,6 +14,11 @@ Orchestrates the paper's Fig. 2 data-flow graphs over the SRE runtime:
 * the non-speculative path (or the recompute path after a failed final
   check) runs the same second pass with the true tree, emitting directly.
 
+The version / barrier / commit plumbing is the shared
+:class:`~repro.core.stream.SpeculativeStream`; this module supplies the
+update chain, the tree predictor, the size validator, the second pass and
+the commit hook that releases a block's shared-memory ref.
+
 Everything here is executor-agnostic — the same pipeline runs under the
 simulated executor (paper figures) and the live ones (threads, procs,
 dist) — with one exception, the region length K. ``count`` and ``encode``
@@ -37,15 +42,8 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.frequency import (
-    SpeculationInterval,
-    VerificationPolicy,
-    get_verification,
-)
-from repro.core.manager import SpeculationManager
-from repro.core.spec import SpecVersion, SpeculationSpec
-from repro.core.tolerance import RelativeTolerance
-from repro.core.wait import WaitBuffer
+from repro.core.spec import SpecVersion
+from repro.core.stream import SpeculationConfig, SpeculativeStream, pass_label
 from repro.errors import ExperimentError
 from repro.huffman.checkers import compression_size_error
 from repro.huffman.codec import assemble_stream, decode_stream
@@ -58,7 +56,6 @@ from repro.huffman.tasks import (
     make_tree_task,
 )
 from repro.huffman.tree import HuffmanTree
-from repro.metrics.latency import LatencyCollector
 from repro.sre.runtime import Runtime
 from repro.sre.shm import BlockRef, BlockStore
 from repro.sre.task import Task
@@ -87,24 +84,18 @@ def region_blocks(executor: str, block_size: int) -> int:
 
 
 @dataclass
-class HuffmanConfig:
+class HuffmanConfig(SpeculationConfig):
     """Pipeline parameters (paper §V-A "Parametrization").
 
     Defaults follow the x86 disk configuration: 4 KB blocks, 16:1 reduce
     ratio, 64-wide offset fan-out, verification every 8th reduce, 1 %
-    tolerance. The socket configuration drops both ratios to 8:1.
+    tolerance (the speculation knobs are :class:`SpeculationConfig`'s).
+    The socket configuration drops both ratios to 8:1.
     """
 
     block_size: int = 4096
     reduce_ratio: int = 16
     offset_fanout: int = 64
-    speculative: bool = True
-    #: speculation step size (0 = speculate on the first count histogram).
-    step: int = 1
-    #: "every_k" / "optimistic" / "full", or a VerificationPolicy instance.
-    verification: VerificationPolicy | str = "every_k"
-    verify_k: int = 8
-    tolerance: float = 0.01
     #: build length-limited (package-merge) trees instead of plain Huffman;
     #: bounds decoder table size at a tiny compression cost.
     max_code_length: int | None = None
@@ -113,22 +104,14 @@ class HuffmanConfig:
     region_blocks: int = 1
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if min(self.block_size, self.reduce_ratio, self.offset_fanout,
                self.region_blocks) < 1:
             raise ExperimentError(
                 "block_size, reduce_ratio, offset_fanout, region_blocks "
                 "must be >= 1")
-        if self.step < 0:
-            raise ExperimentError("step must be >= 0")
-        if not (0.0 <= self.tolerance):
-            raise ExperimentError("tolerance must be non-negative")
         if self.max_code_length is not None and not (8 <= self.max_code_length <= 63):
             raise ExperimentError("max_code_length must be in [8, 63]")
-
-    def resolve_verification(self) -> VerificationPolicy:
-        if isinstance(self.verification, VerificationPolicy):
-            return self.verification
-        return get_verification(self.verification, k=self.verify_k)
 
 
 @dataclass
@@ -164,19 +147,14 @@ class PipelineResult:
         return 8.0 * self.input_bytes / self.compressed_bits
 
 
-class HuffmanPipeline:
+class HuffmanPipeline(SpeculativeStream):
     """Drives one Huffman encoding run over a runtime."""
 
     def __init__(self, runtime: Runtime, config: HuffmanConfig, n_blocks: int,
                  store: BlockStore | None = None) -> None:
-        if n_blocks < 1:
-            raise ExperimentError("need at least one block")
-        self.runtime = runtime
-        self.config = config
         #: optional shared-memory transport: blocks and trees go into the
         #: store once and shipped tasks carry refs (see repro/sre/shm.py).
         self.store = store
-        self.n_blocks = n_blocks
         self.n_groups = math.ceil(n_blocks / config.reduce_ratio)
 
         root = runtime.root.subgroup("huffman")
@@ -184,8 +162,6 @@ class HuffmanPipeline:
         self.st_second = root.subgroup("second_pass")
         self.st_spec = root.subgroup("speculation")
 
-        self.collector = LatencyCollector()
-        self.blocks: dict[int, np.ndarray] = {}
         self.block_hists: dict[int, np.ndarray] = {}
         #: base references, one per input block (released when the block's
         #: encoding commits). Histograms never enter the store: the reduce
@@ -199,29 +175,13 @@ class HuffmanPipeline:
         self._reduce_group_have: dict[int, int] = defaultdict(int)
         #: blocks arrived per count region, keyed by its first block.
         self._count_region_have: dict[int, int] = defaultdict(int)
-        self._builders: list[_SecondPassBuilder] = []
-        self._fed = 0
-        self._assembled: dict[int, tuple[int, np.ndarray, int]] = {}
-        self._valid_tree: HuffmanTree | None = None
-        self._natural_launched = False
 
-        self.barrier: WaitBuffer | None = None
-        self.manager: SpeculationManager | None = None
-        if config.speculative:
-            self.barrier = WaitBuffer(sink=self._commit_sink, events=runtime.events)
-            spec = (
-                SpeculationSpec.builder("huffman")
-                .what(launch=self._launch_speculative,
-                      recompute=self._launch_recompute)
-                .how(self._make_tree_task,
-                     interval=SpeculationInterval(config.step))
-                .barrier(self.barrier)
-                .validate(compression_size_error,
-                          tolerance=RelativeTolerance(config.tolerance),
-                          verification=config.resolve_verification())
-                .build()
-            )
-            self.manager = SpeculationManager(runtime, spec)
+        super().__init__(
+            runtime, "huffman", config, n_blocks,
+            predictor=self._make_tree_task, validator=compression_size_error,
+            make_pass=lambda tree, version: _SecondPass(
+                self, tree, version).on_block_hist,
+            on_commit=self._block_committed)
 
         # Reduce completions reach us through the SuperTask spec-base
         # notification chain — the paper's flagged-task mechanism (§III-B).
@@ -242,15 +202,8 @@ class HuffmanPipeline:
     # ------------------------------------------------------------------
     def feed_block(self, index: int, data: bytes | np.ndarray) -> None:
         """A data block arrived (called by the I/O model at arrival time)."""
-        if not (0 <= index < self.n_blocks):
-            raise ExperimentError(f"block index {index} out of range")
-        if index in self.blocks:
-            raise ExperimentError(f"block {index} fed twice")
         arr = data if isinstance(data, np.ndarray) else np.frombuffer(data, dtype=np.uint8)
-        self.blocks[index] = arr
-        self._fed += 1
-        self.collector.record_arrival(index, self.runtime.now)
-        ref = None
+        self.arrive(index, arr)
         if self.store is not None:
             # The block enters shared memory exactly once, here; every task
             # that touches it from now on carries the ref, not the bytes.
@@ -300,8 +253,7 @@ class HuffmanPipeline:
             and not self.manager.versions
         ):
             self.manager.offer_update(0, hist)
-        for builder in list(self._builders):
-            builder.on_block_hist(index)
+        self.block_ready(index)
         group = index // self.config.reduce_ratio
         self._reduce_group_have[group] += 1
         if self._reduce_group_have[group] == self._reduce_group_len(group):
@@ -335,6 +287,8 @@ class HuffmanPipeline:
         if self.manager is not None:
             self.manager.offer_update(group + 1, prefix_hist, is_final=is_final)
         elif is_final:
+            # Without speculation the true tree is a task of its own
+            # before the pass (the manager builds it as its final value).
             self._start_natural_tree(prefix_hist)
 
     # ------------------------------------------------------------------
@@ -342,36 +296,12 @@ class HuffmanPipeline:
     # ------------------------------------------------------------------
     def _start_natural_tree(self, hist: np.ndarray) -> None:
         task = self._make_tree_task(hist, "tree:natural")
-        task.on_complete.append(lambda _t, outs: self._launch_recompute(outs["out"]))
+        task.on_complete.append(lambda _t, outs: self.launch_natural(outs["out"]))
         self.runtime.add_task(task, self.st_second)
 
-    def _launch_recompute(self, tree: HuffmanTree) -> None:
-        """Build the authoritative second pass with the true tree."""
-        if self._natural_launched:
-            raise ExperimentError("natural second pass launched twice")
-        self._natural_launched = True
-        self._valid_tree = tree
-        builder = _SecondPassBuilder(self, tree, version=None)
-        self._builders.append(builder)
-        builder.bootstrap()
-
-    def _launch_speculative(self, version: SpecVersion) -> None:
-        """Speculation manager callback: build a speculative second pass."""
-        builder = _SecondPassBuilder(self, version.value, version=version)
-        self._builders.append(builder)
-        builder.bootstrap()
-
     def _encode_done(self, version: SpecVersion | None, outs: dict[str, Any]) -> None:
-        now = self.runtime.now
         for block, offset, payload, nbits in outs["pieces"]:
-            entry = (offset, payload, nbits)
-            if version is None:
-                self.collector.record_encode(block, now, None)
-                self._commit_sink(block, entry, now)
-            else:
-                self.collector.record_encode(block, now, version.vid)
-                assert self.barrier is not None
-                self.barrier.deposit(version.vid, block, entry, now)
+            self.deliver(version, block, (offset, payload, nbits))
 
     def _block_bindings(self, start: int, end: int) -> list | None:
         """Per-block payload bindings (ref where stored, array where not)."""
@@ -379,53 +309,29 @@ class HuffmanPipeline:
             return None
         return [self.block_refs.get(i, self.blocks[i]) for i in range(start, end)]
 
-    def _commit_sink(self, block: int, entry: tuple[int, np.ndarray, int], now: float) -> None:
+    def _block_committed(self, block: int, now: float) -> None:
         """A block's encoding became authoritative (the Store node)."""
         if self.store is not None and block in self.block_refs:
             # The block's bytes are no longer needed by any future task:
             # drop the base reference (local views stay valid after the
             # segment unlinks — only the name goes away).
             self.store.release(self.block_refs.pop(block), reason="commit")
-        self.collector.record_commit(block, now)
-        self._assembled[block] = entry
         self._m_blocks_committed.inc()
         self._m_block_latency.observe(now - self.collector.arrival_time(block))
 
     # ------------------------------------------------------------------
     # results
     # ------------------------------------------------------------------
-    def valid_versions(self) -> set[int | None]:
-        """Speculation versions whose encodes are authoritative."""
-        if self.manager is None:
-            return {None}
-        if self.manager.outcome == "commit":
-            committed = [v for v in self.manager.versions if v.committed]
-            return {committed[0].vid}
-        if self.manager.outcome == "recompute":
-            return {None}
-        raise ExperimentError("run not finished: no commit/recompute decision yet")
-
     @property
     def committed_tree(self) -> HuffmanTree:
         """The tree the authoritative output was encoded with."""
-        if self.manager is not None and self.manager.outcome == "commit":
-            return next(v for v in self.manager.versions if v.committed).value
-        if self._valid_tree is None:
-            raise ExperimentError("run not finished: no authoritative tree")
-        return self._valid_tree
-
-    def outcome(self) -> str:
-        if self.manager is None:
-            return "non_speculative"
-        if self.manager.outcome is None:
-            raise ExperimentError("run not finished")
-        return self.manager.outcome
+        return self.committed_value
 
     def result(self, completion_time: float | None = None) -> PipelineResult:
         """Collect the run's metrics (after the executor drained)."""
-        if self._fed != self.n_blocks:
+        if len(self.blocks) != self.n_blocks:
             raise ExperimentError(
-                f"only {self._fed}/{self.n_blocks} blocks were fed"
+                f"only {len(self.blocks)}/{self.n_blocks} blocks were fed"
             )
         valid = self.valid_versions()
         latencies = self.collector.latencies(valid)
@@ -433,7 +339,7 @@ class HuffmanPipeline:
         spec_stats: dict[str, float] = {}
         if self.manager is not None:
             spec_stats = self.manager.stats.as_dict()
-        compressed_bits = sum(nbits for (_, _, nbits) in self._assembled.values())
+        compressed_bits = sum(nbits for (_, _, nbits) in self.committed.values())
         end = completion_time if completion_time is not None else float(completions.max())
         return PipelineResult(
             n_blocks=self.n_blocks,
@@ -452,11 +358,11 @@ class HuffmanPipeline:
 
     def assemble(self) -> tuple[np.ndarray, int]:
         """Concatenate the authoritative encodes into one packed stream."""
-        if len(self._assembled) != self.n_blocks:
+        if len(self.committed) != self.n_blocks:
             raise ExperimentError(
-                f"assembly has {len(self._assembled)}/{self.n_blocks} blocks"
+                f"assembly has {len(self.committed)}/{self.n_blocks} blocks"
             )
-        pieces = [self._assembled[b] for b in sorted(self._assembled)]
+        pieces = [self.committed[b] for b in sorted(self.committed)]
         total_bits = max(off + nbits for (off, _, nbits) in pieces)
         packed = assemble_stream(
             ((off, payload, nbits) for (off, payload, nbits) in pieces), total_bits
@@ -488,12 +394,13 @@ class HuffmanPipeline:
         self.block_refs.clear()
 
 
-class _SecondPassBuilder:
-    """Builds one second pass (offset chain + encodes) for one tree.
+class _SecondPass:
+    """One second pass (offset chain + encodes) for one tree.
 
-    ``version=None`` builds the natural/authoritative pass; otherwise all
+    ``version=None`` is the natural/authoritative pass; otherwise all
     tasks are speculative, registered with the version (rollback footprint)
-    and their results pause at the wait buffer.
+    and their results pause at the wait buffer. The stream feeds it each
+    counted block once (:meth:`on_block_hist`).
     """
 
     def __init__(
@@ -505,7 +412,7 @@ class _SecondPassBuilder:
         self.pipeline = pipeline
         self.tree = tree
         self.version = version
-        self.label = f"v{version.vid}" if version is not None else "nat"
+        self.label = pass_label(version)
         # One shared-memory copy of the tree per second pass: 64 encodes
         # reference it by handle; each address space unpickles it once.
         self.tree_ref = None
@@ -518,12 +425,9 @@ class _SecondPassBuilder:
                 # the version's fate (commit or rollback), so a dead
                 # speculation never pins the segment.
                 version.add_resource(pipeline.store.release_callback(self.tree_ref))
-        fanout = pipeline.config.offset_fanout
-        self.fanout = fanout
-        self.n_enc_groups = math.ceil(pipeline.n_blocks / fanout)
+        self.fanout = pipeline.config.offset_fanout
         self._group_have: dict[int, int] = defaultdict(int)
         self._offset_tasks: dict[int, Task] = {}
-        self._bootstrapped = False
 
     @property
     def dead(self) -> bool:
@@ -533,18 +437,8 @@ class _SecondPassBuilder:
         start = group * self.fanout
         return start, min(start + self.fanout, self.pipeline.n_blocks)
 
-    def bootstrap(self) -> None:
-        """Absorb every block histogram that existed before this builder."""
-        if self._bootstrapped:
-            raise ExperimentError("builder bootstrapped twice")
-        self._bootstrapped = True
-        for index in sorted(self.pipeline.block_hists):
-            self.on_block_hist(index)
-
     def on_block_hist(self, index: int) -> None:
         """A block's count finished; build its group's offset when complete."""
-        if self.dead:
-            return
         group = index // self.fanout
         self._group_have[group] += 1
         start, end = self._group_span(group)

@@ -18,13 +18,12 @@ Third client of :mod:`repro.core`, after Huffman and the FIR filter.
 """
 
 from repro.kmeansapp.kmeans import KMeansModel, gaussian_mixture_stream
-from repro.kmeansapp.pipeline import KMeansConfig, KMeansPipeline
+from repro.kmeansapp.pipeline import KMeansPipeline
 from repro.kmeansapp.runner import run_kmeans_experiment
 
 __all__ = [
     "KMeansModel",
     "gaussian_mixture_stream",
-    "KMeansConfig",
     "KMeansPipeline",
     "run_kmeans_experiment",
 ]

@@ -9,113 +9,61 @@ Graph shape:
 * speculation predicts the centroids from the chain's prefix, launches
   assignments early, buffers the labels, and validates by relative inertia
   on a probe sample.
+
+The version / barrier / commit plumbing is the shared
+:class:`~repro.core.stream.SpeculativeStream`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
-from repro.core.frequency import SpeculationInterval, VerificationPolicy, get_verification
-from repro.core.manager import SpeculationManager
-from repro.core.spec import SpecVersion, SpeculationSpec
-from repro.core.tolerance import RelativeTolerance
-from repro.core.wait import WaitBuffer
+from repro.core.spec import SpecVersion
+from repro.core.stream import SpeculationConfig, SpeculativeStream, pass_label
 from repro.errors import ExperimentError
 from repro.kmeansapp.kmeans import KMeansModel
-from repro.metrics.latency import LatencyCollector
 from repro.sre.runtime import Runtime
 from repro.sre.task import Task
 
-__all__ = ["KMeansConfig", "KMeansPipeline"]
+__all__ = ["KMeansPipeline", "PROBE_BLOCKS"]
+
+#: leading blocks sampled into the probe set the checks score on.
+PROBE_BLOCKS = 2
 
 
-@dataclass
-class KMeansConfig:
-    """Speculation knobs for the k-means application."""
-
-    speculative: bool = True
-    step: int = 2
-    verification: VerificationPolicy | str = "every_k"
-    verify_k: int = 4
-    #: relative inertia excess allowed for speculative centroids.
-    tolerance: float = 0.05
-    #: blocks sampled into the probe set used by checks.
-    probe_blocks: int = 2
-
-    def resolve_verification(self) -> VerificationPolicy:
-        if isinstance(self.verification, VerificationPolicy):
-            return self.verification
-        return get_verification(self.verification, k=self.verify_k)
-
-
-class KMeansPipeline:
+class KMeansPipeline(SpeculativeStream):
     """Drives one streaming clustering run over a runtime."""
 
     def __init__(
         self,
         runtime: Runtime,
         model: KMeansModel,
-        config: KMeansConfig,
+        config: SpeculationConfig,
         n_blocks: int,
     ) -> None:
-        if n_blocks < 1:
-            raise ExperimentError("need at least one block")
-        self.runtime = runtime
         self.model = model
-        self.config = config
-        self.n_blocks = n_blocks
         root = runtime.root.subgroup("kmeans")
         self.st_fit = root.subgroup("fit")
         self.st_assign = root.subgroup("assign")
-        self.collector = LatencyCollector()
-        self.blocks: dict[int, np.ndarray] = {}
-        self._labels: dict[int, np.ndarray] = {}
         self._steps: dict[int, Task] = {}
         self._probe: list[np.ndarray] = []
-        self._fed = 0
-        self._natural_launched = False
-        self._valid_centroids: np.ndarray | None = None
-        self._builders: list[_AssignBuilder] = []
-
-        self.barrier: WaitBuffer | None = None
-        self.manager: SpeculationManager | None = None
-        if config.speculative:
-            self.barrier = WaitBuffer(sink=self._commit_sink, events=runtime.events)
-            spec = (
-                SpeculationSpec.builder("kmeans")
-                .what(launch=self._launch_speculative,
-                      recompute=self._launch_recompute)
-                .how(self._make_predict_task,
-                     interval=SpeculationInterval(config.step))
-                .barrier(self.barrier)
-                .validate(self._validator,
-                          tolerance=RelativeTolerance(config.tolerance),
-                          verification=config.resolve_verification(),
-                          check_cost_hint={"entries": 512.0})
-                .build()
-            )
-            self.manager = SpeculationManager(runtime, spec)
+        super().__init__(
+            runtime, "kmeans", config, n_blocks,
+            predictor=self._make_predict_task, validator=self._validator,
+            make_pass=self._assign_pass, check_cost_hint={"entries": 512.0})
         self.st_fit.on_speculation_base(self._on_step_done)
 
     # ------------------------------------------------------------------
     # input + the serial fit chain
     # ------------------------------------------------------------------
     def feed_block(self, index: int, points: np.ndarray) -> None:
-        if not (0 <= index < self.n_blocks):
-            raise ExperimentError(f"block index {index} out of range")
-        if index in self.blocks:
-            raise ExperimentError(f"block {index} fed twice")
         points = np.asarray(points, dtype=np.float64)
-        self.blocks[index] = points
-        self._fed += 1
-        if len(self._probe) < self.config.probe_blocks:
+        self.arrive(index, points)
+        if len(self._probe) < PROBE_BLOCKS:
             self._probe.append(points)
-        self.collector.record_arrival(index, self.runtime.now)
-        for builder in list(self._builders):
-            builder.on_block(index)
+        self.block_ready(index)
         self._make_step(index)
 
     def _make_step(self, index: int) -> None:
@@ -152,14 +100,10 @@ class KMeansPipeline:
         if k is None:
             return
         centroids, _counts = outs["out"]
-        is_final = k == self.n_blocks - 1
-        if self.manager is not None:
-            self.manager.offer_update(k + 1, centroids, is_final=is_final)
-        elif is_final:
-            self._launch_recompute(centroids)
+        self.offer(k + 1, centroids, is_final=k == self.n_blocks - 1)
 
     # ------------------------------------------------------------------
-    # speculation plumbing
+    # prediction and validation
     # ------------------------------------------------------------------
     def _make_predict_task(self, centroids: np.ndarray, name: str) -> Task:
         return Task(name, lambda c=centroids: {"out": np.array(c, copy=True)},
@@ -172,115 +116,51 @@ class KMeansPipeline:
             return 0.0
         return self.model.centroid_error(predicted, candidate, probe)
 
-    def _launch_speculative(self, version: SpecVersion) -> None:
-        builder = _AssignBuilder(self, version.value, version=version)
-        self._builders.append(builder)
-        builder.bootstrap()
+    def _assign_pass(self, centroids: np.ndarray, version: SpecVersion | None):
+        """One centroid set's assignment tasks, one per block."""
+        label = pass_label(version)
 
-    def _launch_recompute(self, centroids: np.ndarray) -> None:
-        if self._natural_launched:
-            raise ExperimentError("natural assignment launched twice")
-        self._natural_launched = True
-        self._valid_centroids = centroids
-        builder = _AssignBuilder(self, centroids, version=None)
-        self._builders.append(builder)
-        builder.bootstrap()
+        def on_block(index: int) -> None:
+            block = self.blocks[index]
+            task = Task(
+                f"assign:{label}:{index}",
+                lambda b=block, c=centroids, i=index: {
+                    "labels": self.model.assign(b, c),
+                    "block": i,
+                },
+                kind="assign",
+                depth=3,
+                speculative=version is not None,
+                cost_hint={"units": float(len(block))},
+                tags={"block": index},
+            )
+            if version is not None:
+                version.register(task)
+            task.on_complete.append(
+                lambda _t, outs: self.deliver(version, outs["block"], outs["labels"]))
+            self.runtime.add_task(task, self.st_assign)
 
-    def _assign_done(self, version: SpecVersion | None, outs: dict[str, Any]) -> None:
-        block = outs["block"]
-        now = self.runtime.now
-        if version is None:
-            self.collector.record_encode(block, now, None)
-            self._commit_sink(block, outs["labels"], now)
-        else:
-            self.collector.record_encode(block, now, version.vid)
-            assert self.barrier is not None
-            self.barrier.deposit(version.vid, block, outs["labels"], now)
-
-    def _commit_sink(self, block: int, labels: np.ndarray, now: float) -> None:
-        self.collector.record_commit(block, now)
-        self._labels[block] = labels
+        return on_block
 
     # ------------------------------------------------------------------
     # results
     # ------------------------------------------------------------------
-    def valid_versions(self) -> set[int | None]:
-        if self.manager is None:
-            return {None}
-        if self.manager.outcome == "commit":
-            return {next(v.vid for v in self.manager.versions if v.committed)}
-        if self.manager.outcome == "recompute":
-            return {None}
-        raise ExperimentError("run not finished")
-
-    @property
-    def committed_centroids(self) -> np.ndarray:
-        if self.manager is not None and self.manager.outcome == "commit":
-            return next(v for v in self.manager.versions if v.committed).value
-        if self._valid_centroids is None:
-            raise ExperimentError("run not finished")
-        return self._valid_centroids
-
     def labels(self) -> np.ndarray:
-        if len(self._labels) != self.n_blocks:
+        if len(self.committed) != self.n_blocks:
             raise ExperimentError(
-                f"only {len(self._labels)}/{self.n_blocks} blocks labelled")
-        return np.concatenate([self._labels[i] for i in range(self.n_blocks)])
+                f"only {len(self.committed)}/{self.n_blocks} blocks labelled")
+        return np.concatenate([self.committed[i] for i in range(self.n_blocks)])
 
     def verify_labels(self) -> bool:
         """Committed labels equal re-assigning with the committed centroids."""
-        centroids = self.committed_centroids
+        centroids = self.committed_value
         for i in range(self.n_blocks):
             expect = self.model.assign(self.blocks[i], centroids)
-            if not np.array_equal(expect, self._labels[i]):
+            if not np.array_equal(expect, self.committed[i]):
                 return False
         return True
 
     def inertia(self) -> float:
         """Mean squared distance of all points under the committed centroids."""
         points = np.concatenate([self.blocks[i] for i in range(self.n_blocks)])
-        return self.model.inertia(points, self.committed_centroids)
-
-
-class _AssignBuilder:
-    """Creates assignment tasks for one centroid set (one version)."""
-
-    def __init__(self, pipeline: KMeansPipeline, centroids: np.ndarray,
-                 version: SpecVersion | None) -> None:
-        self.pipeline = pipeline
-        self.centroids = centroids
-        self.version = version
-        self.label = f"v{version.vid}" if version is not None else "nat"
-        self._made: set[int] = set()
-
-    @property
-    def dead(self) -> bool:
-        return self.version is not None and not self.version.active
-
-    def bootstrap(self) -> None:
-        for index in sorted(self.pipeline.blocks):
-            self.on_block(index)
-
-    def on_block(self, index: int) -> None:
-        if self.dead or index in self._made:
-            return
-        self._made.add(index)
-        pipeline = self.pipeline
-        block = pipeline.blocks[index]
-        task = Task(
-            f"assign:{self.label}:{index}",
-            lambda b=block, c=self.centroids, i=index: {
-                "labels": pipeline.model.assign(b, c),
-                "block": i,
-            },
-            kind="assign",
-            depth=3,
-            speculative=self.version is not None,
-            cost_hint={"units": float(len(block))},
-            tags={"block": index},
-        )
-        if self.version is not None:
-            self.version.register(task)
-        task.on_complete.append(
-            lambda _t, outs, v=self.version: pipeline._assign_done(v, outs))
-        pipeline.runtime.add_task(task, pipeline.st_assign)
+        return self.model.inertia(points, self.committed_value)

@@ -11,9 +11,10 @@ k-means hooks. KMeans-specific scalars (``inertia``, ``labels_ok``,
 
 from __future__ import annotations
 
+from repro.core.stream import SpeculationConfig
 from repro.experiments.scaffold import App, register_app
 from repro.kmeansapp.kmeans import KMeansModel, gaussian_mixture_stream
-from repro.kmeansapp.pipeline import KMeansConfig, KMeansPipeline
+from repro.kmeansapp.pipeline import KMeansPipeline
 
 __all__ = ["KMeansApp", "run_kmeans_experiment"]
 
@@ -39,7 +40,7 @@ class KMeansApp(App):
 
     def build(self, runtime, n_blocks):
         model = KMeansModel(n_clusters=self.cfg.n_clusters, dim=self.cfg.dim)
-        return KMeansPipeline(runtime, model, KMeansConfig(**self.speculation()),
+        return KMeansPipeline(runtime, model, SpeculationConfig(**self.speculation()),
                               n_blocks)
 
     def verify(self, pipeline):
@@ -48,7 +49,7 @@ class KMeansApp(App):
     def digest(self, pipeline):
         # Byte-identity oracle: committed labels + centroids.
         return (pipeline.labels().tobytes()
-                + pipeline.committed_centroids.tobytes()), {}
+                + pipeline.committed_value.tobytes()), {}
 
     def extras(self, pipeline, ok):
         return {"inertia": pipeline.inertia(),

@@ -72,9 +72,9 @@ SIGKILLed by the OOM killer, wedged in a C extension, or silently eating a
 reply — used to strand the coordinator thread in ``conn.recv()`` forever
 or kill it with an uncaught ``EOFError``. The :class:`WorkerSupervisor`
 treats process failure as just another speculation to recover from
-(cf. distributed speculative execution): every dispatch awaits its reply
-under a deadline scaled by batch size while also watching the worker's
-``Process.sentinel``; a dead or wedged worker is killed, accounted
+(cf. distributed speculative execution): every payload awaits its own
+reply under a per-payload deadline, never scaled by batch size, while
+also watching the worker's ``Process.sentinel``; a dead or wedged worker is killed, accounted
 (``worker_crash`` events + ``procs_worker_crashes{cause}``), respawned
 (``worker_respawn``), and the in-flight batch is re-dispatched *singly*
 with bounded retries and exponential backoff (:class:`RetryPolicy`) so a

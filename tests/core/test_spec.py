@@ -61,49 +61,6 @@ def test_version_initial_state():
 
 
 # ---------------------------------------------------------------------------
-# SpecBuilder — the fluent four-point constructor
-# ---------------------------------------------------------------------------
-
-def _built(**validate_extra):
-    return (
-        SpeculationSpec.builder("fluent")
-        .what(launch=lambda v: None, recompute=lambda v: None)
-        .how(lambda v, n: Task(n, lambda: {"out": v}),
-             interval=SpeculationInterval(4))
-        .validate(lambda p, c, r: 0.0, **validate_extra)
-        .build()
-    )
-
-
-def test_builder_builds_equivalent_spec():
-    spec = _built(tolerance=RelativeTolerance(0.05), verification=EveryK(3))
-    assert spec.name == "fluent"
-    assert spec.interval.step == 4
-    assert spec.tolerance.margin == 0.05
-    assert spec.verification.k == 3
-
-
-def test_builder_defaults_match_constructor_defaults():
-    spec = _built()
-    direct = _spec(interval=SpeculationInterval(4))
-    assert spec.tolerance.margin == direct.tolerance.margin
-    assert type(spec.verification) is type(direct.verification)
-    assert spec.check_cost_hint == direct.check_cost_hint
-
-
-def test_builder_reports_all_missing_points_at_once():
-    with pytest.raises(SpeculationError) as err:
-        SpeculationSpec.builder("incomplete").barrier(None).build()
-    msg = str(err.value)
-    assert ".what(" in msg and ".how(" in msg and ".validate(" in msg
-
-
-def test_builder_requires_name():
-    with pytest.raises(SpeculationError):
-        SpeculationSpec.builder("")
-
-
-# ---------------------------------------------------------------------------
 # SpecVersion resource lifetime
 # ---------------------------------------------------------------------------
 

@@ -3,7 +3,8 @@
 not advertise CLI commands that ``repro.cli.build_parser()`` does not
 register, and the scan must only look inside code spans and fenced
 blocks (prose mentioning "repro reproduces X" is not a CLI example) —
-and the job-runner call check on fenced python blocks.
+the job-runner call check on fenced python blocks, and the check that
+every ``repro`` name those blocks import exists.
 """
 
 import importlib.util
@@ -99,6 +100,17 @@ def test_unparseable_python_block_flagged_only_if_it_calls_a_runner(tmp_path):
     errors = _check_python(
         tmp_path, "```python\nrun_job(cfg, a=1, ...)\n```\n")
     assert len(errors) == 1 and "does not parse" in errors[0]
+
+
+def test_python_block_imports_of_missing_names_flagged(tmp_path):
+    text = ("```python\nfrom repro import RunConfig\n"
+            "from repro.core.spec import SpecBuilder, SpeculationSpec\n"
+            "from repro.metrics.report import render_table\n"
+            "from repro.obs import events\n```\n")
+    errors = _check_python(tmp_path, text)
+    assert len(errors) == 2
+    assert ":3:" in errors[0] and "SpecBuilder" in errors[0]
+    assert ":4:" in errors[1] and "cannot import repro.metrics" in errors[1]
 
 
 def test_repo_docs_are_currently_clean():

@@ -84,9 +84,10 @@ def test_committed_quality_within_tolerance_of_final():
 
 def test_ordered_arrival_enforced():
     from repro.errors import ExperimentError
-    from repro.filterapp.pipeline import FilterConfig, FilterPipeline
+    from repro.core.stream import SpeculationConfig
+    from repro.filterapp.pipeline import FilterPipeline
     from repro.sre.runtime import Runtime
     rt = Runtime()
-    pipe = FilterPipeline(rt, FilterDesignProblem(), FilterConfig(), 4)
+    pipe = FilterPipeline(rt, FilterDesignProblem(), SpeculationConfig(), 4)
     with pytest.raises(ExperimentError):
         pipe.feed_block(2, np.zeros(8))

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.core.stream import LatencyCollector
 from repro.errors import ExperimentError
-from repro.metrics.latency import LatencyCollector
 
 
 def test_basic_latency():

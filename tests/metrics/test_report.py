@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.metrics.report import ascii_chart, render_table
+from repro.experiments.report import ascii_chart, render_table
 
 
 def test_render_table_alignment():
@@ -50,7 +50,7 @@ def test_ascii_chart_constant_zero_series():
 
 
 def test_summary_row_shapes():
-    from repro.metrics.summary import RunSummary
+    from repro.experiments.summary import RunSummary
     s = RunSummary(
         label="l", n_blocks=4, outcome="commit", avg_latency_us=1.0,
         max_latency_us=2.0, p95_latency_us=1.5, completion_time_us=10.0,

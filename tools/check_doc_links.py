@@ -18,10 +18,13 @@ still checked. Fenced ``python`` blocks are parsed with :mod:`ast`, and
 every call to a job runner (``run_huffman``, ``run_job``,
 ``run_filter_experiment``, ``run_kmeans_experiment``) may pass only the
 runner keywords (``config`` / ``metrics`` / ``decisions`` /
-``resources``) — run parameters go in a ``RunConfig``. Exits non-zero
+``resources``) — run parameters go in a ``RunConfig``. Every
+``from repro… import X`` in such a block is imported, and ``X`` must
+exist, so docs cannot cite a moved or deleted name. Exits non-zero
 listing every broken link / unknown subcommand / unknown flag / stale
-runner call, so CI catches docs drifting from the tree — renamed files,
-deleted examples, typo'd paths, stale CLI and Python examples.
+runner call / missing import, so CI catches docs drifting from the tree
+— renamed files, deleted examples, typo'd paths, stale CLI and Python
+examples.
 
 Usage::
 
@@ -31,6 +34,7 @@ Usage::
 from __future__ import annotations
 
 import ast
+import importlib
 import pathlib
 import re
 import sys
@@ -160,9 +164,40 @@ def _python_blocks(path: pathlib.Path):
             block.append(line)
 
 
+def _missing_import(module: str, name: str) -> str | None:
+    """Why ``from module import name`` fails, or None if it works."""
+    try:
+        mod = importlib.import_module(module)
+    except ImportError as exc:
+        return f"cannot import {module}: {exc}"
+    if name == "*" or hasattr(mod, name):
+        return None
+    try:
+        importlib.import_module(f"{module}.{name}")
+    except ImportError:
+        return f"{module} has no name {name!r}"
+    return None
+
+
+def _check_imports(path: pathlib.Path, start: int, tree: ast.AST) -> list[str]:
+    """Flag every ``from repro… import X`` whose ``X`` does not exist."""
+    errors = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.ImportFrom) and node.level == 0
+                and node.module and node.module.split(".")[0] == "repro"):
+            continue
+        for alias in node.names:
+            why = _missing_import(node.module, alias.name)
+            if why:
+                errors.append(f"{path}:{start + node.lineno - 1}: "
+                              f"`from {node.module} import {alias.name}`: {why}")
+    return errors
+
+
 def check_python_blocks(path: pathlib.Path) -> list[str]:
     """Flag job-runner calls in fenced python blocks that pass run
-    parameters as bare keywords (they raise ``TypeError``)."""
+    parameters as bare keywords (they raise ``TypeError``), and
+    ``repro`` imports of names that do not exist."""
     errors = []
     for start, source in _python_blocks(path):
         try:
@@ -175,6 +210,7 @@ def check_python_blocks(path: pathlib.Path) -> list[str]:
                               f"python block calling a job runner does "
                               f"not parse: {exc.msg}")
             continue
+        errors.extend(_check_imports(path, start, tree))
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -226,6 +262,8 @@ def check_file(path: pathlib.Path) -> list[str]:
 
 def main(argv: list[str]) -> int:
     root = pathlib.Path(argv[1]) if len(argv) > 1 else pathlib.Path(".")
+    # the python-block import check imports from this checkout's tree
+    sys.path.insert(0, str(root / "src"))
     try:
         known = known_subcommands(root)
     except ImportError as exc:  # running outside the repo root
