@@ -9,48 +9,9 @@ from repro.experiments.runner import RunConfig, run_huffman
 from repro.platforms import CellPlatform
 
 
-def _txt(policy="balanced", **kw):
+def _txt(**kw):
     return run_huffman(config=RunConfig(workload="txt", n_blocks=256,
-                                     policy=policy, step=1, seed=0, **kw))
-
-
-def test_ablation_depth_first_vs_fcfs(benchmark, capsys):
-    """Depth-favouring dispatch vs pure FCFS (the paper: FCFS is
-    breadth-first, 'toxic to memory locality' and latency)."""
-
-    def run():
-        depth = _txt()
-        fcfs = _txt(policy="fcfs", depth_first=False)
-        return depth, fcfs
-
-    depth, fcfs = benchmark.pedantic(run, rounds=1, iterations=1)
-    with capsys.disabled():
-        print(f"\ndepth-first avg latency: {depth.avg_latency:,.0f} µs | "
-              f"fcfs: {fcfs.avg_latency:,.0f} µs "
-              f"(+{fcfs.avg_latency / depth.avg_latency - 1:.1%})")
-    benchmark.extra_info["depth_first_us"] = depth.avg_latency
-    benchmark.extra_info["fcfs_us"] = fcfs.avg_latency
-    assert fcfs.avg_latency > depth.avg_latency
-
-
-def test_ablation_control_priority(benchmark, capsys):
-    """Predict/verify tasks at highest priority vs ordinary depth priority.
-
-    Without the boost, speculative trees and checks queue behind encodes,
-    delaying both speculation start and rollback detection."""
-
-    def run():
-        boosted = _txt()
-        plain = _txt(control_first=False)
-        return boosted, plain
-
-    boosted, plain = benchmark.pedantic(run, rounds=1, iterations=1)
-    with capsys.disabled():
-        print(f"\ncontrol-first avg latency: {boosted.avg_latency:,.0f} µs | "
-              f"no boost: {plain.avg_latency:,.0f} µs")
-    benchmark.extra_info["control_first_us"] = boosted.avg_latency
-    benchmark.extra_info["no_boost_us"] = plain.avg_latency
-    assert boosted.avg_latency <= plain.avg_latency * 1.02
+                                     policy="balanced", step=1, seed=0, **kw))
 
 
 def test_ablation_cell_prefetch_depth(benchmark, capsys):

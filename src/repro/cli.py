@@ -5,7 +5,8 @@ Subcommands::
     repro run --workload txt --policy balanced --blocks 256 [--gantt]
     repro run --executor procs --metrics-out run.prom       # live pool + metrics
     repro run --events-out run.events.jsonl                 # flight recorder
-    repro trace --executor threads -o trace.json            # run + chrome trace
+    repro run --executor threads --trace-out trace.json     # + chrome trace
+    repro trace --job job-1 --port-file serve.port          # a served job's trace
     repro explain run.events.jsonl [--version N]            # rollback post-mortem
     repro replay run.events.jsonl                           # deterministic replay
     repro replay run.events.jsonl --force-policy aggressive --diff  # counterfactual
@@ -17,6 +18,13 @@ Subcommands::
     repro compress FILE [-o OUT] / repro decompress FILE    # container codec
     repro list                                              # what's available
 
+Every option that fills a field of :class:`RunConfig`,
+:class:`~repro.serve.settings.ServeSettings` or
+:class:`~repro.serve.settings.PoolSettings` is declared by that field: its
+dest is the field name and its default the field's default (the app's,
+for ``filter`` / ``kmeans``), and each handler builds its config from the
+parsed options by field name.
+
 ``--metrics-out m.json`` writes the JSON snapshot instead of Prometheus
 text. Per-layer timings (per-task executor cost, shm, wire framing, warm
 serve jobs) come from the benchmark, ``python3 perfbench/run.py``.
@@ -27,15 +35,21 @@ Set ``REPRO_SCALE=paper`` for full paper-scale geometry (slower).
 from __future__ import annotations
 
 import argparse
+import importlib
 import os
 import pathlib
 import signal
 import sys
+from dataclasses import fields
+from typing import Callable
 
-from repro.experiments import claims as claims_mod
-from repro.experiments import fig2, fig3, fig4, fig5, fig6, fig7, fig8, fig9, resources
+from repro.core.frequency import VERIFICATIONS
+from repro.experiments.config import TRANSPORTS
 from repro.experiments.runner import RunConfig, run_huffman
+from repro.platforms import PLATFORMS
+from repro.serve.settings import PoolSettings, ServeSettings
 from repro.sre.policies import policy_names
+from repro.sre.registry import executor_names
 from repro.workloads.registry import WORKLOADS
 
 __all__ = ["main", "build_parser"]
@@ -44,37 +58,46 @@ __all__ = ["main", "build_parser"]
 #: plus ``nonspec``, the no-speculation shorthand.
 _POLICY_CHOICES = ["nonspec", *policy_names()]
 
-_FIGURES = {
-    "fig2": fig2, "fig3": fig3, "fig4": fig4, "fig5": fig5, "fig6": fig6,
-    "fig7": fig7, "fig8": fig8, "fig9": fig9, "resources": resources,
-}
+#: Figure subcommands (sorted), each a module of :mod:`repro.experiments`
+#: imported when it runs.
+_FIGURES = ("fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
+            "resources")
 
 
-def _run_experiment(args: argparse.Namespace, *,
-                    metrics_out: str | None = None,
-                    events_out: str | None = None):
-    """Shared run_huffman invocation for the run/trace subcommands."""
-    return run_huffman(config=RunConfig(
-        workload=args.workload,
-        n_blocks=args.blocks,
-        platform=args.platform,
-        io=args.io,
-        policy=args.policy,
-        speculative=not args.nonspec,
-        step=args.step,
-        verification=args.verification,
-        verify_k=args.verify_k,
-        tolerance=args.tolerance,
-        seed=args.seed,
-        executor=args.executor,
-        transport=args.transport,
-        fault_plan=args.fault_plan,
-        pool=args.pool,
-        workers=args.workers,
-        dispatch_timeout_s=args.dispatch_timeout_s,
-        metrics_out=metrics_out,
-        events_out=events_out,
-    ))
+def _defaults(config: object) -> dict[str, object]:
+    """Field name -> value of the dataclass instance ``config``."""
+    return {f.name: getattr(config, f.name) for f in fields(config)}
+
+
+def _fields_of(config: type, args: argparse.Namespace) -> dict[str, object]:
+    """The parsed options that fill a field of ``config``, by field name."""
+    return {f.name: getattr(args, f.name) for f in fields(config)
+            if hasattr(args, f.name)}
+
+
+def _knobs(p: argparse.ArgumentParser,
+           config: object) -> Callable[..., None]:
+    """``add(flag, field, **kwargs)``: add to ``p`` an option filling
+    ``field``, with the field name as dest and its value in ``config``
+    as default. A bool field becomes a switch away from its default; any
+    other field's option is typed by its default (when not None) and, if
+    it has no choices, shows its flag as metavar."""
+    defaults = _defaults(config)
+
+    def add(flag: str, field: str, **kwargs: object) -> None:
+        default = defaults[field]
+        if isinstance(default, bool):
+            kwargs.setdefault("action",
+                              "store_false" if default else "store_true")
+        else:
+            if "choices" not in kwargs:
+                kwargs.setdefault("metavar", flag.lstrip("-").replace("-", "_")
+                                  .upper())
+            if default is not None:
+                kwargs.setdefault("type", type(default))
+        p.add_argument(flag, dest=field, default=default, **kwargs)
+
+    return add
 
 
 def _run_events(args: argparse.Namespace, report):
@@ -87,8 +110,7 @@ def _run_events(args: argparse.Namespace, report):
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    report = _run_experiment(args, metrics_out=args.metrics_out,
-                             events_out=args.events_out)
+    report = run_huffman(config=RunConfig(**_fields_of(RunConfig, args)))
     s = report.summary
     print(f"run        : {report.label}")
     print(f"outcome    : {report.result.outcome}")
@@ -161,7 +183,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_trace_serve(args: argparse.Namespace) -> int:
+def _cmd_trace(args: argparse.Namespace) -> int:
     """Fetch a served job's distributed trace and render/export it."""
     import json as json_mod
 
@@ -170,7 +192,7 @@ def _cmd_trace_serve(args: argparse.Namespace) -> int:
     from repro.obs.traceview import spans_to_chrome_trace
 
     if not args.job:
-        raise SystemExit("repro trace --serve requires --job JOB_ID")
+        raise SystemExit("repro trace requires --job JOB_ID")
     with ServeClient(args.host, port=_resolve_port(args)) as client:
         doc = client.trace(args.job)
     spans = doc.get("spans") or []
@@ -189,57 +211,25 @@ def _cmd_trace_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
-    """Run one experiment and export its trace (Chrome JSON and/or Gantt)."""
-    if args.serve:
-        return _cmd_trace_serve(args)
-    from repro.obs.traceview import ascii_gantt, to_chrome_trace
-    events = _run_experiment(args).events
-    if args.out is not None:
-        pathlib.Path(args.out).write_text(to_chrome_trace(events))
-        print(f"chrome trace written to {args.out} "
-              "(open in chrome://tracing or ui.perfetto.dev)")
-    if args.gantt or args.out is None:
-        print(ascii_gantt(events))
-    return 0
-
-
-def _cmd_filter(args: argparse.Namespace) -> int:
+def _cmd_app(args: argparse.Namespace) -> int:
+    """Run the filter (Fig. 1) or k-means (§II-A) application."""
     from repro.experiments.jobs import run_job
-    report = run_job(RunConfig.for_app(
-        "filter",
-        n_blocks=args.blocks,
-        speculative=not args.nonspec,
-        step=args.step,
-        tolerance=args.tolerance,
-        seed=args.seed,
-    ))
-    print(f"outcome       : {report.result.outcome}")
-    print(f"avg latency   : {report.avg_latency:,.0f} µs")
-    print(f"runtime       : {report.completion_time:,.0f} µs")
-    print(f"rollbacks     : {report.extras['rollbacks']}")
-    print(f"response error: {report.extras['response_error']:.4f}")
-    print(f"output        : {'ok' if report.extras['output_ok'] else 'FAILED'}")
-    return 0
-
-
-def _cmd_kmeans(args: argparse.Namespace) -> int:
-    from repro.experiments.jobs import run_job
-    report = run_job(RunConfig.for_app(
-        "kmeans",
-        n_blocks=args.blocks,
-        speculative=not args.nonspec,
-        step=args.step,
-        tolerance=args.tolerance,
-        drift_blocks=args.drift,
-        seed=args.seed,
-    ))
-    print(f"outcome     : {report.result.outcome}")
-    print(f"avg latency : {report.avg_latency:,.0f} µs")
-    print(f"runtime     : {report.completion_time:,.0f} µs")
-    print(f"rollbacks   : {report.extras['rollbacks']}")
-    print(f"inertia     : {report.extras['inertia']:.4f}")
-    print(f"labels      : {'ok' if report.extras['labels_ok'] else 'FAILED'}")
+    report = run_job(RunConfig.for_app(args.command,
+                                       **_fields_of(RunConfig, args)))
+    extras = report.extras
+    if args.command == "filter":
+        width, rows = 14, [
+            ("response error", f"{extras['response_error']:.4f}"),
+            ("output", "ok" if extras["output_ok"] else "FAILED")]
+    else:
+        width, rows = 12, [
+            ("inertia", f"{extras['inertia']:.4f}"),
+            ("labels", "ok" if extras["labels_ok"] else "FAILED")]
+    for label, value in [("outcome", report.result.outcome),
+                         ("avg latency", f"{report.avg_latency:,.0f} µs"),
+                         ("runtime", f"{report.completion_time:,.0f} µs"),
+                         ("rollbacks", extras["rollbacks"]), *rows]:
+        print(f"{label:<{width}}: {value}")
     return 0
 
 
@@ -266,26 +256,26 @@ def _cmd_decompress(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure(name: str, args: argparse.Namespace) -> int:
-    module = _FIGURES[name]
+    module = importlib.import_module(f"repro.experiments.{name}")
     result = module.run(seed=args.seed)
     print(result.render(charts=not args.no_charts))
     return 0
 
 
 def _cmd_claims(args: argparse.Namespace) -> int:
-    print(claims_mod.render(claims_mod.run(seed=args.seed)))
+    from repro.experiments import claims
+    print(claims.render(claims.run(seed=args.seed)))
     return 0
 
 
 def _cmd_list(_args: argparse.Namespace) -> int:
-    from repro.sre.registry import executor_names
-    print("figures :", ", ".join(sorted(_FIGURES)))
+    print("figures :", ", ".join(_FIGURES))
     print("workloads:", ", ".join(WORKLOADS))
-    print("platforms: x86, cell")
+    print("platforms:", ", ".join(PLATFORMS))
     print("executors:", ", ".join(executor_names()))
-    print("transports: pickle, shm")
+    print("transports:", ", ".join(TRANSPORTS))
     print("policies :", ", ".join(_POLICY_CHOICES))
-    print("verification: every_k, optimistic, full")
+    print("verification:", ", ".join(VERIFICATIONS))
     print("apps     : filter (Fig. 1), kmeans (§II-A)")
     return 0
 
@@ -331,14 +321,24 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_daemon_address(p: argparse.ArgumentParser, when: str = "") -> None:
+def _add_daemon_address(p: argparse.ArgumentParser) -> None:
     """``--host`` / ``--port`` / ``--port-file`` of a running daemon, as
-    read back by :func:`_resolve_port`; ``when`` qualifies the help."""
-    p.add_argument("--host", default="127.0.0.1", help=f"daemon host{when}")
-    p.add_argument("--port", type=int, default=None, help=f"daemon port{when}")
+    read back by :func:`_resolve_port`."""
+    p.add_argument("--host", default="127.0.0.1", help="daemon host")
+    p.add_argument("--port", type=int, default=None, help="daemon port")
     p.add_argument("--port-file", default=None, dest="port_file",
-                   help=f"read the daemon port from this file{when}, as "
-                        "written by `repro serve --port-file`")
+                   help="read the daemon port from this file, as written "
+                        "by `repro serve --port-file`")
+
+
+def _add_listen_address(add: Callable[..., None]) -> None:
+    """A daemon's own ``--host`` / ``--port`` / ``--port-file``."""
+    add("--host", "host")
+    add("--port", "port", help="listen port (default 0: ephemeral; see "
+                               "--port-file)")
+    add("--port-file", "port_file",
+        help="write the bound port here once listening (the CI / "
+             "scripting rendezvous)")
 
 
 def _resolve_port(args: argparse.Namespace) -> int:
@@ -352,25 +352,9 @@ def _resolve_port(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    import os
+    from repro.serve.server import SpeculationServer
 
-    from repro.serve.server import ServeSettings, SpeculationServer
-
-    settings = ServeSettings(
-        host=args.host,
-        port=args.port if args.port is not None else 0,
-        job_workers=args.job_workers,
-        max_tenant_jobs=args.max_tenant_jobs,
-        max_tenant_bytes=args.max_tenant_bytes,
-        queue_limit=args.queue_limit,
-        breaker_threshold=args.breaker_threshold,
-        breaker_cooldown_s=args.breaker_cooldown,
-        max_lanes=args.max_lanes,
-        events_out=args.events_out,
-        metrics_out=args.metrics_out,
-        metrics_interval_s=args.metrics_interval_s,
-        port_file=args.port_file,
-    )
+    settings = ServeSettings(**_fields_of(ServeSettings, args))
     server = SpeculationServer(settings).start()
     print(f"repro serve listening on {settings.host}:{server.port} "
           f"(pid {os.getpid()})")
@@ -380,21 +364,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_worker_pool(args: argparse.Namespace) -> int:
-    import os
-    import signal
+    from repro.sre.worker_pool import WorkerPoolServer
 
-    from repro.sre.worker_pool import PoolSettings, WorkerPoolServer
-
-    settings = PoolSettings(
-        host=args.host,
-        port=args.port if args.port is not None else 0,
-        port_file=args.port_file,
-        fault_plan=args.fault_plan,
-        max_respawns=args.max_respawns,
-        harvest_timeout_s=args.harvest_timeout_s,
-        max_workers=args.max_workers,
-        events_out=args.events_out,
-    )
+    settings = PoolSettings(**_fields_of(PoolSettings, args))
     server = WorkerPoolServer(settings).start()
     # SIGTERM (plain `kill`, CI teardown) must stop the pool cleanly so
     # buffered event/metric sinks flush — same exit path as the shutdown op.
@@ -412,21 +384,14 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 
     from repro.client import JobRejected, ServeClient, ServeError
 
-    config: dict = {}
-    if args.config_json:
-        config.update(json.loads(args.config_json))
-    config.setdefault("app", args.app)
-    if args.app == "huffman":
-        config.setdefault("workload", args.workload)
-        config.setdefault("executor", args.executor)
-        config.setdefault("transport", args.transport)
-        if args.workers is not None:
-            config.setdefault("workers", args.workers)
-    if args.blocks is not None:
-        config.setdefault("n_blocks", args.blocks)
-    if args.nonspec:
-        config.setdefault("speculative", False)
-    config.setdefault("seed", args.seed)
+    # Options left at their default stay out of the request, so the
+    # daemon's RunConfig.for_app fills the app's own defaults;
+    # --config-json wins over the flags.
+    config = json.loads(args.config_json) if args.config_json else {}
+    defaults = _defaults(RunConfig())
+    for name, value in _fields_of(RunConfig, args).items():
+        if value != defaults[name]:
+            config.setdefault(name, value)
     with ServeClient(args.host, port=_resolve_port(args)) as client:
         try:
             job_id = client.submit(config, tenant=args.tenant)
@@ -503,107 +468,83 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_experiment_args(p: argparse.ArgumentParser, blocks: int = 256) -> None:
-        """Knobs shared by the run / trace subcommands."""
-        p.add_argument("--workload", default="txt",
-                       choices=list(WORKLOADS))
-        p.add_argument("--blocks", type=int, default=blocks)
-        from repro.sre.registry import executor_names
-        p.add_argument("--executor", default="sim",
-                       choices=list(executor_names()),
-                       help="back-end: simulated clock (paper figures), "
-                            "live thread pool, or live process pool")
-        p.add_argument("--transport", default="pickle",
-                       choices=["pickle", "shm"],
-                       help="payload transport: pickle block bytes per "
-                            "task, or shared-memory blocks + refs "
-                            "(zero-copy on the procs back-end)")
-        p.add_argument("--platform", default="x86", choices=["x86", "cell"])
-        p.add_argument("--io", default="disk", choices=["disk", "socket"])
-        p.add_argument("--policy", default="balanced",
-                       choices=_POLICY_CHOICES)
-        p.add_argument("--nonspec", action="store_true",
-                       help="disable speculation entirely")
-        p.add_argument("--step", type=int, default=1)
-        p.add_argument("--verification", default="every_k",
-                       choices=["every_k", "optimistic", "full"])
-        p.add_argument("--verify-k", type=int, default=8, dest="verify_k")
-        p.add_argument("--tolerance", type=float, default=0.01)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--workers", type=int, default=None,
-                       help="worker seats for the live back-ends "
-                            "(threads/procs/dist)")
-        p.add_argument("--pool", default=None, metavar="HOST:PORT",
-                       help="remote worker-pool rendezvous for the dist "
-                            "back-end (a running `repro worker-pool`)")
-        p.add_argument("--fault", default=None, dest="fault_plan",
-                       metavar="PLAN",
-                       help="inject deterministic worker faults on the "
-                            "procs/dist back-ends, e.g. 'kill@3' or "
-                            "'hang@2:w1,kill@1!' (see docs/fault-tolerance.md)")
-        p.add_argument("--dispatch-timeout", type=float, default=60.0,
-                       dest="dispatch_timeout_s", metavar="SECONDS",
-                       help="per-payload reply deadline on the procs "
-                            "back-end (never scaled by batch size)")
-
     p_run = sub.add_parser("run", help="run one Huffman experiment")
-    add_experiment_args(p_run)
+    # --blocks: 256, where the field's None means the scale's default
+    add = _knobs(p_run, RunConfig(n_blocks=256))
+    add("--workload", "workload", choices=list(WORKLOADS))
+    add("--blocks", "n_blocks")
+    add("--executor", "executor", choices=list(executor_names()),
+        help="back-end: simulated clock (paper figures), live thread "
+             "pool, or live process pool")
+    add("--transport", "transport", choices=TRANSPORTS,
+        help="payload transport: pickle block bytes per task, or "
+             "shared-memory blocks + refs (zero-copy on the procs "
+             "back-end)")
+    add("--platform", "platform", choices=list(PLATFORMS))
+    add("--io", "io", choices=["disk", "socket"])
+    add("--policy", "policy", choices=_POLICY_CHOICES)
+    add("--nonspec", "speculative", help="disable speculation entirely")
+    add("--step", "step")
+    add("--verification", "verification", choices=list(VERIFICATIONS))
+    add("--verify-k", "verify_k")
+    add("--tolerance", "tolerance")
+    add("--seed", "seed")
+    add("--workers", "workers", type=int,
+        help="worker seats for the live back-ends (threads/procs/dist)")
+    add("--pool", "pool", metavar="HOST:PORT",
+        help="remote worker-pool rendezvous for the dist back-end (a "
+             "running `repro worker-pool`)")
+    add("--fault", "fault_plan", metavar="PLAN",
+        help="inject deterministic worker faults on the procs/dist "
+             "back-ends, e.g. 'kill@3' or 'hang@2:w1,kill@1!' (see "
+             "docs/fault-tolerance.md)")
+    add("--dispatch-timeout", "dispatch_timeout_s", metavar="SECONDS",
+        help="per-payload reply deadline on the procs back-end (never "
+             "scaled by batch size)")
     p_run.add_argument("--gantt", action="store_true",
                        help="print an ASCII gantt of the run")
     p_run.add_argument("--trace-out", default=None, dest="trace_out",
                        help="write a chrome://tracing JSON to this path")
-    p_run.add_argument("--metrics-out", default=None, dest="metrics_out",
-                       help="write a metrics snapshot to this path "
-                            "(.json → JSON, else Prometheus text); long "
-                            "runs rewrite it periodically while running")
+    add("--metrics-out", "metrics_out",
+        help="write a metrics snapshot to this path (.json → JSON, else "
+             "Prometheus text); long runs rewrite it periodically while "
+             "running")
     p_run.add_argument("--metrics-format", default=None, dest="metrics_format",
                        choices=["prom", "json"],
                        help="force the --metrics-out format instead of "
                             "inferring it from the extension")
-    p_run.add_argument("--events-out", default=None, dest="events_out",
-                       help="write the flight-recorder event log (JSONL) to "
-                            "this path; feed it to `repro explain`")
+    add("--events-out", "events_out",
+        help="write the flight-recorder event log (JSONL) to this path; "
+             "feed it to `repro explain`")
     p_run.set_defaults(fn=_cmd_run)
 
     p_trace = sub.add_parser(
         "trace",
-        help="run one experiment and export its trace (chrome JSON / gantt)")
-    add_experiment_args(p_trace, blocks=64)
+        help="fetch a served job's distributed trace from a running "
+             "`repro serve` daemon (see docs/tracing.md); a one-shot "
+             "run's trace comes from `repro run --trace-out / --gantt`")
+    p_trace.add_argument("--job", default=None, help="job id to trace")
+    _add_daemon_address(p_trace)
     p_trace.add_argument("-o", "--out", default=None,
-                         help="write chrome://tracing JSON to this path "
-                              "(omitted: print the ASCII gantt)")
-    p_trace.add_argument("--gantt", action="store_true",
-                         help="also print the ASCII gantt when writing a file")
-    p_trace.add_argument("--serve", action="store_true",
-                         help="fetch a served job's distributed trace from "
-                              "a running daemon instead of running an "
-                              "experiment (needs --job and --port/"
-                              "--port-file; see docs/tracing.md)")
-    p_trace.add_argument("--job", default=None,
-                         help="job id to trace (with --serve)")
-    _add_daemon_address(p_trace, when=" (with --serve)")
+                         help="write chrome://tracing JSON to this path")
     p_trace.add_argument("--spans-json", default=None, dest="spans_json",
-                         help="with --serve: also write the raw span list "
-                              "(JSON) to this path")
+                         help="also write the raw span list (JSON) to this "
+                              "path")
     p_trace.set_defaults(fn=_cmd_trace)
 
-    p_filter = sub.add_parser("filter", help="run the Fig. 1 filter application")
-    p_filter.add_argument("--blocks", type=int, default=48)
-    p_filter.add_argument("--nonspec", action="store_true")
-    p_filter.add_argument("--step", type=int, default=2)
-    p_filter.add_argument("--tolerance", type=float, default=0.02)
-    p_filter.add_argument("--seed", type=int, default=0)
-    p_filter.set_defaults(fn=_cmd_filter)
-
-    p_km = sub.add_parser("kmeans", help="run the speculative k-means application")
-    p_km.add_argument("--blocks", type=int, default=48)
-    p_km.add_argument("--nonspec", action="store_true")
-    p_km.add_argument("--step", type=int, default=2)
-    p_km.add_argument("--tolerance", type=float, default=0.05)
-    p_km.add_argument("--drift", type=int, default=0,
-                      help="blocks of early cluster drift (provokes rollbacks)")
-    p_km.add_argument("--seed", type=int, default=0)
-    p_km.set_defaults(fn=_cmd_kmeans)
+    for app, what in (("filter", "the Fig. 1 filter application"),
+                      ("kmeans", "the speculative k-means application")):
+        p_app = sub.add_parser(app, help=f"run {what}")
+        add = _knobs(p_app, RunConfig.for_app(app))
+        add("--blocks", "n_blocks")
+        add("--nonspec", "speculative")
+        add("--step", "step")
+        add("--tolerance", "tolerance")
+        if app == "kmeans":
+            add("--drift", "drift_blocks",
+                help="blocks of early cluster drift (provokes rollbacks)")
+        add("--seed", "seed")
+        p_app.set_defaults(fn=_cmd_app)
 
     p_comp = sub.add_parser("compress", help="compress a file to a .rhuf container")
     p_comp.add_argument("file")
@@ -615,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("-o", "--output", default=None)
     p_dec.set_defaults(fn=_cmd_decompress)
 
-    for name in sorted(_FIGURES):
+    for name in _FIGURES:
         p = sub.add_parser(name, help=f"regenerate {name}")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--no-charts", action="store_true")
@@ -709,48 +650,34 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="long-lived speculation service: warm worker pools + shm "
              "arenas, jobs over a local socket (see docs/service.md)")
-    p_serve.add_argument("--host", default="127.0.0.1")
-    p_serve.add_argument("--port", type=int, default=None,
-                         help="listen port (default: ephemeral; see "
-                              "--port-file)")
-    p_serve.add_argument("--port-file", default=None, dest="port_file",
-                         help="write the bound port here once listening "
-                              "(the CI / scripting rendezvous)")
-    p_serve.add_argument("--job-workers", type=int, default=2,
-                         dest="job_workers",
-                         help="concurrent running jobs daemon-wide")
-    p_serve.add_argument("--max-tenant-jobs", type=int, default=2,
-                         dest="max_tenant_jobs",
-                         help="per-tenant bulkhead: concurrent jobs")
-    p_serve.add_argument("--max-tenant-bytes", type=int, default=64 << 20,
-                         dest="max_tenant_bytes",
-                         help="per-tenant bulkhead: in-flight payload bytes")
-    p_serve.add_argument("--queue-limit", type=int, default=8,
-                         dest="queue_limit",
-                         help="daemon-wide in-flight cap (backpressure past "
-                              "it: submissions get queue_full)")
-    p_serve.add_argument("--breaker-threshold", type=int, default=2,
-                         dest="breaker_threshold",
-                         help="consecutive worker-killing failures that "
-                              "open a tenant's circuit breaker")
-    p_serve.add_argument("--breaker-cooldown", type=float, default=30.0,
-                         dest="breaker_cooldown", metavar="SECONDS",
-                         help="open-breaker cooldown before one half-open "
-                              "probe job is admitted")
-    p_serve.add_argument("--max-lanes", type=int, default=4,
-                         dest="max_lanes",
-                         help="warm worker-pool lanes kept alive (excess "
-                              "procs jobs run cold)")
-    p_serve.add_argument("--events-out", default=None, dest="events_out",
-                         help="write the daemon's lifecycle event log "
-                              "(JSONL) to this path")
-    p_serve.add_argument("--metrics-out", default=None, dest="metrics_out",
-                         help="write the daemon-wide metrics snapshot here "
-                              "periodically (.json → JSON, else Prometheus "
-                              "text); `repro top FILE` can tail it")
-    p_serve.add_argument("--metrics-interval-s", type=float, default=5.0,
-                         dest="metrics_interval_s", metavar="SECONDS",
-                         help="seconds between --metrics-out snapshots")
+    add = _knobs(p_serve, ServeSettings())
+    _add_listen_address(add)
+    add("--job-workers", "job_workers",
+        help="concurrent running jobs daemon-wide")
+    add("--max-tenant-jobs", "max_tenant_jobs",
+        help="per-tenant bulkhead: concurrent jobs")
+    add("--max-tenant-bytes", "max_tenant_bytes",
+        help="per-tenant bulkhead: in-flight payload bytes")
+    add("--queue-limit", "queue_limit",
+        help="daemon-wide in-flight cap (backpressure past it: "
+             "submissions get queue_full)")
+    add("--breaker-threshold", "breaker_threshold",
+        help="consecutive worker-killing failures that open a tenant's "
+             "circuit breaker")
+    add("--breaker-cooldown", "breaker_cooldown_s", metavar="SECONDS",
+        help="open-breaker cooldown before one half-open probe job is "
+             "admitted")
+    add("--max-lanes", "max_lanes",
+        help="warm worker-pool lanes kept alive (excess procs jobs run "
+             "cold)")
+    add("--events-out", "events_out",
+        help="write the daemon's lifecycle event log (JSONL) to this path")
+    add("--metrics-out", "metrics_out",
+        help="write the daemon-wide metrics snapshot here periodically "
+             "(.json → JSON, else Prometheus text); `repro top FILE` can "
+             "tail it")
+    add("--metrics-interval-s", "metrics_interval_s", metavar="SECONDS",
+        help="seconds between --metrics-out snapshots")
     p_serve.set_defaults(fn=_cmd_serve)
 
     p_pool = sub.add_parser(
@@ -758,53 +685,38 @@ def build_parser() -> argparse.ArgumentParser:
         help="host a worker pool for the dist back-end: a "
              "WorkerSupervisor behind a TCP socket (see "
              "docs/distributed.md)")
-    p_pool.add_argument("--host", default="127.0.0.1")
-    p_pool.add_argument("--port", type=int, default=None,
-                        help="listen port (default: ephemeral; see "
-                             "--port-file)")
-    p_pool.add_argument("--port-file", default=None, dest="port_file",
-                        help="write the bound port here once listening "
-                             "(the CI / scripting rendezvous)")
-    p_pool.add_argument("--fault", default=None, dest="fault_plan",
-                        metavar="PLAN",
-                        help="default chaos plan armed on every attached "
-                             "session's workers when the coordinator "
-                             "ships none, e.g. 'kill@3' (see "
-                             "docs/fault-tolerance.md)")
-    p_pool.add_argument("--max-workers", type=int, default=16,
-                        dest="max_workers",
-                        help="cap on seats one attach may request")
-    p_pool.add_argument("--max-respawns", type=int, default=3,
-                        dest="max_respawns",
-                        help="replacement processes per seat before it "
-                             "degrades")
-    p_pool.add_argument("--harvest-timeout", type=float, default=2.0,
-                        dest="harvest_timeout_s", metavar="SECONDS",
-                        help="shutdown grace per worker for the final "
-                             "metrics/events harvest")
-    p_pool.add_argument("--events-out", default=None, dest="events_out",
-                        help="write the pool's lifecycle event log "
-                             "(JSONL) to this path")
+    add = _knobs(p_pool, PoolSettings())
+    _add_listen_address(add)
+    add("--fault", "fault_plan", metavar="PLAN",
+        help="default chaos plan armed on every attached session's "
+             "workers when the coordinator ships none, e.g. 'kill@3' (see "
+             "docs/fault-tolerance.md)")
+    add("--max-workers", "max_workers",
+        help="cap on seats one attach may request")
+    add("--max-respawns", "max_respawns",
+        help="replacement processes per seat before it degrades")
+    add("--harvest-timeout", "harvest_timeout_s", metavar="SECONDS",
+        help="shutdown grace per worker for the final metrics/events "
+             "harvest")
+    add("--events-out", "events_out",
+        help="write the pool's lifecycle event log (JSONL) to this path")
     p_pool.set_defaults(fn=_cmd_worker_pool)
 
     p_submit = sub.add_parser(
         "submit", help="submit one job to a running `repro serve` daemon")
     _add_daemon_address(p_submit)
     p_submit.add_argument("--tenant", default="default")
-    p_submit.add_argument("--app", default="huffman",
-                          choices=["huffman", "filter", "kmeans"])
-    p_submit.add_argument("--workload", default="txt",
-                          choices=list(WORKLOADS))
-    p_submit.add_argument("--blocks", type=int, default=None)
-    p_submit.add_argument("--executor", default="sim",
-                          help="huffman only: sim, threads or procs (procs "
-                               "runs on a warm daemon lane)")
-    p_submit.add_argument("--transport", default="pickle",
-                          choices=["pickle", "shm"],
-                          help="shm uses the daemon's warm arenas")
-    p_submit.add_argument("--workers", type=int, default=None)
-    p_submit.add_argument("--nonspec", action="store_true")
-    p_submit.add_argument("--seed", type=int, default=0)
+    add = _knobs(p_submit, RunConfig())
+    add("--app", "app", choices=["huffman", "filter", "kmeans"])
+    add("--workload", "workload", choices=list(WORKLOADS))
+    add("--blocks", "n_blocks", type=int)
+    add("--executor", "executor",
+        help="sim, threads or procs (procs runs on a warm daemon lane)")
+    add("--transport", "transport", choices=TRANSPORTS,
+        help="shm uses the daemon's warm arenas")
+    add("--workers", "workers", type=int)
+    add("--nonspec", "speculative")
+    add("--seed", "seed")
     p_submit.add_argument("--config-json", default=None, dest="config_json",
                           help="raw RunConfig keywords as JSON (wins over "
                                "the flags above)")

@@ -29,6 +29,7 @@ __all__ = [
     "EveryK",
     "Optimistic",
     "FullVerification",
+    "VERIFICATIONS",
     "get_verification",
 ]
 
@@ -116,15 +117,20 @@ class FullVerification(VerificationPolicy):
         return True
 
 
+#: The ``verification`` vocabulary: each policy's paper name -> its class.
+VERIFICATIONS: dict[str, type[VerificationPolicy]] = {
+    cls.name: cls for cls in (EveryK, Optimistic, FullVerification)}
+
+
 def get_verification(name: str, k: int = 8) -> VerificationPolicy:
-    """Instantiate a verification policy by its paper name."""
+    """Instantiate a verification policy by its paper name
+    (``baseline`` and ``balanced`` are aliases of ``every_k``)."""
     name = name.lower()
-    if name in ("every_k", "baseline", "balanced"):
-        return EveryK(k)
-    if name == "optimistic":
-        return Optimistic()
-    if name == "full":
-        return FullVerification()
-    raise SpeculationError(
-        f"unknown verification policy {name!r}; choose every_k/optimistic/full"
-    )
+    if name in ("baseline", "balanced"):
+        name = EveryK.name
+    cls = VERIFICATIONS.get(name)
+    if cls is None:
+        raise SpeculationError(
+            f"unknown verification policy {name!r}; "
+            f"choose {'/'.join(VERIFICATIONS)}")
+    return cls(k) if cls is EveryK else cls()

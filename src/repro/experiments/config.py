@@ -14,7 +14,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, fields
 
-__all__ = ["ExperimentScale", "QUICK", "PAPER", "RunConfig", "active_scale"]
+__all__ = ["ExperimentScale", "QUICK", "PAPER", "RunConfig", "TRANSPORTS",
+           "active_scale"]
 
 
 @dataclass(frozen=True)
@@ -58,7 +59,10 @@ def active_scale() -> ExperimentScale:
 # RunConfig — one frozen value object for everything run_huffman accepts.
 # ---------------------------------------------------------------------------
 
-_UNSET = object()
+#: The ``transport`` vocabulary: "pickle" ships block bytes in every
+#: payload; "shm" places blocks in shared memory once and ships refs
+#: (zero-copy for the process back-end; see docs/transport.md).
+TRANSPORTS = ("pickle", "shm")
 
 #: Per-app conventional defaults applied by :meth:`RunConfig.for_app` —
 #: the geometry the standalone filter/kmeans runners shipped with before
@@ -118,15 +122,11 @@ class RunConfig:
     seed: int = 0
     verify_roundtrip: bool = True
     label: str | None = None
-    depth_first: bool = True
-    control_first: bool = True
     #: executor back-end name — resolved through repro.sre.registry, so
     #: application-registered back-ends work here too.
     executor: str = "sim"
     feed_gap_s: float = 0.002
-    #: payload transport for task dispatch: "pickle" ships block bytes in
-    #: every payload; "shm" places blocks in shared memory once and ships
-    #: refs (zero-copy for the process back-end; see docs/transport.md).
+    #: payload transport for task dispatch, one of :data:`TRANSPORTS`.
     transport: str = "pickle"
     metrics_out: str | None = None
     metrics_interval_s: float = 5.0
@@ -172,9 +172,10 @@ class RunConfig:
 
         if not isinstance(self.app, str) or not self.app:
             raise ExperimentError("app must be a job name string")
-        if self.transport not in ("pickle", "shm"):
+        if self.transport not in TRANSPORTS:
             raise ExperimentError(
-                f"unknown transport {self.transport!r}; choose 'pickle' or 'shm'")
+                f"unknown transport {self.transport!r}; choose "
+                f"{' or '.join(map(repr, TRANSPORTS))}")
         if not isinstance(self.executor, str) or not self.executor:
             raise ExperimentError("executor must be a back-end name string")
         if self.metrics_interval_s <= 0:

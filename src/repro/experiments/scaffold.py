@@ -174,10 +174,7 @@ def run_app(
     if resources is not None and resources.trace is not None:
         # Served job: every event of this run joins the submit's trace.
         events.set_trace_context(resources.trace)
-    runtime = Runtime(
-        metrics=registry, events=events, depth_first=cfg.depth_first,
-        control_first=cfg.control_first, decisions=decisions,
-    )
+    runtime = Runtime(metrics=registry, events=events, decisions=decisions)
     writer = None
     pipeline = None
     try:

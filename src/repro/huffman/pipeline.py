@@ -65,7 +65,7 @@ __all__ = ["HuffmanConfig", "HuffmanPipeline", "PipelineResult", "REGION_BYTES",
 
 #: Most block bytes one live ``count`` / ``encode`` region covers: the
 #: paper's Cell back-end per-task cap, and half the process executor's
-#: ``DEFAULT_BATCH_BYTES``, so a region still rides in a batch.
+#: ``BATCH_BYTES``, so a region still rides in a batch.
 REGION_BYTES = 32 * 1024
 
 

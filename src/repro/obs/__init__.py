@@ -22,8 +22,8 @@ The pieces:
   (``spec_launch → check_fail → destroy_signal → task_abort*``) is a
   walkable graph (docs/flight-recorder.md).
 * :mod:`repro.obs.traceview` — the run's timeline drawn from those
-  events: Chrome trace-event JSON and an ASCII Gantt (``repro trace``,
-  ``repro run --gantt / --trace-out``).
+  events: Chrome trace-event JSON and an ASCII Gantt (``repro run
+  --gantt / --trace-out``).
 * :mod:`repro.obs.explain` / :mod:`repro.obs.top` — post-mortem rollback
   cascade reconstruction (`repro explain`) and the live text dashboard
   (`repro top`; with ``--serve`` it polls a live daemon's ``stats`` op).

@@ -272,7 +272,7 @@ def span_tree(spans: list[dict[str, Any]]) -> list[dict[str, Any]]:
 
 
 def render_span_tree(spans: list[dict[str, Any]]) -> Iterator[str]:
-    """Text lines for a span list — `repro trace --serve`'s output."""
+    """Text lines for a span list — `repro trace`'s output."""
     def walk(node: dict[str, Any], depth: int) -> Iterator[str]:
         dur = node.get("dur_us") or 0.0
         extras = [f"{k}={node[k]}" for k in

@@ -21,17 +21,22 @@ __all__ = [
     "LocalStore",
     "X86Platform",
     "CellPlatform",
+    "PLATFORMS",
     "get_platform",
 ]
 
 
-def get_platform(name: str, **overrides) -> Platform:
-    """Instantiate a platform by name (``"x86"`` or ``"cell"``)."""
-    name = name.lower()
-    if name == "x86":
-        return X86Platform(**overrides)
-    if name == "cell":
-        return CellPlatform(**overrides)
-    from repro.errors import PlatformError
+#: The ``platform`` vocabulary: name -> platform model.
+PLATFORMS: dict[str, type[Platform]] = {"x86": X86Platform,
+                                        "cell": CellPlatform}
 
-    raise PlatformError(f"unknown platform {name!r}; choose 'x86' or 'cell'")
+
+def get_platform(name: str, **overrides) -> Platform:
+    """Instantiate a platform by its :data:`PLATFORMS` name."""
+    cls = PLATFORMS.get(name.lower())
+    if cls is None:
+        from repro.errors import PlatformError
+
+        raise PlatformError(f"unknown platform {name.lower()!r}; choose "
+                            f"{' or '.join(map(repr, PLATFORMS))}")
+    return cls(**overrides)

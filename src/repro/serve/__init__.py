@@ -17,18 +17,10 @@ Layers (see docs/service.md):
   signature, leased to jobs and kept running between them.
 * :mod:`repro.serve.server` — the socket server, job table and job
   worker threads.
+* :mod:`repro.serve.settings` — the knobs of this daemon and of
+  `repro worker-pool`.
 
-The client side lives in :mod:`repro.client`.
+The package imports none of its modules, so the CLI parser (which reads
+the settings) and the worker pool (which shares the wire framing) never
+load the server. The client side lives in :mod:`repro.client`.
 """
-
-from repro.serve.admission import AdmissionController, TenantBreaker
-from repro.serve.server import ServeSettings, SpeculationServer
-from repro.serve.warm import LanePool
-
-__all__ = [
-    "AdmissionController",
-    "LanePool",
-    "ServeSettings",
-    "SpeculationServer",
-    "TenantBreaker",
-]

@@ -60,6 +60,7 @@ from repro.obs.exporters import PeriodicSnapshotWriter
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import Span, TraceContext, Tracer, parse_traceparent
 from repro.serve.admission import AdmissionController
+from repro.serve.settings import ServeSettings
 from repro.serve.warm import LanePool, WarmLane
 from repro.serve.wire import (BLOBS_KEY, TRACEPARENT_KEY, close_socket,
                               recv_frame, send_frame, set_nodelay)
@@ -76,44 +77,6 @@ _EOF = object()  # live-stream terminator
 #: log-spaced ladder covers all three regimes.
 _STAGE_BUCKETS_US = (100.0, 300.0, 1_000.0, 3_000.0, 10_000.0, 30_000.0,
                      100_000.0, 300_000.0, 1e6, 3e6, 1e7, 3e7)
-
-
-@dataclass
-class ServeSettings:
-    """Every knob of the daemon, CLI-mappable and test-injectable."""
-
-    host: str = "127.0.0.1"
-    port: int = 0  # 0 = ephemeral; read the bound port back from .port
-    #: job worker threads — the daemon-wide running-job parallelism.
-    job_workers: int = 2
-    max_tenant_jobs: int = 2
-    max_tenant_bytes: int = 64 << 20
-    queue_limit: int = 8
-    breaker_threshold: int = 2
-    breaker_cooldown_s: float = 30.0
-    max_lanes: int = 4
-    #: respawn budget per warm lane (per seat), mirroring the one-shot
-    #: ``max_worker_respawns`` knob.
-    lane_max_respawns: int = 3
-    #: seconds a live job's block_source waits for the next streamed block.
-    stream_timeout_s: float = 60.0
-    #: JSONL path for the daemon's own flight recorder (lifecycle events).
-    events_out: str | None = None
-    #: metrics snapshot path, rewritten every ``metrics_interval_s`` by a
-    #: daemon thread (and once more on shutdown); None disables.
-    metrics_out: str | None = None
-    #: seconds between ``metrics_out`` snapshots.
-    metrics_interval_s: float = 5.0
-    #: breaker-flap anomaly: this many breaker opens for one tenant...
-    flap_k: int = 3
-    #: ...within this window flags the tenant as flapping.
-    flap_window_s: float = 60.0
-    #: per-connection idle timeout: a peer that stays silent this long is
-    #: disconnected, so an idle (or slow-loris) client cannot pin a
-    #: handler thread in ``recv_frame`` forever. None disables.
-    conn_idle_timeout_s: float | None = 300.0
-    #: written with the bound port once listening — CI's rendezvous.
-    port_file: str | None = None
 
 
 @dataclass

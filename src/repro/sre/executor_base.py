@@ -6,18 +6,17 @@ wall-clock µs time source, input open/close discipline, the drain protocol
 (``wait_idle``) and the coordinator worker loop. Subclasses supply the
 execution substrate through a few hooks:
 
-* :meth:`_execute` — run one dispatched task's function (inline on the
-  coordinator thread, or shipped to another address space);
+* :meth:`_run_inline` — run a task body in this process (the procs
+  back-end counts each one it runs instead of shipping);
 * :meth:`_acquire_work` — called under the lock to take the next task
   for a seat: pop the ready queues through the policy and account the
   dispatch. Work waits in the ready queues, never in a seat-local
   backlog, so whichever seat frees first takes it;
 * :meth:`_dispatch_cycle` — run one acquired task to completion. The
-  base implementation pairs one blocking :meth:`_execute` with one
-  :meth:`_finish_dispatch`; a streaming back-end overrides it to claim a
-  bounded window of extras beside the task and complete each the moment
-  its reply lands, so completion accounting is not coupled to a single
-  blocking ``_execute`` call;
+  base implementation runs it on the dispatching thread; a streaming
+  back-end overrides it to ship the task with a bounded window of
+  extras to another address space and complete each the moment its
+  reply lands;
 * :meth:`_start_backend` / :meth:`_stop_backend` — bring auxiliary
   resources (worker processes, pipes) up and down around the coordinator
   threads.
@@ -303,16 +302,9 @@ class LiveExecutor:
         """Run a task body on the coordinator, outside the lock."""
         return task.run()
 
-    def _execute(self, wid: int, task: Task) -> dict[str, Any]:
-        """Run one task's function and return its normalised outputs.
-
-        Called *outside* the lock; exceptions become task failures.
-        """
-        raise NotImplementedError
-
     # ------------------------------------------------------------------
     # dispatch bookkeeping (shared by the worker loop and batching
-    # back-ends that take extra tasks mid-_execute)
+    # back-ends that take extra tasks mid-cycle)
     # ------------------------------------------------------------------
     def _begin_dispatch(self, wid: int, task: Task) -> None:
         """Account one task entering execution. Caller holds the lock."""
@@ -434,22 +426,10 @@ class LiveExecutor:
     def _dispatch_cycle(self, wid: int, task: Task) -> None:
         """Run one acquired task to completion (lock not held).
 
-        The base cycle is one blocking :meth:`_execute` paired with one
-        :meth:`_finish_dispatch`. Streaming back-ends override this to
-        complete several tasks per cycle as their replies land.
+        The base cycle runs it right here. Streaming back-ends override
+        this to complete several tasks per cycle as their replies land.
         """
-        failure: BaseException | None = None
-        t_exec0 = self._clock()
-        if task.abort_requested:
-            outputs: dict[str, Any] = {}
-        else:
-            try:
-                outputs = self._execute(wid, task)
-            except Exception as exc:
-                failure = exc
-                outputs = {}
-        self._finish_dispatch(wid, task, outputs, failure,
-                              wall_us=self._clock() - t_exec0)
+        self._run_here(wid, task)
 
     def _worker_loop(self, wid: int) -> None:
         while True:

@@ -29,7 +29,7 @@ Two transport refinements keep the pipe off the critical path:
   up to ``batch_max`` tasks and ships them all at once: small payloads
   ride along in one pipe message (one header + payload frames),
   amortising syscalls and wakeups across kernels, and one over
-  ``batch_bytes`` goes in a message of its own. The worker replies
+  ``BATCH_BYTES`` goes in a message of its own. The worker replies
   **once per payload**, not once per batch, and the coordinator completes
   each task the moment its reply lands — a fast batch-mate's result
   (often the histogram a verification check is waiting on) is never held
@@ -138,7 +138,7 @@ from repro.testing.faults import FaultInjector, FaultPlan
 
 __all__ = ["ProcessExecutor", "WorkerSupervisor", "PipeLink", "RetryPolicy",
            "DEFAULT_PAYLOAD_BUDGET", "DEFAULT_BATCH_MAX",
-           "DEFAULT_BATCH_BYTES", "DEFAULT_DISPATCH_TIMEOUT_S",
+           "BATCH_BYTES", "DEFAULT_DISPATCH_TIMEOUT_S",
            "DEFAULT_HARVEST_TIMEOUT_S"]
 
 #: Default per-task payload-footprint cap (bytes): wire bytes plus bytes of
@@ -155,9 +155,9 @@ DEFAULT_PAYLOAD_BUDGET = 8 * 1024 * 1024
 #: pdf over dist 5-10 % of its throughput, a 16-deep one does not.
 DEFAULT_BATCH_MAX = 16
 
-#: Only payloads at or below this wire size are batched; bigger ones ship
-#: alone so a long transfer never delays unrelated small kernels.
-DEFAULT_BATCH_BYTES = 64 * 1024
+#: Only payloads at or below this wire size share a pipe message; a bigger
+#: one ships alone so a long transfer never delays unrelated small kernels.
+BATCH_BYTES = 64 * 1024
 
 #: Per-payload reply deadline (seconds). Replies stream back one per
 #: payload, so each reply gets this long — the deadline is **never**
@@ -933,8 +933,6 @@ class ProcessExecutor(LiveExecutor):
             bytes + referenced shared-memory bytes).
         batch_max: a seat's pipe window — the most tasks one seat claims
             and ships per dispatch cycle (1 disables batching).
-        batch_bytes: only payloads at or below this wire size share a
-            pipe message; a bigger one ships in a message of its own.
         dispatch_timeout_s: per-payload reply deadline. Replies stream
             back one per payload, so each gets this long — the deadline
             is never scaled by batch size.
@@ -973,7 +971,6 @@ class ProcessExecutor(LiveExecutor):
         workers: int = 4,
         payload_budget: int = DEFAULT_PAYLOAD_BUDGET,
         batch_max: int = DEFAULT_BATCH_MAX,
-        batch_bytes: int = DEFAULT_BATCH_BYTES,
         dispatch_timeout_s: float = DEFAULT_DISPATCH_TIMEOUT_S,
         max_task_retries: int = 2,
         retry_backoff_s: float = 0.05,
@@ -992,7 +989,6 @@ class ProcessExecutor(LiveExecutor):
             raise SchedulingError("dispatch_timeout_s must be positive")
         self.payload_budget = payload_budget
         self.batch_max = batch_max
-        self.batch_bytes = batch_bytes
         self.dispatch_timeout_s = dispatch_timeout_s
         try:  # fork is cheap and inherits imports
             self._ctx = multiprocessing.get_context("fork")
@@ -1189,7 +1185,7 @@ class ProcessExecutor(LiveExecutor):
         the head, and only while the ready queues hold more tasks than
         there are idle *seats* — batching amortises pipe traffic without
         ever serialising work an idle seat could overlap. Every shippable
-        claim ships in this same cycle (a payload over ``batch_bytes``
+        claim ships in this same cycle (a payload over ``BATCH_BYTES``
         in a message of its own), so nothing claimed ever waits outside
         a worker's pipe. Aborted and unpicklable extras are returned for
         inline resolution; budget violators are returned as failures.
@@ -1443,7 +1439,7 @@ class ProcessExecutor(LiveExecutor):
         window = [head]
         inline_extras: list[Task] = []
         failed_extras: list[tuple[Task, PlatformError]] = []
-        if self.batch_max > 1 and len(head[1]) <= self.batch_bytes:
+        if self.batch_max > 1 and len(head[1]) <= BATCH_BYTES:
             with self._cond:
                 shippable, inline_extras, failed_extras = \
                     self._take_extras(wid)
@@ -1456,7 +1452,7 @@ class ProcessExecutor(LiveExecutor):
         fifo: deque[tuple[Task, bytes, float]] = deque()  # in-pipe window
         chunk: list[tuple[Task, bytes]] = []
         for task, blob in window:
-            if len(blob) > self.batch_bytes:
+            if len(blob) > BATCH_BYTES:
                 self._ship(wid, chunk, fifo)
                 self._ship(wid, [(task, blob)], fifo)
                 chunk = []

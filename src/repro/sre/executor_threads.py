@@ -17,10 +17,7 @@ exists to demonstrate that the runtime is a real runtime — the latency
 
 from __future__ import annotations
 
-from typing import Any
-
 from repro.sre.executor_base import LiveExecutor
-from repro.sre.task import Task
 
 __all__ = ["ThreadedExecutor"]
 
@@ -31,11 +28,8 @@ class ThreadedExecutor(LiveExecutor):
     All lifecycle (start / deliver / close_input / wait_idle / shutdown,
     or the one-shot ``run()``) lives in :class:`LiveExecutor`; this class
     only says *where* a task body runs: inline on the dispatching worker
-    thread, inside this process.
+    thread, inside this process — the base dispatch cycle, unchanged.
     """
-
-    def _execute(self, wid: int, task: Task) -> dict[str, Any]:
-        return task.run()
 
 
 from repro.sre.registry import register_executor  # noqa: E402

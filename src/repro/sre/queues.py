@@ -21,17 +21,12 @@ __all__ = ["ReadyQueue"]
 class ReadyQueue:
     """Priority queue over READY tasks.
 
-    Ordering key: control tasks first, then greater depth, then earlier
-    enqueue (FCFS). ``depth_first=False`` degrades to pure FCFS — kept for
-    the scheduling ablation (DESIGN.md §5).
+    Ordering key: control tasks first ("highest priority, no matter where
+    they are located in the pipeline"), then greater depth, then earlier
+    enqueue (FCFS).
     """
 
-    def __init__(self, depth_first: bool = True, control_first: bool = True) -> None:
-        self.depth_first = depth_first
-        #: False strips predict/verify tasks of their priority boost — the
-        #: ablation for the paper's "highest priority, no matter where they
-        #: are located in the pipeline" design decision.
-        self.control_first = control_first
+    def __init__(self) -> None:
         self._heap: list[tuple[tuple[int, int, int], Task]] = []
         self._enq = itertools.count()
         self._live = 0
@@ -43,11 +38,7 @@ class ReadyQueue:
         return self._live > 0
 
     def _key(self, task: Task) -> tuple[int, int, int]:
-        seq = next(self._enq)
-        control = 0 if (task.control and self.control_first) else 1
-        if not self.depth_first:
-            return (control, 0, seq)
-        return (control, -task.depth, seq)
+        return (0 if task.control else 1, -task.depth, next(self._enq))
 
     def push(self, task: Task) -> None:
         heapq.heappush(self._heap, (self._key(task), task))

@@ -50,8 +50,6 @@ class Runtime:
         *,
         metrics: MetricsRegistry | None = None,
         events: EventLog | None = None,
-        depth_first: bool = True,
-        control_first: bool = True,
         track_memory: bool = True,
         decisions: object | None = None,
     ) -> None:
@@ -71,8 +69,8 @@ class Runtime:
         self.events = events if events is not None else EventLog()
         self._init_metrics()
         self.memory = MemoryLedger() if track_memory else None
-        self.natural_queue = ReadyQueue(depth_first=depth_first, control_first=control_first)
-        self.speculative_queue = ReadyQueue(depth_first=depth_first, control_first=control_first)
+        self.natural_queue = ReadyQueue()
+        self.speculative_queue = ReadyQueue()
         #: ready local tasks, once an executor opted in (use_local_queue)
         self.local_queue: ReadyQueue | None = None
         self.root = SuperTask("root")
@@ -159,10 +157,8 @@ class Runtime:
         :attr:`local_queue` — which is where an abort looks for it.
         """
         if self.local_queue is None:
-            nat = self.natural_queue
-            self.local_queue = ReadyQueue(depth_first=nat.depth_first,
-                                          control_first=nat.control_first)
-            for queue in (nat, self.speculative_queue):
+            self.local_queue = ReadyQueue()
+            for queue in (self.natural_queue, self.speculative_queue):
                 for task in queue.extract(lambda t: t.local):
                     self.local_queue.push(task)
             self._note_queue_depth()

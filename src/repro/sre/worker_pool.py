@@ -65,45 +65,22 @@ import select
 import socket
 import threading
 import uuid
-from dataclasses import dataclass
 
 from repro.errors import ExperimentError, TransportError, WorkerLost
 from repro.obs.events import EventLog
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import parse_traceparent
+from repro.serve.settings import PoolSettings
 from repro.serve.wire import (BLOBS_KEY, TRACEPARENT_KEY, close_socket,
                               recv_frame, send_frame, set_nodelay)
 from repro.sre import executor_dist, shm
-from repro.sre.executor_procs import (DEFAULT_DISPATCH_TIMEOUT_S,
-                                      DEFAULT_HARVEST_TIMEOUT_S, PipeLink,
+from repro.sre.executor_procs import (DEFAULT_DISPATCH_TIMEOUT_S, PipeLink,
                                       WorkerSupervisor)
 from repro.sre.runtime import Runtime
 from repro.sre.task import PAYLOAD_PROTOCOL
 from repro.testing.faults import FaultPlan
 
 __all__ = ["PoolSettings", "WorkerPoolServer"]
-
-
-@dataclass
-class PoolSettings:
-    """Every knob of the pool daemon, CLI-mappable and test-injectable."""
-
-    host: str = "127.0.0.1"
-    port: int = 0  # 0 = ephemeral; read the bound port back from .port
-    #: written with the bound port once listening — CI's rendezvous.
-    port_file: str | None = None
-    #: default chaos plan armed on every attached session's workers when
-    #: the coordinator ships none — `repro worker-pool --fault kill@3`
-    #: injects faults on the *remote* side of the wire.
-    fault_plan: str | None = None
-    #: respawn budget per seat (per session).
-    max_respawns: int = 3
-    #: shutdown grace per worker for the final metrics/events harvest.
-    harvest_timeout_s: float = DEFAULT_HARVEST_TIMEOUT_S
-    #: cap on seats a single attach may request.
-    max_workers: int = 16
-    #: JSONL path for the pool's own lifecycle events (attach/detach).
-    events_out: str | None = None
 
 
 class _Seat:

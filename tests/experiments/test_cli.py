@@ -46,6 +46,9 @@ def test_run_accepts_every_registered_policy(capsys):
 
 
 def test_list_matches_parser_choices(capsys):
+    from repro.core.frequency import VERIFICATIONS
+    from repro.experiments.config import TRANSPORTS
+    from repro.platforms import PLATFORMS
     from repro.sre.policies import policy_names
     from repro.workloads.registry import WORKLOADS
     assert main(["list"]) == 0
@@ -59,6 +62,68 @@ def test_list_matches_parser_choices(capsys):
     assert listed["workloads"] == list(_choices("run", "workload"))
     assert listed["workloads"] == list(_choices("submit", "workload"))
     assert set(listed["workloads"]) == set(WORKLOADS)
+    assert listed["transports"] == list(_choices("run", "transport"))
+    assert listed["transports"] == list(_choices("submit", "transport"))
+    assert listed["transports"] == list(TRANSPORTS)
+    assert listed["platforms"] == list(_choices("run", "platform"))
+    assert listed["platforms"] == list(PLATFORMS)
+    assert listed["verification"] == list(_choices("run", "verification"))
+    assert listed["verification"] == list(VERIFICATIONS)
+
+
+def _config_defaults():
+    """Per config-backed subcommand: the config its options fill (an
+    instance holding their defaults) and the dests that fill no field."""
+    from repro.experiments.config import RunConfig
+    from repro.serve.settings import PoolSettings, ServeSettings
+    return {
+        # run --blocks is 256; the field's None means the scale default
+        "run": (RunConfig(n_blocks=256),
+                {"gantt", "trace_out", "metrics_format"}),
+        "filter": (RunConfig.for_app("filter"), set()),
+        "kmeans": (RunConfig.for_app("kmeans"), set()),
+        "submit": (RunConfig(), {"host", "port", "port_file", "tenant",
+                                 "config_json", "no_wait", "timeout"}),
+        "serve": (ServeSettings(), set()),
+        "worker-pool": (PoolSettings(), set()),
+    }
+
+
+def test_config_backed_options_default_to_their_field():
+    import argparse
+    from repro.cli import build_parser
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    wrong = []
+    for command, (config, other) in _config_defaults().items():
+        for action in sub.choices[command]._actions:
+            if isinstance(action, argparse._HelpAction) \
+                    or action.dest in other:
+                continue
+            flag = f"{command} {action.option_strings[-1]}"
+            if not hasattr(config, action.dest):
+                wrong.append(f"{flag}: dest {action.dest!r} is no field")
+            elif action.default != getattr(config, action.dest):
+                wrong.append(f"{flag}: default {action.default!r} != "
+                             f"{getattr(config, action.dest)!r}")
+    assert not wrong, "\n".join(wrong)
+
+
+@pytest.mark.parametrize("app", ["filter", "kmeans"])
+def test_bare_app_command_runs_the_app_defaults(app, monkeypatch):
+    from repro.experiments import jobs
+    from repro.experiments.config import RunConfig
+
+    class Ran(Exception):
+        pass
+
+    def capture(config, **_kwargs):
+        raise Ran(config)
+
+    monkeypatch.setattr(jobs, "run_job", capture)
+    with pytest.raises(Ran) as ran:
+        main([app])
+    assert ran.value.args[0] == RunConfig.for_app(app)
 
 
 def test_daemon_address_flags_resolve_port(tmp_path):
@@ -66,7 +131,7 @@ def test_daemon_address_flags_resolve_port(tmp_path):
     port_file = tmp_path / "serve.port"
     port_file.write_text("7071\n")
     parser = build_parser()
-    for argv in (["trace", "--serve"], ["submit"], ["jobs"]):
+    for argv in (["trace"], ["submit"], ["jobs"]):
         args = parser.parse_args([*argv, "--port-file", str(port_file)])
         assert args.host == "127.0.0.1"
         assert _resolve_port(args) == 7071
@@ -184,19 +249,6 @@ def test_run_metrics_out_format_override(tmp_path):
     snap = load_json_snapshot(path.read_text())
     names = {m["name"] for m in snap["metrics"]}
     assert {"spec_commits", "sre_tasks_completed", "block_latency_us"} <= names
-
-
-def test_trace_writes_chrome_json(tmp_path, capsys):
-    import json as _json
-    path = tmp_path / "t.json"
-    rc = main(["trace", "--blocks", "16", "-o", str(path)])
-    assert rc == 0
-    doc = _json.loads(path.read_text())
-    assert any(e["ph"] == "X" for e in doc["traceEvents"])
-    # no file -> the gantt is printed instead
-    rc = main(["trace", "--blocks", "16"])
-    assert rc == 0
-    assert "encode" in capsys.readouterr().out
 
 
 def test_list_shows_executors_and_transports(capsys):

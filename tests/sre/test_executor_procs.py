@@ -251,7 +251,7 @@ def _size(blob):
 
 
 def test_oversized_extra_ships_alone_to_a_worker():
-    """A claimed extra over ``batch_bytes`` ships to the worker in a
+    """A claimed extra over ``BATCH_BYTES`` ships to the worker in a
     message of its own; it never falls back to the coordinator."""
     rt = Runtime()
     ex = ProcessExecutor(rt, workers=1)

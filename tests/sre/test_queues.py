@@ -36,23 +36,6 @@ def test_control_beats_depth():
     assert q.pop() is ctl
 
 
-def test_control_first_disabled():
-    q = ReadyQueue(control_first=False)
-    deep = _ready("deep", depth=10)
-    ctl = _ready("ctl", depth=0, control=True)
-    q.push(deep)
-    q.push(ctl)
-    assert q.pop() is deep
-
-
-def test_pure_fcfs_mode_ignores_depth():
-    q = ReadyQueue(depth_first=False)
-    first, deep = _ready("first", depth=0), _ready("deep", depth=9)
-    q.push(first)
-    q.push(deep)
-    assert q.pop() is first
-
-
 def test_pop_empty_returns_none():
     assert ReadyQueue().pop() is None
     assert ReadyQueue().peek() is None

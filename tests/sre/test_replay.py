@@ -158,6 +158,20 @@ def test_config_from_header_drops_the_retired_steal_key():
     assert "steal" not in cfg.to_dict()
 
 
+def test_config_from_header_drops_the_retired_queue_order_keys():
+    # Logs recorded while the ready-queue order was configurable carry
+    # ``depth_first`` / ``control_first``; both were always True.
+    header = {"kind": "log_header", "schema": "repro.events",
+              "schema_version": 1, "run_id": "89ab0123", "seq": 0, "t": 0.0,
+              "meta": {"app": "huffman", "run_config": {
+                  "app": "huffman", "workload": "pdf", "n_blocks": 16,
+                  "tolerance": 0.0, "seed": 0, "depth_first": True,
+                  "control_first": True, "events": True}}}
+    cfg = config_from_header(header)
+    assert (cfg.workload, cfg.n_blocks) == ("pdf", 16)
+    assert not {"depth_first", "control_first"} & set(cfg.to_dict())
+
+
 def test_director_finish_names_first_unconsumed_gate():
     sched = extract_schedule(_ROLLBACK_RUN)
     director = ReplayDirector(sched)
