@@ -46,6 +46,7 @@ from typing import Callable
 from repro.core.frequency import VERIFICATIONS
 from repro.experiments.config import TRANSPORTS
 from repro.experiments.runner import RunConfig, run_huffman
+from repro.experiments.scaffold import IO_MODELS
 from repro.platforms import PLATFORMS
 from repro.serve.settings import PoolSettings, ServeSettings
 from repro.sre.policies import policy_names
@@ -274,6 +275,7 @@ def _cmd_list(_args: argparse.Namespace) -> int:
     print("platforms:", ", ".join(PLATFORMS))
     print("executors:", ", ".join(executor_names()))
     print("transports:", ", ".join(TRANSPORTS))
+    print("io       :", ", ".join(IO_MODELS))
     print("policies :", ", ".join(_POLICY_CHOICES))
     print("verification:", ", ".join(VERIFICATIONS))
     print("apps     : filter (Fig. 1), kmeans (§II-A)")
@@ -481,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
              "shared-memory blocks + refs (zero-copy on the procs "
              "back-end)")
     add("--platform", "platform", choices=list(PLATFORMS))
-    add("--io", "io", choices=["disk", "socket"])
+    add("--io", "io", choices=IO_MODELS)
     add("--policy", "policy", choices=_POLICY_CHOICES)
     add("--nonspec", "speculative", help="disable speculation entirely")
     add("--step", "step")

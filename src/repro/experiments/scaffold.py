@@ -30,7 +30,7 @@ from repro.sim.rng import make_rng
 from repro.sre.registry import make_executor
 from repro.sre.runtime import Runtime
 
-__all__ = ["App", "register_app", "run_app"]
+__all__ = ["App", "IO_MODELS", "register_app", "run_app"]
 
 
 class App:
@@ -106,6 +106,12 @@ class App:
         """Release what :meth:`open` acquired; runs on every exit path."""
 
 
+#: The synthetic arrival models ``RunConfig.io`` may name, which
+#: :func:`_arrival_model` resolves. ``"live"`` is not among them: it feeds
+#: a served job's real blocks (``resources.block_source``) instead.
+IO_MODELS = ("disk", "socket")
+
+
 def _arrival_model(io: object, disk_per_block_us: float | None) -> ArrivalModel:
     if isinstance(io, ArrivalModel):
         return io
@@ -116,7 +122,8 @@ def _arrival_model(io: object, disk_per_block_us: float | None) -> ArrivalModel:
     if name == "socket":
         return SocketModel()
     raise ExperimentError(
-        f"unknown io model {io!r}; choose 'disk', 'socket' or 'live'")
+        f"unknown io model {io!r}; choose one of "
+        f"{', '.join(map(repr, IO_MODELS))} or 'live'")
 
 
 def run_app(

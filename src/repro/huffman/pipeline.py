@@ -31,6 +31,11 @@ on K. :func:`region_blocks` fixes K from the executor: 1 on ``sim``, so
 the simulated figures keep their per-block tasks, and
 ``REGION_BYTES // block_size`` on the live executors, where a 4 KB block's
 dispatch costs more than its kernel.
+
+A region ships flat: its blocks are the ``bytes`` objects the source fed
+(shared-memory refs under the shm transport), a count region replies with
+one ``(K, 256)`` histogram array and an encode region with ``bytes``
+pieces, so pickling a region costs a few frames, not one array per block.
 """
 
 from __future__ import annotations
@@ -63,10 +68,14 @@ from repro.sre.task import Task
 __all__ = ["HuffmanConfig", "HuffmanPipeline", "PipelineResult", "REGION_BYTES",
            "region_blocks"]
 
-#: Most block bytes one live ``count`` / ``encode`` region covers: the
-#: paper's Cell back-end per-task cap, and half the process executor's
+#: Most block bytes one live ``count`` / ``encode`` region covers (K = 32
+#: at 4 KB blocks). The cap amortises dispatch: every region pays one
+#: coordinator -> worker round trip, which costs more than a 4 KB block's
+#: kernel. On a 2-core host batch pdf over dist ran at a median 15.1 MB/s
+#: with 128 KiB regions and 14.6 MB/s with 64 KiB ones (6 alternating
+#: rounds, 128 KiB ahead in 5). Half the process executor's
 #: ``BATCH_BYTES``, so a region still rides in a batch.
-REGION_BYTES = 32 * 1024
+REGION_BYTES = 128 * 1024
 
 
 def region_blocks(executor: str, block_size: int) -> int:
@@ -201,13 +210,18 @@ class HuffmanPipeline(SpeculativeStream):
     # input
     # ------------------------------------------------------------------
     def feed_block(self, index: int, data: bytes | np.ndarray) -> None:
-        """A data block arrived (called by the I/O model at arrival time)."""
-        arr = data if isinstance(data, np.ndarray) else np.frombuffer(data, dtype=np.uint8)
-        self.arrive(index, arr)
+        """A data block arrived (called by the I/O model at arrival time).
+
+        The pipeline keeps, and its regions ship, the ``bytes`` object the
+        source fed: no copy per task, and one pickle frame per block.
+        """
+        if not isinstance(data, bytes):
+            data = np.asarray(data, dtype=np.uint8).tobytes()
+        self.arrive(index, data)
         if self.store is not None:
             # The block enters shared memory exactly once, here; every task
             # that touches it from now on carries the ref, not the bytes.
-            ref = self.store.put(arr)
+            ref = self.store.put(np.frombuffer(data, dtype=np.uint8))
             if ref is not None:
                 self.block_refs[index] = ref
                 self._all_refs.append(ref)
@@ -304,7 +318,7 @@ class HuffmanPipeline(SpeculativeStream):
             self.deliver(version, block, (offset, payload, nbits))
 
     def _block_bindings(self, start: int, end: int) -> list | None:
-        """Per-block payload bindings (ref where stored, array where not)."""
+        """Per-block payload bindings (ref where stored, bytes where not)."""
         if self.store is None:
             return None
         return [self.block_refs.get(i, self.blocks[i]) for i in range(start, end)]
@@ -350,7 +364,7 @@ class HuffmanPipeline(SpeculativeStream):
             commit_latencies=self.collector.commit_latencies(),
             completion_time=end,
             compressed_bits=compressed_bits,
-            input_bytes=sum(b.size for b in self.blocks.values()),
+            input_bytes=sum(map(len, self.blocks.values())),
             wasted_encodes=self.collector.wasted_encodes(valid),
             spec_stats=spec_stats,
             runtime_stats=self.runtime.stats(),

@@ -13,10 +13,10 @@ that supports it runs them on its coordinator the moment they are ready
 (:attr:`~repro.sre.task.Task.local`).
 
 ``count`` and ``encode`` are *region* tasks: one task over a run of
-consecutive blocks, returning one histogram / one encoded piece per block.
-A one-block region is exactly the per-block task the simulated figures
-were calibrated on (same name, same cost hint); the live executors use
-longer regions so dispatch is paid once per region (see
+consecutive blocks, returning one histogram row / one encoded piece per
+block. A one-block region is exactly the per-block task the simulated
+figures were calibrated on (same name, same cost hint); the live executors
+use longer regions so dispatch is paid once per region (see
 :mod:`repro.huffman.pipeline`).
 """
 
@@ -64,8 +64,12 @@ DEPTH_ENCODE = 4
 # with ``partial``; values whose *timing* matters still flow through ports.
 # ---------------------------------------------------------------------------
 
-def _count_kernel(blocks: list[np.ndarray]) -> dict[str, list[np.ndarray]]:
-    return {"hists": [byte_histogram(data) for data in blocks]}
+def _count_kernel(blocks: list[bytes]) -> dict[str, np.ndarray]:
+    # One (K, 256) array, not K arrays: the reply pickles as one frame.
+    hists = np.empty((len(blocks), ALPHABET), dtype=np.int64)
+    for k, data in enumerate(blocks):
+        hists[k] = byte_histogram(data)
+    return {"hists": hists}
 
 
 def _reduce_kernel(hists: list[np.ndarray], prev: np.ndarray) -> dict[str, np.ndarray]:
@@ -84,12 +88,12 @@ def _offset_kernel(hists: list[np.ndarray], tree: HuffmanTree, prev: int) -> dic
     return {"offsets": offsets, "cum": end}
 
 
-def _encode_kernel(blocks: list[np.ndarray], tree: HuffmanTree, first_block: int,
+def _encode_kernel(blocks: list[bytes], tree: HuffmanTree, first_block: int,
                    offsets: list[int]) -> dict[str, list[tuple]]:
     pieces = []
     for k, (data, offset) in enumerate(zip(blocks, offsets)):
         payload, nbits = encode_block(data, tree)
-        pieces.append((first_block + k, offset, payload, nbits))
+        pieces.append((first_block + k, offset, payload.tobytes(), nbits))
     return {"pieces": pieces}
 
 
@@ -100,21 +104,22 @@ def _region_name(prefix: str, first_block: int, n: int) -> str:
     return f"{prefix}:{first_block}-{first_block + n - 1}"
 
 
-def make_count_region(first_block: int, blocks: Sequence[np.ndarray],
-                      refs: Sequence[BlockRef | np.ndarray] | None = None) -> Task:
+def make_count_region(first_block: int, blocks: Sequence[bytes],
+                      refs: Sequence[BlockRef | bytes] | None = None) -> Task:
     """First-pass histograms of the consecutive blocks from ``first_block``.
 
-    Outputs ``hists``, one histogram per block. When ``refs`` is given
-    (shared-memory transport) the payload binds those per-block bindings
-    — a stored block's handle, else its bytes — instead of ``blocks``;
-    cost hints still reflect the real size.
+    Outputs ``hists``, a ``(len(blocks), 256)`` array: one histogram row
+    per block. When ``refs`` is given (shared-memory transport) the
+    payload binds those per-block bindings — a stored block's handle,
+    else its bytes — instead of ``blocks``; cost hints still reflect the
+    real size.
     """
     return Task(
         _region_name("count", first_block, len(blocks)),
         partial(_count_kernel, list(blocks if refs is None else refs)),
         kind="count",
         depth=DEPTH_COUNT,
-        cost_hint={"bytes": float(sum(data.size for data in blocks))},
+        cost_hint={"bytes": float(sum(map(len, blocks)))},
         tags={"blocks": (first_block, first_block + len(blocks))},
     )
 
@@ -186,19 +191,19 @@ def make_offset_task(
 def make_encode_region(
     name: str,
     first_block: int,
-    blocks: Sequence[np.ndarray],
+    blocks: Sequence[bytes],
     tree: HuffmanTree,
     offsets: Sequence[int],
     *,
     speculative: bool,
-    refs: Sequence[BlockRef | np.ndarray] | None = None,
+    refs: Sequence[BlockRef | bytes] | None = None,
     tree_ref: BlockRef | None = None,
 ) -> Task:
     """Second-pass encode of consecutive blocks at known bit offsets.
 
     ``name`` is the task-name prefix (``encode:v1``); the region's block
     span completes it. Outputs ``pieces``: one ``(block, offset, payload,
-    nbits)`` tuple per block.
+    nbits)`` tuple per block, ``payload`` the packed piece as ``bytes``.
     """
     return Task(
         _region_name(name, first_block, len(blocks)),
@@ -208,6 +213,6 @@ def make_encode_region(
         kind="encode",
         depth=DEPTH_ENCODE,
         speculative=speculative,
-        cost_hint={"bytes": float(sum(data.size for data in blocks))},
+        cost_hint={"bytes": float(sum(map(len, blocks)))},
         tags={"blocks": (first_block, first_block + len(blocks))},
     )

@@ -29,9 +29,9 @@ __all__ = ["code_lengths", "HuffmanTree"]
 def code_lengths(hist: np.ndarray) -> np.ndarray:
     """Optimal prefix-code lengths for a 256-entry frequency histogram.
 
-    Classic two-queue-equivalent heap algorithm; deterministic tie-breaking
-    (by node creation order) so identical histograms always give identical
-    trees. Returns a 256-entry uint8 array of code lengths (all >= 1).
+    Classic heap algorithm; deterministic tie-breaking (by node creation
+    order) so identical histograms always give identical trees. Returns a
+    256-entry uint8 array of code lengths (all >= 1).
     """
     if hist.shape != (ALPHABET,):
         raise CodecError(f"histogram has shape {hist.shape}, expected ({ALPHABET},)")
@@ -46,35 +46,31 @@ def code_lengths(hist: np.ndarray) -> np.ndarray:
     weights = hist.astype(np.int64) * 256
     weights[weights == 0] = 1
 
-    # Heap items: (weight, tiebreak, node_id). Leaves are 0..255; internal
-    # nodes get successive ids. parent[] records the merge structure.
+    # Heap items: (weight, node_id). Leaves are 0..255; internal nodes get
+    # successive ids, so ties break by creation order and identical
+    # histograms always give identical trees. Plain Python ints throughout:
+    # the loop runs 255 times on the coordinator's serial tree chain.
     n = ALPHABET
-    parent = np.full(2 * n - 1, -1, dtype=np.int64)
-    heap: list[tuple[int, int, int]] = [
-        (int(weights[s]), s, s) for s in range(n)
-    ]
+    heap = list(zip(weights.tolist(), range(n)))
     heapq.heapify(heap)
+    parent = [0] * (2 * n - 1)
     next_id = n
     while len(heap) > 1:
-        w1, _, a = heapq.heappop(heap)
-        w2, _, b = heapq.heappop(heap)
-        parent[a] = next_id
-        parent[b] = next_id
-        heapq.heappush(heap, (w1 + w2, next_id, next_id))
+        w1, a = heapq.heappop(heap)
+        w2, b = heap[0]
+        parent[a] = parent[b] = next_id
+        heapq.heapreplace(heap, (w1 + w2, next_id))
         next_id += 1
 
-    # Depth of each leaf = number of parent hops to the root.
-    lengths = np.zeros(n, dtype=np.uint8)
-    for s in range(n):
-        d = 0
-        node = s
-        while parent[node] != -1:
-            node = parent[node]
-            d += 1
-        if d == 0 or d > 63:  # pragma: no cover - unreachable with n=256 leaves
-            raise CodecError(f"invalid code length {d} for symbol {s}")
-        lengths[s] = d
-    return lengths
+    # A parent's id exceeds its children's, so one sweep from the root
+    # (the last id) down fills every node's depth from its parent's.
+    depth = [0] * (2 * n - 1)
+    for node in range(2 * n - 3, -1, -1):
+        depth[node] = depth[parent[node]] + 1
+    lengths = depth[:n]
+    if max(lengths) > 63:  # pragma: no cover - unreachable with n=256 leaves
+        raise CodecError(f"invalid code length {max(lengths)}")
+    return np.array(lengths, dtype=np.uint8)
 
 
 def _canonical_codes(lengths: np.ndarray) -> np.ndarray:
@@ -84,17 +80,18 @@ def _canonical_codes(lengths: np.ndarray) -> np.ndarray:
     rank order, shifting left when the length increases — the standard
     canonical Huffman construction (as used by DEFLATE).
     """
-    order = np.lexsort((np.arange(ALPHABET), lengths))
-    codes = np.zeros(ALPHABET, dtype=np.uint64)
+    order = np.lexsort((np.arange(ALPHABET), lengths)).tolist()
+    lens = lengths.tolist()
+    codes = [0] * ALPHABET
     code = 0
-    prev_len = int(lengths[order[0]])
+    prev_len = lens[order[0]]
     for sym in order:
-        length = int(lengths[sym])
+        length = lens[sym]
         code <<= length - prev_len
         codes[sym] = code
         code += 1
         prev_len = length
-    return codes
+    return np.array(codes, dtype=np.uint64)
 
 
 def _validate_kraft(lengths: np.ndarray) -> None:

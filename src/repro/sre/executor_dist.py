@@ -277,9 +277,10 @@ class RemotePool:
         return None
 
     def send(self, seat: Any, traceparent: str | None,
-             frames: list[bytes]) -> None:
+             frames: list[bytes], refs: tuple = ()) -> None:
         try:
-            self._push_payload_blocks(frames)
+            for ref in refs:
+                self._push_block(ref)
             send_frame(seat.conn, {"op": "batch", "n": len(frames),
                                    TRACEPARENT_KEY: traceparent},
                        blobs=frames)
@@ -384,9 +385,9 @@ class RemotePool:
     # ------------------------------------------------------------------
     # block push: the BlockRef seam, re-keyed over the wire
     # ------------------------------------------------------------------
-    def _push_payload_blocks(self, frames: list[bytes]) -> None:
-        """Materialise every segment/block the batch references on the
-        pool before the batch ships, so its refs resolve remotely.
+    def _push_block(self, ref: "shm.BlockRef") -> None:
+        """Materialise one block a batch references on the pool before the
+        batch ships, so the ref resolves remotely.
 
         Same-host pools attach the segment natively (zero bytes moved);
         cross-host pools get a created copy filled by ``chunk`` ops. A
@@ -394,17 +395,6 @@ class RemotePool:
         ``segment-gone`` path reruns those payloads inline, exactly as it
         does for a locally-released segment.
         """
-        for frame in frames:
-            if b"BlockRef" not in frame:
-                continue  # cheap negative: no pickled refs inside
-            try:
-                obj = pickle.loads(frame)
-            except Exception:  # noqa: BLE001 - worker will report it
-                continue
-            for ref in shm.iter_refs(obj):
-                self._push_block(ref)
-
-    def _push_block(self, ref: "shm.BlockRef") -> None:
         with self._push_lock:
             if ref.key in self._pushed_blocks:
                 return

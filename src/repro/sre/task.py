@@ -118,6 +118,7 @@ class Task:
         "worker",
         "abort_cause",
         "_payload_blob",
+        "_payload_refs",
     )
 
     def __init__(
@@ -177,6 +178,7 @@ class Task:
         #: was RUNNING; the reap path stamps it as the abort event's cause.
         self.abort_cause: int | None = None
         self._payload_blob: bytes | None = None
+        self._payload_refs: tuple[shm.BlockRef, ...] | None = None
 
     @property
     def local(self) -> bool:
@@ -296,6 +298,9 @@ class Task:
         ship the same bytes without pickling twice. The cache is safe
         because ports are single-assignment and delivery after launch
         raises — once serialization is possible the inputs are frozen.
+        The payload's shared-memory refs (:meth:`payload_refs`) are found
+        here too, once, for the budget check, the shipping tallies and a
+        remote pool's block push.
 
         Raises:
             TaskStateError: the payload cannot cross a process boundary
@@ -311,11 +316,21 @@ class Task:
                 f"task {self.name!r}: payload is not picklable ({exc!r})"
             ) from exc
         self._payload_blob = blob
+        self._payload_refs = tuple(shm.iter_refs((self.fn, self.inputs)))
         return blob
 
     def drop_payload_cache(self) -> None:
-        """Free the cached payload blob (called after the bytes shipped)."""
+        """Free the cached payload blob and refs (called after the bytes
+        shipped)."""
         self._payload_blob = None
+        self._payload_refs = None
+
+    def payload_refs(self) -> tuple[shm.BlockRef, ...]:
+        """Every shared-memory ref the payload carries (cached with the
+        blob; walked afresh only when no blob is cached)."""
+        if self._payload_refs is None:
+            return tuple(shm.iter_refs((self.fn, self.inputs)))
+        return self._payload_refs
 
     def serialized_footprint(self) -> int:
         """Bytes this task's payload occupies on the wire to a worker."""
@@ -323,7 +338,7 @@ class Task:
 
     def referenced_bytes(self) -> int:
         """Bytes of shared-memory blocks this task's payload references."""
-        return shm.referenced_bytes((self.fn, self.inputs))
+        return shm.referenced_bytes(self.payload_refs())
 
     def payload_footprint(self) -> int:
         """Total working-set bytes a worker needs for this task.

@@ -48,6 +48,7 @@ def test_run_accepts_every_registered_policy(capsys):
 def test_list_matches_parser_choices(capsys):
     from repro.core.frequency import VERIFICATIONS
     from repro.experiments.config import TRANSPORTS
+    from repro.experiments.scaffold import IO_MODELS
     from repro.platforms import PLATFORMS
     from repro.sre.policies import policy_names
     from repro.workloads.registry import WORKLOADS
@@ -69,6 +70,8 @@ def test_list_matches_parser_choices(capsys):
     assert listed["platforms"] == list(PLATFORMS)
     assert listed["verification"] == list(_choices("run", "verification"))
     assert listed["verification"] == list(VERIFICATIONS)
+    assert listed["io"] == list(_choices("run", "io"))
+    assert listed["io"] == list(IO_MODELS)
 
 
 def _config_defaults():

@@ -10,7 +10,7 @@ boundaries, every live run must
   destroyed version is one wasted encode, and
 * leave no shared-memory segment behind.
 
-Block counts are chosen so n is a multiple of none of K (8 at 4 KB),
+Block counts are chosen so n is a multiple of none of K (32 at 4 KB),
 ``reduce_ratio`` (16) or ``offset_fanout`` (64): the last region of a
 group is short. The cases are a commit (txt), a forced rollback (pdf at
 tolerance 0) and a destroy that lands while an encode region is in
