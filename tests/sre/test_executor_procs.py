@@ -17,6 +17,7 @@ from repro.errors import PlatformError, SchedulingError, TaskExecutionError
 from repro.sre.executor_procs import (
     _OK,
     _SKIPPED,
+    BATCH_BYTES,
     ProcessExecutor,
     _process_main,
 )
@@ -255,16 +256,24 @@ def test_oversized_extra_ships_alone_to_a_worker():
     message of its own; it never falls back to the coordinator."""
     rt = Runtime()
     ex = ProcessExecutor(rt, workers=1)
+    messages = []  # the tasks of each pipe message, in send order
+    account = ex._account_shipped
+    ex._account_shipped = lambda pairs: (
+        messages.append([t.name for t, _b in pairs]), account(pairs))
     for i in range(3):
         rt.add_task(Task(f"t{i}", partial(_identity, i)))
-    big = rt.add_task(Task("big", partial(_size, bytes(100_000))))
+    big = rt.add_task(Task("big", partial(_size, bytes(BATCH_BYTES + 1))))
     for i in range(3, 6):
         rt.add_task(Task(f"t{i}", partial(_identity, i)))
     ex.run(timeout=60.0)
-    assert big.outputs == {"out": 100_000}
+    assert big.outputs == {"out": BATCH_BYTES + 1}
     assert ex.tasks_inline == 0
     assert ex.tasks_shipped == 7
     assert rt.metrics.value("procs_worker_tasks", worker="0") == 7
+    assert ["big"] in messages
+    assert sum(len(names) for names in messages) == 7
+    # the small payloads still share messages
+    assert rt.metrics.value("procs_batches") >= 1
 
 
 def test_control_tasks_always_run_inline():
