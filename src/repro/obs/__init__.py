@@ -10,13 +10,12 @@ The pieces:
 
 * :mod:`repro.obs.metrics` — the instruments (:class:`Counter`,
   :class:`Gauge`, :class:`Histogram`) and the named
-  :class:`MetricsRegistry` that owns them. Writes are per-thread sharded so
-  the hot path takes no lock; reads fold the shards.
+  :class:`MetricsRegistry` that owns them. Each series is one value
+  under one lock; :meth:`MetricsRegistry.merge_snapshot` folds a
+  snapshot in (counters and histograms add, gauges take the max), which
+  is how worker-process metrics reach the coordinator's registry.
 * :mod:`repro.obs.exporters` — Prometheus text exposition and JSON
   snapshot rendering, plus :class:`PeriodicSnapshotWriter` for long runs.
-* pure snapshot algebra — :func:`merge_snapshots` merges two registry
-  snapshots (associative and commutative), which is how worker-process
-  metrics fold into the coordinator's registry.
 * :mod:`repro.obs.events` — the flight recorder: an :class:`EventLog`
   ring of structured events with causal IDs, so speculation lineage
   (``spec_launch → check_fail → destroy_signal → task_abort*``) is a
@@ -59,7 +58,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     histogram_quantile,
-    merge_snapshots,
 )
 from repro.obs.exporters import (
     PeriodicSnapshotWriter,
@@ -96,7 +94,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "histogram_quantile",
-    "merge_snapshots",
     "DEFAULT_LATENCY_BUCKETS_US",
     "PeriodicSnapshotWriter",
     "load_json_snapshot",

@@ -13,9 +13,9 @@ Formats:
   ``_bucket{le=...}`` series plus ``_sum`` / ``_count``.
 * **JSON snapshot** (:func:`to_json_snapshot`) — the snapshot itself with a
   format header, loadable with :func:`load_json_snapshot` and mergeable
-  with :func:`~repro.obs.metrics.merge_snapshots` (this is how
-  ``EXPERIMENTS.md``'s "regenerate a figure's numbers" workflow reads a
-  run's counters back).
+  with :meth:`~repro.obs.metrics.MetricsRegistry.merge_snapshot` (this
+  is how ``EXPERIMENTS.md``'s "regenerate a figure's numbers" workflow
+  reads a run's counters back).
 
 For long production-style runs, :class:`PeriodicSnapshotWriter` dumps a
 snapshot to disk on an interval from a daemon thread::

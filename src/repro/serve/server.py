@@ -620,7 +620,7 @@ class SpeculationServer:
     # ------------------------------------------------------------------
     def _job_worker(self) -> None:
         while True:
-            job = self._run_q.get()
+            job = self._run_q.get()  # bounded: stop() queues a None per worker
             if job is None:
                 return
             self._run_one(job)

@@ -219,7 +219,7 @@ class LiveExecutor:
             self._stop = True
             self._cond.notify_all()
         for t in self._threads:
-            t.join()
+            t.join()  # bounded: each thread re-checks _stop every POLL_S
         self._threads.clear()
         self._stop_backend()
 

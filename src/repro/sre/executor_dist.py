@@ -167,26 +167,10 @@ class RemotePool:
         self.abort_flags = _RemoteAbortFlags(self, sup.n_workers)
 
     def bind_runtime(self, runtime: Runtime) -> None:
-        m = runtime.metrics
-        self._m_abort_rtt = m.histogram(
+        self._m_abort_rtt = runtime.metrics.histogram(
             "dist_abort_rtt_us",
             "round-trip of one cross-host abort-flag raise, microseconds",
             buckets=_ABORT_RTT_BUCKETS)
-        self._m_heartbeats = m.counter(
-            "dist_heartbeats", "pool heartbeat probes", labelnames=("outcome",))
-        self._m_batches = m.counter(
-            "dist_batches_sent", "batch frames shipped to the pool")
-        self._m_replies = m.counter(
-            "dist_replies", "streamed per-payload replies received")
-        self._m_blocks_pushed = m.counter(
-            "dist_blocks_pushed",
-            "shared-memory blocks pushed to the pool over the wire")
-        self._m_push_bytes = m.counter(
-            "dist_block_push_bytes", "bytes of pushed block chunks")
-        self._m_segments = m.counter(
-            "dist_segments_materialized",
-            "segments materialised on the pool",
-            labelnames=("mode",))  # native (same-host attach) | copy
 
     # ------------------------------------------------------------------
     # session lifecycle: attach on start, detach on the final harvest
@@ -286,7 +270,6 @@ class RemotePool:
                        blobs=frames)
         except (TransportError, OSError):
             raise WorkerLost(seat.wid, "crash") from None
-        self._m_batches.inc()
 
     def recv(self, seat: Any, timeout_s: float) -> tuple:
         """One streamed reply. A socket-level timeout means the *pool
@@ -313,7 +296,6 @@ class RemotePool:
             payload = pickle.loads(reply[BLOBS_KEY][0])
         except Exception:  # noqa: BLE001 - undecodable reply == protocol loss
             raise WorkerLost(wid, "protocol") from None
-        self._m_replies.inc()
         return reply.get("seq"), str(reply.get("status")), payload
 
     def close(self, seat: Any, grace_s: float = 0.0) -> None:
@@ -377,10 +359,8 @@ class RemotePool:
                     self._ctl_call({"op": "heartbeat"},
                                    timeout_s=CONNECT_TIMEOUT_S)
                 except (TransportError, OSError):
-                    self._m_heartbeats.labels(outcome="lost").inc()
                     self._mark_lost("heartbeat failed")
                     return
-            self._m_heartbeats.labels(outcome="ok").inc()
 
     # ------------------------------------------------------------------
     # block push: the BlockRef seam, re-keyed over the wire
@@ -425,8 +405,6 @@ class RemotePool:
                     except (TransportError, OSError):
                         self._mark_lost("block push failed")
                         return
-                self._m_push_bytes.inc(len(chunk))
-            self._m_blocks_pushed.inc()
             self._pushed_blocks.add(ref.key)
 
     def _push_segment(self, name: str) -> bool | None:
@@ -447,7 +425,6 @@ class RemotePool:
                 f"pool refused segment {name!r}: {reply.get('error')}")
         created = bool(reply.get("created"))
         self._pushed_segments[name] = created
-        self._m_segments.labels(mode="copy" if created else "native").inc()
         return created
 
 

@@ -211,23 +211,23 @@ def _process_main(conn, abort_flags, wid: int, fault_plan=None,
     and detached when the stop sentinel arrives.
 
     Each worker keeps its own :class:`~repro.obs.metrics.MetricsRegistry`
-    (payload counts, errors, abort skips, body wall time, attached
-    segments) and its own :class:`~repro.obs.events.EventLog` (one
-    ``worker_exec`` event per payload); on the stop sentinel it sends both
-    back up the pipe as a final ``(_METRICS, {"metrics": ..., "events":
-    ...})`` reply — the coordinator folds the snapshot into the run's
-    registry and reconciles the events into the run's log with fresh
-    coordinator seqs (cross-process aggregation over the existing wire,
-    no extra channel).
+    (payload counts, errors, abort skips, body wall time) and its own
+    :class:`~repro.obs.events.EventLog` (one ``worker_exec`` event per
+    payload); on the stop sentinel it sends both back up the pipe as a
+    final ``(_METRICS, {"metrics": ..., "events": ...})`` reply — the
+    coordinator folds the snapshot into the run's registry and reconciles
+    the events into the run's log with fresh coordinator seqs
+    (cross-process aggregation over the existing wire, no extra channel).
 
     A worker outlives no coordinator. Forked siblings inherit each
     other's pipe ends, so a coordinator killed by a signal that skips its
-    exit hooks (SIGTERM) does not reliably give the worker EOF; an idle
-    worker therefore waits for its next batch in ``_ORPHAN_POLL_S`` slices
-    and exits once its parent pid is no longer ``coordinator``. The
-    spawner passes its own pid: a parent read after the fork would
-    already be init's if the coordinator died in between. Left ``None``,
-    it is the parent the worker finds at start.
+    exit hooks (SIGTERM) does not reliably give the worker EOF; the worker
+    therefore waits for every pipe message (a batch header or one of its
+    frames) in ``_ORPHAN_POLL_S`` slices and exits once its parent pid is
+    no longer ``coordinator``. The spawner passes its own pid: a parent
+    read after the fork would already be init's if the coordinator died
+    in between. Left ``None``, it is the parent the worker finds at
+    start.
 
     ``fault_plan`` / ``incarnation`` arm deterministic chaos (see
     :mod:`repro.testing.faults`): the injector fires *before* a batch's
@@ -238,11 +238,11 @@ def _process_main(conn, abort_flags, wid: int, fault_plan=None,
     forwards the active span context of the job it is running, and the
     worker stamps that trace id onto every event it emits until the next
     batch says otherwise (:meth:`EventLog.set_trace_context`), so merged
-    ``worker_exec`` events join the job's distributed trace. A bare-int
-    header (no trace) is accepted too. ``_FLUSH`` triggers a mid-lifetime
-    harvest: the worker ships its interval snapshot exactly like on
-    ``_STOP`` but then resets its registry/log and keeps serving — how a
-    warm lane's workers account per job instead of per daemon lifetime.
+    ``worker_exec`` events join the job's distributed trace. ``_FLUSH``
+    triggers a mid-lifetime harvest: the worker ships its interval
+    snapshot exactly like on ``_STOP`` but then resets its registry/log
+    and keeps serving — how a warm lane's workers account per job instead
+    of per daemon lifetime.
     """
     injector = FaultInjector(fault_plan, wid, incarnation)
     w = str(wid)
@@ -268,10 +268,6 @@ def _process_main(conn, abort_flags, wid: int, fault_plan=None,
         body_us = metrics.histogram(
             "procs_worker_body_us", "payload body wall time in worker (µs)",
             labelnames=("worker",)).labels(worker=w)
-        attached = metrics.gauge(
-            "procs_worker_shm_attached",
-            "shared-memory segments a worker had attached at shutdown",
-            labelnames=("worker",)).labels(worker=w)
 
         def executed(event: dict[str, Any]) -> None:
             by_status[event["status"]].inc()
@@ -279,23 +275,31 @@ def _process_main(conn, abort_flags, wid: int, fault_plan=None,
                 body_us.observe(event["dur_us"])
 
         events.fold("worker_exec", executed)
-        return metrics, events, attached
+        return metrics, events
 
-    metrics, events, m_attached = _fresh_state()
-    seq = 0  # payloads *received* this incarnation; replies are tagged with it
     if coordinator is None:
         coordinator = os.getppid()
-    while True:
+
+    def next_message() -> bytes | None:
+        """The next pipe message, or None once nobody is left to reply
+        to: the pipe reached EOF, or this worker was orphaned while a
+        forked sibling still holds the pipe open."""
         try:
             while not conn.poll(_ORPHAN_POLL_S):
                 if os.getppid() != coordinator:
                     shm.detach_all()
-                    return  # orphaned: nobody is left to reply to
-            head = conn.recv_bytes()
+                    return None
+            return conn.recv_bytes()  # bounded: poll saw the message start
         except (EOFError, OSError):
+            return None
+
+    metrics, events = _fresh_state()
+    seq = 0  # payloads *received* this incarnation; replies are tagged with it
+    while True:
+        head = next_message()
+        if head is None:
             return
         if head in (_STOP, _FLUSH):
-            m_attached.set(len(shm.attached_segments()))
             try:
                 conn.send((_METRICS, {"metrics": metrics.snapshot(),
                                       "events": events.events()}))
@@ -310,18 +314,16 @@ def _process_main(conn, abort_flags, wid: int, fault_plan=None,
             # counter is NOT reset — it tracks the pipe stream, which
             # outlives harvest intervals.
             trace_ctx = events.trace_context
-            metrics, events, m_attached = _fresh_state()
+            metrics, events = _fresh_state()
             events.set_trace_context(trace_ctx)
             continue
-        try:
-            header = pickle.loads(head)
-            if isinstance(header, tuple):
-                n, traceparent = header
-            else:  # bare-count header from a trace-less dispatcher
-                n, traceparent = header, None
-            blobs = [conn.recv_bytes() for _ in range(n)]
-        except (EOFError, OSError):
-            return
+        n, traceparent = pickle.loads(head)
+        blobs = []
+        for _ in range(n):
+            blob = next_message()
+            if blob is None:
+                return
+            blobs.append(blob)
         events.set_trace_context(parse_traceparent(traceparent))
         base = seq
         seq += len(blobs)
@@ -565,7 +567,7 @@ class PipeLink:
                 [conn, proc.sentinel], timeout=remaining)
             if conn in ready:
                 try:
-                    reply = conn.recv()
+                    reply = conn.recv()  # bounded: wait saw the reply start
                 except (EOFError, OSError):
                     raise WorkerLost(wid, "crash",
                                      exitcode=proc.exitcode) from None
@@ -640,7 +642,7 @@ class PipeLink:
                 if not seat.conn.poll(self.sup.harvest_timeout_s):
                     self._harvest_lost(seat.wid, late)
                     continue
-                reply = seat.conn.recv()
+                reply = seat.conn.recv()  # bounded: poll saw the reply start
             except (EOFError, OSError):
                 self._harvest_lost(seat.wid, "dead")
                 continue
@@ -1063,8 +1065,6 @@ class ProcessExecutor(LiveExecutor):
             "bytes that stayed in shared memory instead of crossing the pipe")
         self._m_batches = m.counter(
             "procs_batches", "pipe messages carrying more than one payload")
-        self._m_batched = m.counter(
-            "procs_batched_tasks", "payloads that rode along in a batch")
         self._m_reruns = m.counter(
             "procs_inline_reruns",
             "worker-skipped payloads re-run inline on the coordinator")
@@ -1077,10 +1077,6 @@ class ProcessExecutor(LiveExecutor):
         runtime.events.fold("task_retry", lambda _event: retries.inc())
         runtime.events.fold("task_quarantine",
                             lambda _event: quarantined.inc())
-        self._m_stream_depth = m.histogram(
-            "procs_reply_stream_depth",
-            "payloads still unanswered in a seat's pipe when one streamed "
-            "reply landed")
         #: Budget-pressure pair for the anomaly detectors: configured cap
         #: vs the largest footprint actually shipped.
         m.gauge("procs_payload_budget_bytes",
@@ -1280,7 +1276,6 @@ class ProcessExecutor(LiveExecutor):
             self._m_bytes_avoided.inc(avoided)
         if len(pairs) > 1:
             self._m_batches.inc()
-            self._m_batched.inc(len(pairs) - 1)
 
     def _ship_one(self, wid: int, task: Task, blob: bytes
                   ) -> tuple[str, Any]:
@@ -1497,7 +1492,6 @@ class ProcessExecutor(LiveExecutor):
                 self._recover_stream(wid, lost, fifo)
                 continue
             task, blob, t_sent = fifo.popleft()
-            self._m_stream_depth.observe(len(fifo) + 1)
             self._resolve_reply(wid, task, status, payload,
                                 wall_us=self._clock() - t_sent)
 

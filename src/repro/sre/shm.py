@@ -56,7 +56,6 @@ __all__ = [
     "BlockRef",
     "BlockStore",
     "SegmentGone",
-    "attached_segments",
     "detach_all",
     "iter_refs",
     "materialize_segment",
@@ -186,12 +185,6 @@ def resolve(ref: BlockRef) -> Any:
         view = view.reshape(ref.shape)
     view.flags.writeable = False  # kernels must treat shared inputs as const
     return view
-
-
-def attached_segments() -> tuple[str, ...]:
-    """Names of segments this process attached to (not created)."""
-    with _cache_lock:
-        return tuple(sorted(_attached))
 
 
 def detach_all() -> int:

@@ -1,5 +1,6 @@
 """Unit tests for the metrics instruments and registry."""
 
+import sys
 import threading
 
 import pytest
@@ -8,7 +9,6 @@ from repro.errors import ObservabilityError
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS_US,
     MetricsRegistry,
-    merge_snapshots,
 )
 
 
@@ -56,20 +56,47 @@ def test_labels_must_match_declaration():
         c.labels(kind="x", extra="y")
 
 
-def test_counter_concurrent_increments_are_not_lost():
-    """Per-thread sharding: 8 threads x 1000 incs must fold to exactly 8000."""
-    c = MetricsRegistry().counter("hits")
+@pytest.mark.parametrize("race", ["counter", "histogram", "merge"])
+def test_counter_concurrent_increments_are_not_lost(race):
+    """8 threads x 1000 writes to one series lose none: counter
+    increments, histogram observations, or worker snapshots merged while
+    local threads write the same series."""
+    reg = MetricsRegistry()
+    hits = reg.counter("hits")
+    lat = reg.histogram("lat", buckets=(10,))
+    worker = MetricsRegistry()
+    worker.counter("hits").inc()
+    worker.histogram("lat", buckets=(10,)).observe(5)
+    snap = worker.snapshot()
 
-    def worker():
+    def local():
+        hits.inc()
+        lat.observe(5)
+
+    writes = {
+        "counter": [hits.inc] * 8,
+        "histogram": [lambda: lat.observe(5)] * 8,
+        "merge": [local, lambda: reg.merge_snapshot(snap)] * 4,
+    }[race]
+
+    def run(write):
         for _ in range(1000):
-            c.inc()
+            write()
 
-    threads = [threading.Thread(target=worker) for _ in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert c.value() == 8000
+    threads = [threading.Thread(target=run, args=(w,)) for w in writes]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads mid-write as often as possible
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    if race != "histogram":
+        assert hits.value() == 8000
+    if race != "counter":
+        assert lat._default_child().raw() == ([8000, 0], 40000.0, 8000)
 
 
 # ----------------------------------------------------------------------
@@ -246,19 +273,20 @@ def test_merge_histogram_bucket_mismatch_raises():
         a.merge_snapshot(b.snapshot())
 
 
-def test_merge_snapshots_pure_function():
+def test_merge_snapshot_leaves_the_source_untouched():
     a = MetricsRegistry()
     a.counter("c").inc(1)
     a.gauge("g").set(2)
     b = MetricsRegistry()
     b.counter("c").inc(2)
     b.gauge("g").set(5)
-    merged = merge_snapshots(a.snapshot(), b.snapshot())
-    by_name = {m["name"]: m for m in merged["metrics"]}
-    assert by_name["c"]["series"][0]["value"] == 3
-    assert by_name["g"]["series"][0]["value"] == 5
-    # inputs are untouched
-    assert a.value("c") == 1 and b.value("c") == 2
+    b_snap = b.snapshot()
+    a.merge_snapshot(b_snap)
+    assert a.value("c") == 3
+    assert a.value("g") == 5
+    # the merged snapshot and its registry are untouched
+    assert b_snap == b.snapshot()
+    assert b.value("c") == 2
 
 
 # ----------------------------------------------------------------------

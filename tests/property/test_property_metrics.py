@@ -1,14 +1,14 @@
-"""Property tests: snapshot merge algebra is associative and commutative.
+"""Property tests: folding snapshots into a registry ignores order and grouping.
 
 Cross-process aggregation folds worker snapshots into the coordinator in
-whatever order the pipes drain, so `merge_snapshots` must not care about
-grouping or order. Observations are integer-valued so floating-point sums
-are exact and equality is meaningful.
+whatever order the pipes drain, so `MetricsRegistry.merge_snapshot` must
+not care about grouping or order. Observations are integer-valued so
+floating-point sums are exact and equality is meaningful.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from repro.obs.metrics import MetricsRegistry, merge_snapshots
+from repro.obs.metrics import MetricsRegistry
 
 _BOUNDS = (10.0, 100.0, 1000.0)
 _KINDS = ("encode", "count", "reduce")
@@ -28,6 +28,14 @@ def snapshots(draw):
     return reg.snapshot()
 
 
+def _fold(*snaps):
+    """The snapshot of a fresh registry with ``snaps`` merged in, in order."""
+    reg = MetricsRegistry("prop")
+    for snap in snaps:
+        reg.merge_snapshot(snap)
+    return reg.snapshot()
+
+
 def _canon(snap):
     """Order-independent view: series keyed by (metric, sorted labels)."""
     out = {}
@@ -41,14 +49,14 @@ def _canon(snap):
 @given(snapshots(), snapshots())
 @settings(max_examples=50, deadline=None)
 def test_merge_is_commutative(a, b):
-    assert _canon(merge_snapshots(a, b)) == _canon(merge_snapshots(b, a))
+    assert _canon(_fold(a, b)) == _canon(_fold(b, a))
 
 
 @given(snapshots(), snapshots(), snapshots())
 @settings(max_examples=50, deadline=None)
 def test_merge_is_associative(a, b, c):
-    left = merge_snapshots(merge_snapshots(a, b), c)
-    right = merge_snapshots(a, merge_snapshots(b, c))
+    left = _fold(_fold(a, b), c)
+    right = _fold(a, _fold(b, c))
     assert _canon(left) == _canon(right)
 
 
@@ -56,15 +64,16 @@ def test_merge_is_associative(a, b, c):
 @settings(max_examples=25, deadline=None)
 def test_empty_registry_is_identity_for_counters_and_histograms(a):
     empty = MetricsRegistry("prop").snapshot()
-    merged = _canon(merge_snapshots(a, empty))
-    assert merged == _canon(a)
+    assert _canon(_fold(a, empty)) == _canon(_fold(empty, a)) == _canon(a)
 
 
-@given(snapshots(), snapshots())
-@settings(max_examples=50, deadline=None)
-def test_merge_snapshot_method_agrees_with_pure_merge(a, b):
-    """Folding b into a registry seeded with a == the pure merge."""
-    reg = MetricsRegistry("prop")
-    reg.merge_snapshot(a)
-    reg.merge_snapshot(b)
-    assert _canon(reg.snapshot()) == _canon(merge_snapshots(a, b))
+@given(st.lists(snapshots(), min_size=1, max_size=5), st.randoms())
+@settings(max_examples=25, deadline=None)
+def test_fold_order_and_grouping_do_not_matter(snaps, rnd):
+    """Any permutation, folded through any split into two partial
+    registries, gives the same snapshot as folding the list in order."""
+    shuffled = list(snaps)
+    rnd.shuffle(shuffled)
+    cut = rnd.randint(0, len(shuffled))
+    regrouped = _fold(_fold(*shuffled[:cut]), _fold(*shuffled[cut:]))
+    assert _canon(regrouped) == _canon(_fold(*snaps))

@@ -134,9 +134,10 @@ def test_dataflow_chain_across_the_wire(pool_addr):
 def test_remote_kill_respawns_and_completes(pool_addr):
     """kill@3 armed on the *remote* pool: the seat connection dies, the
     coordinator reconnects with a bumped incarnation, and every task
-    still completes."""
+    still completes. One worker, so its seat is sure to see a third
+    single-payload batch and the kill fires."""
     rt = Runtime()
-    ex = DistExecutor(rt, pool=pool_addr, workers=2, fault_plan="kill@3",
+    ex = DistExecutor(rt, pool=pool_addr, workers=1, fault_plan="kill@3",
                       batch_max=1)
     for i in range(12):
         rt.add_task(Task(f"t{i}", partial(_identity, i)))

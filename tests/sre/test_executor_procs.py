@@ -174,10 +174,11 @@ def test_abort_flagged_running_task_is_reaped_on_completion(tmp_path):
 
 
 def _send_batch(conn, blobs):
-    """Speak the batch wire protocol: pickled frame count, then the frames."""
+    """Speak the batch wire protocol: a pickled ``(frame count,
+    traceparent)`` header, then the frames."""
     import pickle
 
-    conn.send_bytes(pickle.dumps(len(blobs)))
+    conn.send_bytes(pickle.dumps((len(blobs), None)))
     for blob in blobs:
         conn.send_bytes(blob)
 
@@ -230,6 +231,34 @@ def test_worker_streams_one_reply_per_payload(tmp_path):
     parent.send_bytes(b"\x00__sre_stop__")
     proc.join(timeout=10.0)
     assert proc.exitcode == 0
+
+
+def test_worker_exits_when_orphaned_mid_batch():
+    """A header promising two frames, then one frame and silence: the
+    worker must not wait forever for the second. Its coordinator pid is
+    not its parent's, so it counts as orphaned and exits at the next
+    poll slice although the pipe never reaches EOF."""
+    import multiprocessing
+    import pickle
+
+    ctx = multiprocessing.get_context("fork")
+    parent, child = ctx.Pipe(duplex=True)
+    flags = ctx.Array("b", 1, lock=False)
+    parent.send_bytes(pickle.dumps((2, None)))
+    parent.send_bytes(Task("first", partial(_identity, 0)).serialize_payload())
+    proc = ctx.Process(target=_process_main, args=(child, flags, 0),
+                       kwargs={"coordinator": -1}, daemon=True)
+    proc.start()
+    try:
+        proc.join(timeout=10.0)
+        assert proc.exitcode == 0
+        assert not parent.poll()  # the half-received batch got no reply
+    finally:
+        if proc.is_alive():
+            proc.kill()
+            proc.join()  # bounded: SIGKILL ends the worker
+    child.close()
+    parent.close()
 
 
 # ---------------------------------------------------------------------------
