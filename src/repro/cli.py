@@ -695,11 +695,6 @@ def build_parser() -> argparse.ArgumentParser:
              "docs/fault-tolerance.md)")
     add("--max-workers", "max_workers",
         help="cap on seats one attach may request")
-    add("--max-respawns", "max_respawns",
-        help="replacement processes per seat before it degrades")
-    add("--harvest-timeout", "harvest_timeout_s", metavar="SECONDS",
-        help="shutdown grace per worker for the final metrics/events "
-             "harvest")
     add("--events-out", "events_out",
         help="write the pool's lifecycle event log (JSONL) to this path")
     p_pool.set_defaults(fn=_cmd_worker_pool)

@@ -14,6 +14,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, fields
 
+from repro.sre.executor_procs import DEFAULT_DISPATCH_TIMEOUT_S
+
 __all__ = ["ExperimentScale", "QUICK", "PAPER", "RunConfig", "TRANSPORTS",
            "active_scale"]
 
@@ -144,20 +146,12 @@ class RunConfig:
     #: remote worker-pool address ("host:port") for executor="dist" —
     #: the rendezvous with a running `repro worker-pool`.
     pool: str | None = None
-    #: worker-supervisor knobs (process back-end only; ignored elsewhere).
-    #: Per-payload reply deadline. Worker replies stream back one per
-    #: payload, so each reply gets this long — the deadline is never
-    #: scaled by batch size.
-    dispatch_timeout_s: float = 60.0
-    #: worker deaths one task may cause/witness before it is quarantined.
-    max_task_retries: int = 2
-    #: base of the exponential backoff between re-dispatches.
-    retry_backoff_s: float = 0.05
-    #: replacement processes one worker seat may consume before it
-    #: degrades to coordinator-inline execution.
-    max_worker_respawns: int = 3
-    #: shutdown grace per worker for the final metrics/events harvest.
-    harvest_timeout_s: float = 2.0
+    #: per-payload reply deadline (process back-ends only; ignored
+    #: elsewhere). Worker replies stream back one per payload, so each
+    #: reply gets this long — the deadline is never scaled by batch size.
+    #: The rest of the recovery policy (retries, backoff, respawns,
+    #: harvest grace) is fixed: repro.sre.executor_procs's constants.
+    dispatch_timeout_s: float = DEFAULT_DISPATCH_TIMEOUT_S
     #: filter app: samples per signal block / design iterations.
     block_samples: int = 4096
     iterations: int = 24
@@ -186,14 +180,6 @@ class RunConfig:
             raise ExperimentError("events_out requires events=True")
         if self.dispatch_timeout_s <= 0:
             raise ExperimentError("dispatch_timeout_s must be positive")
-        if self.harvest_timeout_s <= 0:
-            raise ExperimentError("harvest_timeout_s must be positive")
-        if self.max_task_retries < 0:
-            raise ExperimentError("max_task_retries must be >= 0")
-        if self.max_worker_respawns < 0:
-            raise ExperimentError("max_worker_respawns must be >= 0")
-        if self.retry_backoff_s < 0:
-            raise ExperimentError("retry_backoff_s must be >= 0")
         if self.fault_plan is not None:
             if self.executor not in ("procs", "dist"):
                 raise ExperimentError(

@@ -45,9 +45,7 @@ def split_blocks(data: bytes, block_size: int) -> list[bytes]:
 
 
 #: RunConfig fields forwarded to the process-pool back-ends (procs, dist).
-_SUPERVISOR_KNOBS = ("fault_plan", "dispatch_timeout_s",
-                     "max_task_retries", "retry_backoff_s",
-                     "max_worker_respawns", "harvest_timeout_s")
+_SUPERVISOR_KNOBS = ("fault_plan", "dispatch_timeout_s")
 
 
 class HuffmanApp(App):

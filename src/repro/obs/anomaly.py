@@ -34,9 +34,9 @@ Detectors (thresholds in :class:`AnomalyThresholds`):
   serve daemon's log): the tenant is crash-looping — its cooldown
   expires, a half-open probe admits another job, that job crashes the
   workers again. Back the tenant off instead of letting it burn a warm
-  lane per cooldown. The serve daemon runs the same check inline (its
-  ``stats`` op surfaces the warning live); this detector is the offline
-  twin for recorded event logs.
+  lane per cooldown. The serve daemon runs this detector live over its
+  own ``breaker_open`` events (its ``stats`` op surfaces the warning),
+  as well as offline over recorded event logs.
 """
 
 from __future__ import annotations
@@ -46,7 +46,8 @@ from typing import Any
 
 from repro.obs.events import EventLog
 
-__all__ = ["Anomaly", "AnomalyThresholds", "detect_anomalies", "scan_run"]
+__all__ = ["Anomaly", "AnomalyThresholds", "detect_anomalies",
+           "report_anomalies", "scan_run"]
 
 
 @dataclass(frozen=True)
@@ -264,8 +265,12 @@ def scan_run(
     if not log.enabled:
         return []
     snapshot = registry.snapshot() if registry is not None else None
-    anomalies = detect_anomalies(log.events(), snapshot,
-                                 thresholds=thresholds)
+    return report_anomalies(log, detect_anomalies(log.events(), snapshot,
+                                                  thresholds=thresholds))
+
+
+def report_anomalies(log: EventLog, anomalies: list[Anomaly]) -> list[str]:
+    """Emit one ``anomaly_<kind>`` event per finding; return warnings."""
     for anomaly in anomalies:
         log.emit(f"anomaly_{anomaly.kind}", message=anomaly.message,
                  **anomaly.data)

@@ -55,6 +55,8 @@ from typing import Any
 from repro.errors import ExperimentError, TransportError
 from repro.experiments.config import RunConfig
 from repro.experiments.jobs import JobResources, RunReport, run_job
+from repro.obs.anomaly import (AnomalyThresholds, detect_anomalies,
+                               report_anomalies)
 from repro.obs.events import EventLog
 from repro.obs.exporters import PeriodicSnapshotWriter
 from repro.obs.metrics import MetricsRegistry
@@ -192,8 +194,7 @@ class SpeculationServer:
             breaker_threshold=s.breaker_threshold,
             breaker_cooldown_s=s.breaker_cooldown_s)
         self.lanes = LanePool(home_runtime=self.runtime,
-                              max_lanes=s.max_lanes,
-                              max_respawns=s.lane_max_respawns)
+                              max_lanes=s.max_lanes)
         #: warm shm arenas, shared across jobs and tenants (per-tenant
         #: *byte budgets* bound each tenant's slice); jobs with
         #: ``transport="shm"`` borrow it via JobResources.store and the
@@ -248,8 +249,6 @@ class SpeculationServer:
             self.events.fold(kind, fn)
         #: the daemon-wide tracer: span_start/span_end into self.events.
         self.tracer = Tracer(events=self.events)
-        #: recent breaker_open monotonic stamps per tenant (flap detection).
-        self._flap_times: dict[str, deque] = {}
         #: bounded ring of anomaly warnings the stats op surfaces.
         self._warnings: deque = deque(maxlen=32)
         self._snapshot_writer: PeriodicSnapshotWriter | None = None
@@ -773,23 +772,15 @@ class SpeculationServer:
                              dropped=dropped)
 
     def _note_breaker_open(self, tenant: str) -> None:
-        """Inline breaker-flap detector (the offline twin lives in
-        :func:`repro.obs.anomaly.detect_anomalies`): ``flap_k`` opens
-        inside ``flap_window_s`` flags the tenant in the stats op."""
-        now = time.monotonic()
-        window = self.settings.flap_window_s
-        times = self._flap_times.setdefault(tenant, deque())
-        times.append(now)
-        while times and now - times[0] > window:
-            times.popleft()
-        if len(times) >= self.settings.flap_k:
-            self.events.emit("anomaly_breaker_flap", tenant=tenant,
-                             opens=len(times), window_s=window)
-            self._warnings.append(
-                f"breaker_flap: tenant {tenant!r} breaker opened "
-                f"{len(times)}x within {window:.0f}s — crash-looping "
-                "submissions; inspect the tenant's recent job_failed "
-                "events")
+        """Live breaker-flap check: the anomaly module's detector over
+        this tenant's ``breaker_open`` events in the flap window ending
+        at the newest one. A finding is emitted as
+        ``anomaly_breaker_flap`` and surfaces in the stats op."""
+        opens = [e for e in self.events.events()
+                 if e["kind"] == "breaker_open" and e["tenant"] == tenant]
+        since = opens[-1]["t"] - AnomalyThresholds().flap_window_us
+        self._warnings.extend(report_anomalies(self.events, detect_anomalies(
+            [e for e in opens if e["t"] >= since])))
 
     def _factory(self, cfg: RunConfig, lane: WarmLane):
         """Executor factory closing over a leased warm lane."""
@@ -804,8 +795,6 @@ class SpeculationServer:
                 supervisor=lane.supervisor,
                 store=store,
                 dispatch_timeout_s=cfg.dispatch_timeout_s,
-                max_task_retries=cfg.max_task_retries,
-                retry_backoff_s=cfg.retry_backoff_s,
             )
 
         return build

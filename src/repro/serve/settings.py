@@ -2,15 +2,15 @@
 
 Each dataclass is the one declaration of its daemon's knobs: the daemon
 reads them, and the CLI takes each option's dest and default from the
-field it fills. This module imports nothing heavier than the procs
-executor's constants, so building the CLI parser never imports a daemon.
+field it fills. The worker recovery policy (respawn budget, harvest
+grace, retries) is not a daemon knob: it is the procs executor's
+constants, the same for every seat. This module imports nothing, so
+building the CLI parser never imports a daemon.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from repro.sre.executor_procs import DEFAULT_HARVEST_TIMEOUT_S
 
 __all__ = ["PoolSettings", "ServeSettings"]
 
@@ -29,9 +29,6 @@ class ServeSettings:
     breaker_threshold: int = 2
     breaker_cooldown_s: float = 30.0
     max_lanes: int = 4
-    #: respawn budget per warm lane (per seat), mirroring the one-shot
-    #: ``max_worker_respawns`` knob.
-    lane_max_respawns: int = 3
     #: seconds a live job's block_source waits for the next streamed block.
     stream_timeout_s: float = 60.0
     #: JSONL path for the daemon's own flight recorder (lifecycle events).
@@ -41,10 +38,6 @@ class ServeSettings:
     metrics_out: str | None = None
     #: seconds between ``metrics_out`` snapshots.
     metrics_interval_s: float = 5.0
-    #: breaker-flap anomaly: this many breaker opens for one tenant...
-    flap_k: int = 3
-    #: ...within this window flags the tenant as flapping.
-    flap_window_s: float = 60.0
     #: per-connection idle timeout: a peer that stays silent this long is
     #: disconnected, so an idle (or slow-loris) client cannot pin a
     #: handler thread in ``recv_frame`` forever. None disables.
@@ -65,10 +58,6 @@ class PoolSettings:
     #: the coordinator ships none — `repro worker-pool --fault kill@3`
     #: injects faults on the *remote* side of the wire.
     fault_plan: str | None = None
-    #: respawn budget per seat (per session).
-    max_respawns: int = 3
-    #: shutdown grace per worker for the final metrics/events harvest.
-    harvest_timeout_s: float = DEFAULT_HARVEST_TIMEOUT_S
     #: cap on seats a single attach may request.
     max_workers: int = 16
     #: JSONL path for the pool's own lifecycle events (attach/detach).

@@ -65,15 +65,11 @@ class LanePool:
     the cap a performance knob rather than a correctness constraint.
     """
 
-    def __init__(self, *, home_runtime: Runtime, max_lanes: int = 4,
-                 max_respawns: int = 3,
-                 harvest_timeout_s: float | None = None) -> None:
+    def __init__(self, *, home_runtime: Runtime, max_lanes: int = 4) -> None:
         if max_lanes < 0:
             raise ValueError("max_lanes must be >= 0")
         self._home = home_runtime
         self.max_lanes = max_lanes
-        self._max_respawns = max_respawns
-        self._harvest_timeout_s = harvest_timeout_s
         self._lock = threading.Lock()
         self._lanes: list[WarmLane] = []
         self._closed = False
@@ -132,12 +128,9 @@ class LanePool:
 
     def _spawn(self, key: tuple, tenant: str, workers: int,
                fault_plan: str | None) -> WarmLane:
-        opts: dict = {"max_respawns": self._max_respawns}
-        if self._harvest_timeout_s is not None:
-            opts["harvest_timeout_s"] = self._harvest_timeout_s
         supervisor = WorkerSupervisor(
             PipeLink(self._ctx), workers, runtime=self._home,
-            fault_plan=FaultPlan.parse(fault_plan), **opts)
+            fault_plan=FaultPlan.parse(fault_plan))
         supervisor.start()
         self._home.events.emit("lane_spawn", tenant=tenant, workers=workers,
                                fault_plan=fault_plan or None)

@@ -60,7 +60,7 @@ from repro.serve.wire import (BLOBS_KEY, TRACEPARENT_KEY, close_socket,
                               recv_frame, send_frame, set_nodelay)
 from repro.sre import shm
 from repro.sre.executor_procs import (DEFAULT_DISPATCH_TIMEOUT_S,
-                                      ProcessExecutor)
+                                      HARVEST_TIMEOUT_S, ProcessExecutor)
 from repro.sre.registry import register_executor
 from repro.sre.runtime import Runtime
 
@@ -221,11 +221,12 @@ class RemotePool:
             if self._ctl is not None and not self.lost:
                 try:
                     # Generous deadline: detach stops every remote worker
-                    # and runs the final flush harvest before replying.
+                    # and runs the final flush harvest before replying —
+                    # one reply deadline plus each worker's harvest grace.
                     reply = self._ctl_call(
                         {"op": "detach"},
-                        timeout_s=60.0 + self.sup.harvest_timeout_s
-                        * self.sup.n_workers)
+                        timeout_s=DEFAULT_DISPATCH_TIMEOUT_S
+                        + HARVEST_TIMEOUT_S * self.sup.n_workers)
                     if reply.get("ok") and reply.get(BLOBS_KEY):
                         snapshot = pickle.loads(reply[BLOBS_KEY][0])
                 except (TransportError, OSError, pickle.PickleError):

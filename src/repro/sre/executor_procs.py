@@ -26,7 +26,7 @@ Two transport refinements keep the pipe off the critical path:
   stayed off the wire.
 * **one bounded window per seat, with streaming replies** — when the
   ready queues hold more work than there are idle seats, a seat claims
-  up to ``batch_max`` tasks and ships them all at once: small payloads
+  up to ``BATCH_MAX`` tasks and ships them all at once: small payloads
   ride along in one pipe message (one header + payload frames),
   amortising syscalls and wakeups across kernels, and one over
   ``BATCH_BYTES`` goes in a message of its own. The worker replies
@@ -138,23 +138,29 @@ from repro.sre.task import PAYLOAD_PROTOCOL, Task
 from repro.testing.faults import FaultInjector, FaultPlan
 
 __all__ = ["ProcessExecutor", "WorkerSupervisor", "PipeLink", "RetryPolicy",
-           "DEFAULT_PAYLOAD_BUDGET", "DEFAULT_BATCH_MAX",
-           "BATCH_BYTES", "DEFAULT_DISPATCH_TIMEOUT_S",
-           "DEFAULT_HARVEST_TIMEOUT_S"]
+           "PAYLOAD_BUDGET", "BATCH_MAX", "BATCH_BYTES",
+           "DEFAULT_DISPATCH_TIMEOUT_S", "HARVEST_TIMEOUT_S",
+           "MAX_TASK_RETRIES", "RETRY_BACKOFF_S", "MAX_WORKER_RESPAWNS"]
 
-#: Default per-task payload-footprint cap (bytes): wire bytes plus bytes of
+# The recovery policy, declared once. The coordinator, a worker pool's
+# sessions and the serve daemon's warm lanes all read these module
+# constants where they act on them (never as bound default arguments),
+# so one value holds for every seat. Only the reply deadline is a per-run
+# setting: a hang deadline depends on the host.
+
+#: Per-task payload-footprint cap (bytes): wire bytes plus bytes of
 #: every shared-memory block the payload references. Far roomier than the
 #: Cell's 32 KB local-store slots — pipes and mmaps don't mind — but the
 #: discipline is the same: a task that drags megabytes of captured state to
 #: a worker is a pipeline bug, and it should fail loudly at dispatch.
-DEFAULT_PAYLOAD_BUDGET = 8 * 1024 * 1024
+PAYLOAD_BUDGET = 8 * 1024 * 1024
 
 #: A seat's pipe window: the most tasks one coordinator thread claims and
 #: ships per dispatch cycle. The worker idles between windows while its
 #: coordinator completes the last reply and claims the next window; on a
 #: 2-core host an 8-deep window paid that gap often enough to cost batch
 #: pdf over dist 5-10 % of its throughput, a 16-deep one does not.
-DEFAULT_BATCH_MAX = 16
+BATCH_MAX = 16
 
 #: Only payloads at or below this wire size share a pipe message; a bigger
 #: one ships alone so a long transfer never delays unrelated small kernels.
@@ -167,12 +173,23 @@ BATCH_BYTES = 256 * 1024
 #: scaled by batch size, and a wedged worker is detected within one
 #: deadline however deep its pipe. Generous against slow kernels and
 #: loaded machines, tight enough that a wedged worker cannot stall a run
-#: forever. Configurable per run (``RunConfig.dispatch_timeout_s``).
+#: forever. The one per-run setting (``RunConfig.dispatch_timeout_s``).
 DEFAULT_DISPATCH_TIMEOUT_S = 60.0
 
 #: How long the stop path waits for each worker's final metrics/events
 #: harvest before declaring it lost (``worker_harvest_lost``).
-DEFAULT_HARVEST_TIMEOUT_S = 2.0
+HARVEST_TIMEOUT_S = 2.0
+
+#: Worker deaths one task may cause or witness before it is quarantined
+#: (fails through the ``task_failed`` path).
+MAX_TASK_RETRIES = 2
+
+#: Base of the exponential re-dispatch backoff (seconds).
+RETRY_BACKOFF_S = 0.05
+
+#: Replacement workers (a reconnect, on a dist seat) one seat may consume
+#: before it degrades to coordinator-inline execution.
+MAX_WORKER_RESPAWNS = 3
 
 #: How long an idle worker waits for its next batch before it checks that
 #: its coordinator is still alive. Paid once per idle wait, not per block.
@@ -394,8 +411,13 @@ class RetryPolicy:
     abort-and-respeculate can land anywhere).
     """
 
-    def __init__(self, *, max_retries: int = 2, backoff_s: float = 0.05,
+    def __init__(self, *, max_retries: int | None = None,
+                 backoff_s: float | None = None,
                  backoff_cap_s: float = 2.0) -> None:
+        if max_retries is None:
+            max_retries = MAX_TASK_RETRIES
+        if backoff_s is None:
+            backoff_s = RETRY_BACKOFF_S
         if max_retries < 0:
             raise SchedulingError("max_retries must be >= 0")
         if backoff_s < 0 or backoff_cap_s < 0:
@@ -613,7 +635,7 @@ class PipeLink:
         """Pull each live worker's metrics/events interval home.
 
         Every live worker gets the ``_STOP`` (``final``) or ``_FLUSH``
-        sentinel and ``harvest_timeout_s`` to reply with its snapshot,
+        sentinel and ``HARVEST_TIMEOUT_S`` to reply with its snapshot,
         which is folded into the supervisor's runtime. A worker that
         cannot deliver — a dead pipe, or the poll expiring on a loaded
         machine — is accounted with ``worker_harvest_lost{reason}``, never
@@ -639,7 +661,7 @@ class PipeLink:
                 self._harvest_lost(seat.wid, "dead")
         for seat in asked:
             try:
-                if not seat.conn.poll(self.sup.harvest_timeout_s):
+                if not seat.conn.poll(HARVEST_TIMEOUT_S):
                     self._harvest_lost(seat.wid, late)
                     continue
                 reply = seat.conn.recv()  # bounded: poll saw the reply start
@@ -658,7 +680,7 @@ class PipeLink:
     def _harvest_lost(self, wid: int, reason: str) -> None:
         self.sup.runtime.events.emit("worker_harvest_lost", worker=wid,
                                      reason=reason,
-                                     timeout_s=self.sup.harvest_timeout_s)
+                                     timeout_s=HARVEST_TIMEOUT_S)
 
 
 def _is_snapshot(reply: Any) -> bool:
@@ -695,7 +717,7 @@ class WorkerSupervisor:
       the process, a socket link drops the connection, so nothing the
       old incarnation still had in flight can reach the reply stream.
     * :meth:`respawn` reopens the seat with a bumped incarnation —
-      bounded by ``max_respawns``; past the budget, when the link is
+      bounded by ``MAX_WORKER_RESPAWNS``; past the budget, when the link is
       lost, or when the link refuses the seat, the seat **degrades**
       (``worker_degraded`` event, the link's degraded gauge) and
       :meth:`alive` turns False, telling the executor to run that seat's
@@ -711,18 +733,10 @@ class WorkerSupervisor:
         *,
         runtime: Runtime,
         fault_plan: FaultPlan | None = None,
-        max_respawns: int = 3,
-        harvest_timeout_s: float = DEFAULT_HARVEST_TIMEOUT_S,
     ) -> None:
-        if max_respawns < 0:
-            raise SchedulingError("max_respawns must be >= 0")
-        if harvest_timeout_s <= 0:
-            raise SchedulingError("harvest_timeout_s must be positive")
         self.link = link
         self.n_workers = workers
         self.fault_plan = fault_plan
-        self.max_respawns = max_respawns
-        self.harvest_timeout_s = harvest_timeout_s
         self._slots = [_Slot(wid) for wid in range(workers)]
         #: True once stop() or interpreter exit began; guarded by
         #: _open_lock so no seat opens (forks) after it turns True.
@@ -890,7 +904,7 @@ class WorkerSupervisor:
         seat = self._slots[wid]
         if seat.degraded:
             return False
-        if seat.respawns >= self.max_respawns:
+        if seat.respawns >= MAX_WORKER_RESPAWNS:
             self._degrade(seat, "respawn budget exhausted")
             return False
         if self.link.lost:
@@ -961,20 +975,11 @@ class ProcessExecutor(LiveExecutor):
         runtime: the runtime to drive.
         policy: dispatch policy (same vocabulary as every executor).
         workers: worker processes (and paired coordinator threads).
-        payload_budget: per-task payload-footprint cap in bytes (wire
-            bytes + referenced shared-memory bytes).
-        batch_max: a seat's pipe window — the most tasks one seat claims
-            and ships per dispatch cycle (1 disables batching).
         dispatch_timeout_s: per-payload reply deadline. Replies stream
             back one per payload, so each gets this long — the deadline
-            is never scaled by batch size.
-        max_task_retries: worker deaths one task may cause/witness before
-            it is quarantined (fails through the ``task_failed`` path).
-        retry_backoff_s: base of the exponential re-dispatch backoff.
-        max_worker_respawns: replacement processes one seat may consume
-            before it degrades to coordinator-inline execution.
-        harvest_timeout_s: shutdown grace per worker for the final
-            metrics/events harvest.
+            is never scaled by batch size. The recovery policy around it
+            (pipe window, payload cap, retries, backoff, respawns,
+            harvest grace) is this module's constants.
         fault_plan: deterministic chaos plan (or its spec string) threaded
             into the workers — see :mod:`repro.testing.faults`.
         store: the run's :class:`~repro.sre.shm.BlockStore`, when the shm
@@ -988,9 +993,8 @@ class ProcessExecutor(LiveExecutor):
             on stop — the caller owns its lifecycle (``start``/``stop``),
             which is how ``repro serve`` keeps worker processes warm
             across jobs. ``workers`` must match the supervisor's seat
-            count, and ``fault_plan``/``max_worker_respawns``/
-            ``harvest_timeout_s`` are the supervisor's own (per-lane)
-            settings, not per-job ones.
+            count, and ``fault_plan`` is the supervisor's own (per-lane)
+            setting, not a per-job one.
     """
 
     RUNS_LOCAL = True
@@ -1001,26 +1005,14 @@ class ProcessExecutor(LiveExecutor):
         *,
         policy: DispatchPolicy | str = "conservative",
         workers: int = 4,
-        payload_budget: int = DEFAULT_PAYLOAD_BUDGET,
-        batch_max: int = DEFAULT_BATCH_MAX,
         dispatch_timeout_s: float = DEFAULT_DISPATCH_TIMEOUT_S,
-        max_task_retries: int = 2,
-        retry_backoff_s: float = 0.05,
-        max_worker_respawns: int = 3,
-        harvest_timeout_s: float = DEFAULT_HARVEST_TIMEOUT_S,
         fault_plan: FaultPlan | str | None = None,
         store: "shm.BlockStore | None" = None,
         supervisor: WorkerSupervisor | None = None,
     ) -> None:
         super().__init__(runtime, policy=policy, workers=workers)
-        if payload_budget < 1:
-            raise SchedulingError("payload_budget must be positive")
-        if batch_max < 1:
-            raise SchedulingError("batch_max must be >= 1")
         if dispatch_timeout_s <= 0:
             raise SchedulingError("dispatch_timeout_s must be positive")
-        self.payload_budget = payload_budget
-        self.batch_max = batch_max
         self.dispatch_timeout_s = dispatch_timeout_s
         try:  # fork is cheap and inherits imports
             self._ctx = multiprocessing.get_context("fork")
@@ -1036,12 +1028,9 @@ class ProcessExecutor(LiveExecutor):
         else:
             self.supervisor = WorkerSupervisor(
                 self._make_link(), workers, runtime=runtime,
-                fault_plan=FaultPlan.parse(fault_plan),
-                max_respawns=max_worker_respawns,
-                harvest_timeout_s=harvest_timeout_s)
+                fault_plan=FaultPlan.parse(fault_plan))
             self._owns_supervisor = True
-        self.retry_policy = RetryPolicy(max_retries=max_task_retries,
-                                        backoff_s=retry_backoff_s)
+        self.retry_policy = RetryPolicy()
         self._store = store
         #: every task in a seat's current window, by seat — the abort-flag
         #: relay targets that worker's address space. A window is shipped
@@ -1080,7 +1069,7 @@ class ProcessExecutor(LiveExecutor):
         #: Budget-pressure pair for the anomaly detectors: configured cap
         #: vs the largest footprint actually shipped.
         m.gauge("procs_payload_budget_bytes",
-                "configured per-task payload-footprint cap").set(payload_budget)
+                "configured per-task payload-footprint cap").set(PAYLOAD_BUDGET)
         self._m_max_footprint = m.gauge(
             "procs_payload_max_footprint_bytes",
             "largest payload footprint (wire + referenced shm bytes) seen")
@@ -1168,11 +1157,11 @@ class ProcessExecutor(LiveExecutor):
             if footprint > self._max_footprint:
                 self._max_footprint = footprint
                 self._m_max_footprint.set(footprint)
-        if footprint > self.payload_budget:
+        if footprint > PAYLOAD_BUDGET:
             raise PlatformError(
                 f"task {task.name!r}: payload footprint {footprint} B "
                 f"({len(blob)} B wire + referenced shared blocks) exceeds "
-                f"the process back-end budget {self.payload_budget} B "
+                f"the process back-end budget {PAYLOAD_BUDGET} B "
                 "(cf. the Cell local-store per-task cap)"
             )
 
@@ -1207,7 +1196,7 @@ class ProcessExecutor(LiveExecutor):
     ) -> tuple[list[tuple[Task, bytes]], list[Task], list[tuple[Task, PlatformError]]]:
         """Claim extra ready tasks into this seat's pipe window.
 
-        Called under the lock. At most ``batch_max - 1`` payloads join
+        Called under the lock. At most ``BATCH_MAX - 1`` payloads join
         the head, and only while the ready queues hold more tasks than
         there are idle *seats* — batching amortises pipe traffic without
         ever serialising work an idle seat could overlap. Every shippable
@@ -1219,7 +1208,7 @@ class ProcessExecutor(LiveExecutor):
         shippable: list[tuple[Task, bytes]] = []
         inline: list[Task] = []
         failed: list[tuple[Task, PlatformError]] = []
-        while len(shippable) < self.batch_max - 1:
+        while len(shippable) < BATCH_MAX - 1:
             nat = self.runtime.natural_queue
             spec = self.runtime.speculative_queue
             if len(nat) + len(spec) <= self._idle_seats():
@@ -1304,7 +1293,7 @@ class ProcessExecutor(LiveExecutor):
         return (_ERR, (
             f"task {task.name!r} quarantined: its payload lost its worker "
             f"{self.retry_policy.attempts(task.name)} time(s) "
-            f"(max_task_retries={self.retry_policy.max_retries})"))
+            f"(MAX_TASK_RETRIES={self.retry_policy.max_retries})"))
 
     def _handle_worker_lost(self, wid: int, lost: WorkerLost,
                             tasks: list[Task]) -> int:
@@ -1451,7 +1440,7 @@ class ProcessExecutor(LiveExecutor):
     def _run_stream(self, wid: int, head: tuple[Task, bytes]) -> None:
         """The streaming dispatch cycle for seat ``wid``.
 
-        Claims at most ``batch_max - 1`` extras beside the head (only
+        Claims at most ``BATCH_MAX - 1`` extras beside the head (only
         when the head is small enough to share a message), ships the
         whole window before the first reply wait — small payloads
         together, an oversized one alone — then awaits the replies one
@@ -1464,7 +1453,7 @@ class ProcessExecutor(LiveExecutor):
         window = [head]
         inline_extras: list[Task] = []
         failed_extras: list[tuple[Task, PlatformError]] = []
-        if self.batch_max > 1 and len(head[1]) <= BATCH_BYTES:
+        if len(head[1]) <= BATCH_BYTES:
             with self._cond:
                 shippable, inline_extras, failed_extras = \
                     self._take_extras(wid)

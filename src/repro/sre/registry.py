@@ -72,7 +72,7 @@ def make_executor(name: str, runtime: Any, **opts: Any) -> Any:
             ``"procs"``, or anything applications registered).
         runtime: the :class:`~repro.sre.runtime.Runtime` to drive.
         **opts: forwarded to the factory (``policy=``, ``workers=``,
-            back-end specifics like ``payload_budget=`` or ``platform=``).
+            back-end specifics like ``dispatch_timeout_s=`` or ``platform=``).
 
     Raises:
         SchedulingError: unknown name; the message lists the choices.

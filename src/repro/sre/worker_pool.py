@@ -331,9 +331,7 @@ class WorkerPoolServer:
         runtime = Runtime(metrics=MetricsRegistry(), events=EventLog(),
                           track_memory=False)
         supervisor = WorkerSupervisor(
-            PipeLink(self._ctx), workers, runtime=runtime, fault_plan=plan,
-            max_respawns=s.max_respawns,
-            harvest_timeout_s=s.harvest_timeout_s)
+            PipeLink(self._ctx), workers, runtime=runtime, fault_plan=plan)
         supervisor.start()
         sess = _Session(uuid.uuid4().hex, supervisor, runtime,
                         dispatch_timeout_s)

@@ -80,3 +80,21 @@ def test_main_exit_codes(tmp_path, capsys):
     assert bench_gate.main(["--baseline", str(base),
                             "--current", str(base)]) == 0
     assert "bench gate: passed" in capsys.readouterr().out
+
+
+def test_bench_sim_leg_is_pinned_exactly():
+    """`repro bench`'s simulated-clock leg (txt, 64 blocks, seed 0, sim)
+    is deterministic, so tier-1 pins it exactly where CI's gate lets it
+    move 20 %: the virtual completion time, the throughput it implies,
+    zero rollbacks — and the committed baseline records the same."""
+    from repro.experiments.bench import _sim_config
+    from repro.experiments.runner import run_huffman
+
+    summary = run_huffman(config=_sim_config(0, 64, events=True)).summary
+    assert summary.completion_time_us == 2347.7999999999997
+    assert 64 / (summary.completion_time_us / 1e6) == 27259.562143283078
+    assert summary.rollbacks == 0
+    baseline = json.loads((_GATE.parents[1] / "BENCH_huffman.json")
+                          .read_text())["metrics"]
+    assert baseline["virtual_completion_us"] == summary.completion_time_us
+    assert baseline["rollbacks"] == summary.rollbacks

@@ -70,14 +70,6 @@ def test_runconfig_validates_fault_plan():
 def test_runconfig_validates_supervisor_knobs():
     with pytest.raises(ExperimentError):
         RunConfig(dispatch_timeout_s=0)
-    with pytest.raises(ExperimentError):
-        RunConfig(harvest_timeout_s=0)
-    with pytest.raises(ExperimentError):
-        RunConfig(max_task_retries=-1)
-    with pytest.raises(ExperimentError):
-        RunConfig(max_worker_respawns=-1)
-    with pytest.raises(ExperimentError):
-        RunConfig(retry_backoff_s=-0.1)
 
 
 def test_from_kwargs_lists_unknown_and_valid_names():

@@ -21,6 +21,7 @@ from repro.obs.events import EventLog
 from repro.obs.explain import build_crash_cascades, explain_events
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.rng import make_rng
+from repro.sre import executor_procs
 from repro.sre.executor_procs import ProcessExecutor
 from repro.sre.registry import make_executor
 from repro.sre.runtime import Runtime
@@ -94,11 +95,15 @@ def _encoded_stream(executor: str, fault_plan=None, **procs_opts):
     ("hang@1", {"dispatch_timeout_s": 0.5}),
     ("drop@1:w1", {"dispatch_timeout_s": 0.5}),
     ("delay@1:0.2", {}),
-    # A straggling seat with a small pipe window holds only that window;
-    # the rest of the work waits in the ready queues for the healthy seat.
-    ("delay@1:0.6", {"batch_max": 2}),
+    # A straggling seat with a small pipe window (``window``: the
+    # ``BATCH_MAX`` this case runs with) holds only that window; the rest
+    # of the work waits in the ready queues for the healthy seat.
+    ("delay@1:0.6", {"window": 2}),
 ])
-def test_chaos_output_byte_identical_and_leak_free(fault, opts):
+def test_chaos_output_byte_identical_and_leak_free(fault, opts, monkeypatch):
+    opts = dict(opts)
+    if "window" in opts:
+        monkeypatch.setattr(executor_procs, "BATCH_MAX", opts.pop("window"))
     reference = _encoded_stream("sim")[:2]
     before = _my_shm_names()
     packed, bits, registry = _encoded_stream("procs", fault_plan=fault, **opts)
@@ -158,9 +163,7 @@ def test_quarantine_force_releases_pinned_shm_blocks():
     store = BlockStore(metrics=registry, events=events)
     ref = store.put(b"x" * 8192, refs=2)  # payload pin + a version's pin
     assert ref is not None
-    ex = ProcessExecutor(rt, workers=1, fault_plan="kill@1!",
-                         max_task_retries=1, max_worker_respawns=5,
-                         store=store)
+    ex = ProcessExecutor(rt, workers=1, fault_plan="kill@1!", store=store)
     t = rt.add_task(Task("pinned", _use_block, inputs=("x",)))
     ex.start()
     ex.deliver(t, "x", ref)

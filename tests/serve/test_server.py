@@ -14,6 +14,7 @@ The acceptance bar for `repro serve`:
 import os
 import signal
 import threading
+import time
 from collections import Counter
 
 import pytest
@@ -104,8 +105,7 @@ def test_breaker_quarantines_crash_tenant_healthy_tenant_unaffected(
     tenant's job completes byte-identical to its sim one-shot."""
     evil_cfg = {"app": "huffman", "workload": "txt", "n_blocks": 4,
                 "executor": "procs", "workers": 1, "seed": 0,
-                "fault_plan": "kill@1!", "max_task_retries": 1,
-                "retry_backoff_s": 0.0, "max_worker_respawns": 1}
+                "fault_plan": "kill@1!"}
     evil_job = client.submit(evil_cfg, tenant="evil")
     good_job = client.submit(_KMEANS, tenant="good")
     # The poisoned job fails (its tasks are quarantined after repeated
@@ -127,6 +127,37 @@ def test_breaker_quarantines_crash_tenant_healthy_tenant_unaffected(
     assert report["output_sha256"] == _one_shot_sha(_KMEANS)
     assert server.admission.breaker_state("good") == "closed"
     assert server.store.live_refs == 0
+
+
+@pytest.mark.parametrize("server", [ServeSettings(
+    job_workers=1, breaker_threshold=1, breaker_cooldown_s=0.01,
+)], indirect=True)
+def test_third_breaker_open_flags_a_flapping_tenant(
+        server, client, monkeypatch):
+    """Three breaker opens for one tenant inside the flap window: the
+    daemon runs the anomaly module's breaker-flap detector over its own
+    ``breaker_open`` events, emits ``anomaly_breaker_flap`` and lists
+    the warning in the stats op. Each job fails fast on bad geometry;
+    its failure is judged crash-type so the breaker sees it without
+    killing a worker."""
+    monkeypatch.setattr(SpeculationServer, "_looks_like_crash",
+                        staticmethod(lambda registry: True))
+    bad = {"app": "huffman", "workload": "txt", "n_blocks": 16,
+           "executor": "sim", "block_size": -1}
+    for opens in (1, 2, 3):
+        assert not client.stats()["warnings"]
+        job = client.submit(bad, tenant="flappy")
+        with pytest.raises(ServeError, match="failed"):
+            client.result(job, timeout_s=60.0)
+        assert server.admission.breaker_state("flappy") == "open"
+        assert server.metrics.value("serve_breaker_opens",
+                                    tenant="flappy") == opens
+        time.sleep(0.05)  # past the cooldown: the next job is the probe
+    (warning,) = client.stats()["warnings"]
+    assert warning.startswith("breaker_flap: ") and "'flappy'" in warning
+    flaps = [e for e in server.events.events()
+             if e["kind"] == "anomaly_breaker_flap"]
+    assert [(e["tenant"], e["opens"]) for e in flaps] == [("flappy", 3)]
 
 
 def test_plain_failure_does_not_open_breaker(server, client):

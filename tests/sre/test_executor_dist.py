@@ -33,7 +33,7 @@ from repro.errors import TransportError, WorkerLost
 from repro.obs.events import EventLog
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.wire import MAX_FRAME_BYTES, recv_frame, send_frame
-from repro.sre import executor_dist, shm
+from repro.sre import executor_dist, executor_procs, shm
 from repro.sre.executor_dist import DistExecutor, RemotePool
 from repro.sre.executor_procs import PipeLink, WorkerSupervisor
 from repro.sre.registry import executor_names, make_executor
@@ -131,14 +131,14 @@ def test_dataflow_chain_across_the_wire(pool_addr):
     assert b.outputs == {"out": 10}
 
 
-def test_remote_kill_respawns_and_completes(pool_addr):
+def test_remote_kill_respawns_and_completes(pool_addr, monkeypatch):
     """kill@3 armed on the *remote* pool: the seat connection dies, the
     coordinator reconnects with a bumped incarnation, and every task
-    still completes. One worker, so its seat is sure to see a third
-    single-payload batch and the kill fires."""
+    still completes. One worker and a window of one, so its seat is sure
+    to see a third single-payload batch and the kill fires."""
+    monkeypatch.setattr(executor_procs, "BATCH_MAX", 1)
     rt = Runtime()
-    ex = DistExecutor(rt, pool=pool_addr, workers=1, fault_plan="kill@3",
-                      batch_max=1)
+    ex = DistExecutor(rt, pool=pool_addr, workers=1, fault_plan="kill@3")
     for i in range(12):
         rt.add_task(Task(f"t{i}", partial(_identity, i)))
     ex.run(timeout=120.0)
@@ -148,14 +148,15 @@ def test_remote_kill_respawns_and_completes(pool_addr):
     assert "worker_respawn" in kinds
 
 
-def test_persistent_kills_degrade_to_inline(pool_addr):
+def test_persistent_kills_degrade_to_inline(pool_addr, monkeypatch):
     """kill@1! on every incarnation exhausts the reconnect budget; the
     seats degrade and the run completes coordinator-inline — the same
-    ladder the local back-end guarantees."""
+    ladder the local back-end guarantees. One respawn, so the seat
+    degrades before the retry budget quarantines a task; the in-process
+    pool and the coordinator read the same budget."""
+    monkeypatch.setattr(executor_procs, "MAX_WORKER_RESPAWNS", 1)
     rt = Runtime()
-    ex = DistExecutor(rt, pool=pool_addr, workers=1, fault_plan="kill@1!",
-                      max_worker_respawns=1, max_task_retries=8,
-                      batch_max=1)
+    ex = DistExecutor(rt, pool=pool_addr, workers=1, fault_plan="kill@1!")
     for i in range(6):
         rt.add_task(Task(f"t{i}", partial(_identity, i)))
     ex.run(timeout=120.0)
@@ -341,7 +342,7 @@ def test_seats_refused_at_attach_degrade_loudly():
 def test_seat_refused_at_reconnect_degrades_loudly():
     rt = Runtime()
     with _refusing_pool(accept_seats=1) as addr:
-        ex = DistExecutor(rt, pool=addr, workers=1, batch_max=1)
+        ex = DistExecutor(rt, pool=addr, workers=1)
         rt.add_task(Task("t0", partial(_identity, 7)))
         ex.run(timeout=60.0)
     assert rt.graph.get("t0").outputs == {"out": 7}

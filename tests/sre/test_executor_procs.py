@@ -14,6 +14,7 @@ from functools import partial
 import pytest
 
 from repro.errors import PlatformError, SchedulingError, TaskExecutionError
+from repro.sre import executor_procs
 from repro.sre.executor_procs import (
     _OK,
     _SKIPPED,
@@ -314,9 +315,11 @@ def test_control_tasks_always_run_inline():
     assert ex.tasks_shipped == 0
 
 
-def test_payload_budget_enforced():
+def test_payload_budget_enforced(monkeypatch):
+    # A 256-byte cap, so a 4 KB payload trips it without shipping 8 MB.
+    monkeypatch.setattr(executor_procs, "PAYLOAD_BUDGET", 256)
     rt = Runtime()
-    ex = ProcessExecutor(rt, workers=1, payload_budget=256)
+    ex = ProcessExecutor(rt, workers=1)
     big = bytes(4096)
     t = rt.add_task(Task("oversize", partial(_identity, big)))
     with pytest.raises(TaskExecutionError) as err:
@@ -348,7 +351,7 @@ def test_utilisation_counts_a_pipe_window_once():
     naps of one pipe window overlap on that seat — their claim→done
     spans add up to more than the whole run — yet the seat counts once."""
     rt = Runtime()
-    ex = ProcessExecutor(rt, workers=1, batch_max=8)
+    ex = ProcessExecutor(rt, workers=1)
     for i in range(8):
         rt.add_task(Task(f"nap{i}", partial(_nap, 0.05)))
     ex.run(timeout=60.0)

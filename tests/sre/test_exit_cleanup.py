@@ -32,8 +32,8 @@ pytestmark = [pytest.mark.procs, pytest.mark.slow]
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
-#: 40 quarter-second naps on 2 workers with 2-deep windows: the exit
-#: lands 1 s into a ~5 s run, with payloads in both pipes.
+#: 40 quarter-second naps on 2 workers: the exit lands 1 s into a ~5 s
+#: run, with payloads in both pipes.
 SCRIPT = textwrap.dedent("""
     import sys
     import time
@@ -44,7 +44,7 @@ SCRIPT = textwrap.dedent("""
     from repro.sre.task import Task
 
     rt = Runtime()
-    ex = ProcessExecutor(rt, workers=2, batch_max=2)
+    ex = ProcessExecutor(rt, workers=2)
     for i in range(40):
         rt.add_task(Task(f"nap:{i}", partial(time.sleep, 0.25)))
     ex.start()

@@ -16,7 +16,7 @@ import pytest
 
 from repro.obs.events import COORDINATOR_WORKER
 from repro.platforms import get_platform
-from repro.sre.executor_procs import ProcessExecutor
+from repro.sre.executor_procs import BATCH_MAX, ProcessExecutor
 from repro.sre.executor_sim import SimulatedExecutor
 from repro.sre.executor_threads import ThreadedExecutor
 from repro.sre.runtime import Runtime
@@ -150,7 +150,6 @@ def test_threaded_executor_runs_local_tasks_on_its_workers():
 # ---------------------------------------------------------------------------
 
 NAP_S = 0.02
-BATCH_MAX = 16
 
 
 @pytest.mark.procs
@@ -162,7 +161,7 @@ def test_local_chain_never_waits_behind_a_pipe_window():
     to drain (16 × 20 ms) before it reached the worker; on the
     coordinator each one runs the moment its input lands."""
     rt = Runtime()
-    ex = ProcessExecutor(rt, workers=1, batch_max=BATCH_MAX)
+    ex = ProcessExecutor(rt, workers=1)
     naps = [rt.add_task(Task(f"nap:{i}", partial(_nap, NAP_S, i)))
             for i in range(48)]
     links = _chain(rt, naps[0], 8)

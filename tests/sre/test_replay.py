@@ -141,21 +141,29 @@ def test_config_from_header_drops_the_retired_trace_key():
     assert "trace" not in cfg.to_dict()
 
 
-def test_config_from_header_drops_the_retired_steal_key():
-    # Logs recorded while RunConfig still had its work-stealing switch
-    # carry ``steal`` in the header; replay must still build a config.
+@pytest.mark.parametrize("retired", [
+    # RunConfig's work-stealing switch.
+    {"steal": False},
+    # The supervisor knobs that became executor_procs constants.
+    {"max_task_retries": 2, "retry_backoff_s": 0.05,
+     "max_worker_respawns": 3, "harvest_timeout_s": 2.0},
+], ids=["steal", "supervisor"])
+def test_config_from_header_drops_the_retired_steal_key(retired):
+    # Logs recorded while RunConfig still had these fields carry them in
+    # the header; replay must still build a config.
     header = {"kind": "log_header", "schema": "repro.events",
               "schema_version": 1, "run_id": "4567cdef", "seq": 0, "t": 0.0,
               "meta": {"app": "huffman", "run_config": {
                   "app": "huffman", "workload": "txt", "n_blocks": 24,
                   "tolerance": 0.0, "seed": 3, "executor": "procs",
-                  "workers": 2, "steal": False, "dispatch_timeout_s": 60.0,
-                  "events": True, "events_out": "old.events.jsonl"}}}
+                  "workers": 2, "dispatch_timeout_s": 60.0,
+                  "events": True, "events_out": "old.events.jsonl",
+                  **retired}}}
     cfg = config_from_header(header)
     assert (cfg.workload, cfg.n_blocks, cfg.seed) == ("txt", 24, 3)
     assert (cfg.executor, cfg.workers) == ("procs", 2)
     assert cfg.events_out is None
-    assert "steal" not in cfg.to_dict()
+    assert not set(retired) & set(cfg.to_dict())
 
 
 def test_config_from_header_drops_the_retired_queue_order_keys():

@@ -20,7 +20,7 @@ import pytest
 
 from repro.obs.events import EventLog
 from repro.obs.metrics import MetricsRegistry
-from repro.sre.executor_procs import ProcessExecutor
+from repro.sre.executor_procs import BATCH_MAX, ProcessExecutor
 from repro.sre.runtime import Runtime
 from repro.sre.task import Task, TaskState
 
@@ -116,14 +116,14 @@ def test_wall_time_is_attributed_per_payload():
 def test_straggler_holds_only_its_window(tmp_path):
     """Seat B blocks on its own gated head; seat A then claims a wave
     larger than one window behind a gated head. A ships at most
-    ``batch_max`` payloads, so the rest of the wave stays in the ready
+    ``BATCH_MAX`` payloads, so the rest of the wave stays in the ready
     queues and completes on B once B frees, while A is still gated."""
     start_b, gate_b = tmp_path / "start_b", tmp_path / "gate_b"
     start_a, gate_a = tmp_path / "start_a", tmp_path / "gate_a"
     registry = MetricsRegistry()
     events = EventLog("window-test")
     rt = Runtime(metrics=registry, events=events)
-    ex = ProcessExecutor(rt, workers=2, batch_max=4)
+    ex = ProcessExecutor(rt, workers=2)
     fasts = []
 
     def _add_wave():
@@ -145,11 +145,11 @@ def test_straggler_holds_only_its_window(tmp_path):
         seat_a = next(e["worker"] for e in dispatched
                       if e["task"] == "slow_a")
         held = {e["task"] for e in dispatched if e["worker"] == seat_a}
-        assert "slow_a" in held and len(held) <= ex.batch_max
-        assert ex.tasks_shipped <= 1 + ex.batch_max  # slow_b + A's window
+        assert "slow_a" in held and len(held) <= BATCH_MAX
+        assert ex.tasks_shipped <= 1 + BATCH_MAX  # slow_b + A's window
         gate_b.write_text("go")  # B takes the rest from the ready queues
         rest = [t for t in fasts if t.name not in held]
-        assert len(rest) >= len(fasts) - (ex.batch_max - 1)
+        assert len(rest) >= len(fasts) - (BATCH_MAX - 1)
         assert _wait_until(
             lambda: all(t.state is TaskState.DONE for t in rest),
             timeout_s=30.0)

@@ -21,7 +21,9 @@ from functools import partial
 import pytest
 
 from repro.errors import TaskExecutionError
-from repro.sre.executor_procs import PipeLink, ProcessExecutor, WorkerSupervisor
+from repro.sre import executor_procs
+from repro.sre.executor_procs import (MAX_TASK_RETRIES, PipeLink,
+                                      ProcessExecutor, WorkerSupervisor)
 from repro.sre.runtime import Runtime
 from repro.sre.task import Task
 from repro.testing.faults import FaultPlan
@@ -157,17 +159,16 @@ def test_slow_worker_within_deadline_is_not_a_crash():
 
 def test_poisonous_payload_is_quarantined():
     rt = Runtime()
-    ex = ProcessExecutor(rt, workers=1, fault_plan="kill@1!",
-                         max_task_retries=1, max_worker_respawns=5)
+    ex = ProcessExecutor(rt, workers=1, fault_plan="kill@1!")
     rt.add_task(Task("poison", partial(_identity, 0)))
     with pytest.raises(TaskExecutionError, match="quarantined"):
         ex.run(timeout=60.0)
     assert rt.metrics.value("procs_tasks_quarantined") == 1
-    # Bounded: one initial dispatch + max_task_retries re-dispatches.
-    assert rt.metrics.value("procs_task_retries") <= 1
+    # Bounded: one initial dispatch + MAX_TASK_RETRIES re-dispatches.
+    assert rt.metrics.value("procs_task_retries") <= MAX_TASK_RETRIES
     kinds = _kinds(rt)
     assert "task_quarantine" in kinds
-    assert kinds.count("worker_crash") == 2  # initial + one retry
+    assert kinds.count("worker_crash") == 1 + MAX_TASK_RETRIES
     assert "worker_respawn" in kinds
 
 
@@ -176,10 +177,12 @@ def test_poisonous_payload_is_quarantined():
 # resort
 # ---------------------------------------------------------------------------
 
-def test_seat_degrades_to_inline_and_run_completes():
+def test_seat_degrades_to_inline_and_run_completes(monkeypatch):
+    # No respawns, so the seat degrades at its first crash, long before
+    # the retry budget could quarantine a task.
+    monkeypatch.setattr(executor_procs, "MAX_WORKER_RESPAWNS", 0)
     rt = Runtime()
-    ex = ProcessExecutor(rt, workers=1, fault_plan="kill@1!",
-                         max_worker_respawns=0, max_task_retries=100)
+    ex = ProcessExecutor(rt, workers=1, fault_plan="kill@1!")
     tasks = [rt.add_task(Task(f"t{i}", partial(_identity, i)))
              for i in range(4)]
     ex.run(timeout=60.0)
